@@ -19,8 +19,6 @@ from .model import (
     LyapunovDrift,
     MatrixAtomicMeasure,
     TruncatedParams,
-    apply_drift,
-    apply_drift_adjoint,
     detruncate,
     growth_constant,
     inward_pointing_check,

@@ -189,6 +189,15 @@ def load_ugrid(path: str) -> tuple[list[np.ndarray], list[float]]:
     return us, times
 
 
+def _check_dims(d: int, us: list[np.ndarray], x: np.ndarray | None = None) -> None:
+    """Every u-grid entry and the initial state, if given, must be d x d."""
+    if x is not None and x.shape != (d, d):
+        raise ParamFileError("--x: dimension does not match the parameter set")
+    for k, u in enumerate(us):
+        if u.shape != (d, d):
+            raise ParamFileError(f"$.u[{k}]: dimension does not match the parameter set")
+
+
 def load_matrix_file(path: str) -> np.ndarray:
     """A single matrix: either a bare nested array or {"x": [[..]]}."""
     obj = _load_json(path)
@@ -290,13 +299,7 @@ def _transform_rows_ode(params, us, times, x, d):
     cfg = riccati.SolverConfig()
     t_max = max(times) if times else 0.0
     for k, u in enumerate(us):
-        if t_max > 0:
-            if np.linalg.eigvalsh(u.real.copy())[0] > 1e-10 * max(1.0, frobenius(u.real)):
-                sol = riccati.solve(params, u, t_max, cfg)
-            else:
-                sol = riccati.solve_boundary(params, u, t_max, cfg)
-        else:
-            sol = None
+        sol = riccati.solve_auto(params, u, t_max, cfg) if t_max > 0 else None
         for t in times:
             row = {"u_index": k, "t": float(t), "method": "ode"}
             if t == 0.0:
@@ -342,11 +345,7 @@ def cmd_transform(args) -> int:
     if not times:
         raise ParamFileError(f"{args.ugrid}: $.times: at least one time is required")
     x = load_matrix_file(args.x) if args.x else np.zeros((params.d, params.d))
-    if x.shape != (params.d, params.d):
-        raise ParamFileError("--x: dimension does not match the parameter set")
-    for k, u in enumerate(us):
-        if u.shape != (params.d, params.d):
-            raise ParamFileError(f"$.u[{k}]: dimension does not match the parameter set")
+    _check_dims(params.d, us, x)
 
     method = args.method
     spec = detect_mbajd(params)
@@ -375,6 +374,7 @@ def cmd_simulate(args) -> int:
         return EXIT_FAILURE
     us, _ = load_ugrid(args.u)
     x = load_matrix_file(args.x) if args.x else np.eye(params.d)
+    _check_dims(params.d, us, x)
     cfg = montecarlo.SimConfig(n_paths=args.paths, dt=args.dt, seed=args.seed,
                                antithetic=args.antithetic)
     rows = []
@@ -398,6 +398,7 @@ def cmd_compare(args) -> int:
         return EXIT_FAILURE
     us, _ = load_ugrid(args.u)
     x = load_matrix_file(args.x) if args.x else np.eye(params.d)
+    _check_dims(params.d, us, x)
     spec = detect_mbajd(params)
     cfg = montecarlo.SimConfig(n_paths=args.paths, dt=args.dt, seed=args.seed,
                                antithetic=args.antithetic)
@@ -447,6 +448,7 @@ def cmd_mbajd(args) -> int:
               "empty mu, Lyapunov drift and b = 2 p alpha)", file=sys.stderr)
         return EXIT_FAILURE
     us, times = load_ugrid(args.u)
+    _check_dims(params.d, us)
     if args.T is not None:
         times = [args.T]
     if not times:

@@ -95,9 +95,12 @@ class LyapunovDrift:
         return self.beta.shape[0]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.beta @ x + x @ self.beta.T
+        """B(x) for one matrix (d, d) or a stack (..., d, d)."""
+        bx = np.einsum("ij,...jk->...ik", self.beta, x, optimize=True)
+        return bx + np.swapaxes(bx, -1, -2)
 
     def adjoint(self, u: np.ndarray) -> np.ndarray:
+        """B^T(u), the adjoint for the trace pairing; u may be complex symmetric."""
         return self.beta.T @ u + u @ self.beta
 
     def as_matrix(self) -> np.ndarray:
@@ -123,7 +126,15 @@ class GeneralDrift:
         object.__setattr__(self, "matrix", m)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return vec_to_sym(self.matrix @ sym_to_vec(x), self.d)
+        """B(x) for one matrix (d, d) or a stack (..., d, d): one product
+        with the matrix in the isometric basis."""
+        iu, ju, diag = _triu_indices(self.d)
+        scale = np.where(diag, 1.0, SQRT2)
+        v = (x[..., iu, ju] * scale) @ self.matrix.T / scale
+        out = np.empty(v.shape[:-1] + (self.d, self.d), dtype=v.dtype)
+        out[..., iu, ju] = v
+        out[..., ju, iu] = v
+        return out
 
     def adjoint(self, u: np.ndarray) -> np.ndarray:
         # transpose in an orthonormal basis is the trace-pairing adjoint
@@ -155,17 +166,6 @@ def as_general(drift: LinearDrift) -> GeneralDrift:
     if isinstance(drift, GeneralDrift):
         return drift
     return GeneralDrift(matrix=_drift_matrix(drift), d=drift.d)
-
-
-def apply_drift(drift: LinearDrift, x: np.ndarray) -> np.ndarray:
-    """B(x)."""
-    return drift.apply(x)
-
-
-def apply_drift_adjoint(drift: LinearDrift, u: np.ndarray) -> np.ndarray:
-    """B^T(u), the adjoint with respect to the trace pairing, acting
-    entrywise on real or complex symmetric u."""
-    return drift.adjoint(u)
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +270,6 @@ def classify_alpha(alpha: np.ndarray, tol: float | None = None) -> AlphaClass:
     return AlphaClass.DEGENERATE_NONZERO
 
 
-def _frozen_sym(x, name: str) -> np.ndarray:
-    return _canonical_sym(x, name)
-
-
 @dataclass(frozen=True)
 class AffineParams:
     """Truncation-free parameter set (alpha, b, B, c, gamma, m, mu).
@@ -298,9 +294,10 @@ class AffineParams:
         if d < 2:
             raise DomainError("model parameters require d >= 2")
         object.__setattr__(self, "d", d)
-        alpha = _frozen_sym(self.alpha, "alpha")
-        b = _frozen_sym(self.b, "b")
-        gamma = _frozen_sym(self.gamma if self.gamma is not None else np.zeros((d, d)), "gamma")
+        alpha = _canonical_sym(self.alpha, "alpha")
+        b = _canonical_sym(self.b, "b")
+        gamma = _canonical_sym(self.gamma if self.gamma is not None else np.zeros((d, d)),
+                               "gamma")
         for name, arr in (("alpha", alpha), ("b", b), ("gamma", gamma)):
             if arr.shape != (d, d):
                 raise DomainError(f"{name} must be {d} x {d}")

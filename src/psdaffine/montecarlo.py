@@ -28,18 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AffineParams
-from .symcore import (
-    DomainError,
-    frobenius,
-    is_psd,
-    psd_project,
-    spectrum,
-    sqrt_psd,
-    symmetrize,
-)
+from .model import AffineParams, LinearDrift
+from .symcore import DomainError, frobenius, is_psd, spectrum
 
-SCHEME_EULER_PROJECT = "euler-project"
 _BLOCK_PATHS = 4096  # fixed blocking: memory bound, never affects results
 
 
@@ -48,7 +39,6 @@ class SimConfig:
     n_paths: int
     dt: float
     seed: int
-    scheme: str = SCHEME_EULER_PROJECT
     antithetic: bool = False
 
     def __post_init__(self):
@@ -56,8 +46,6 @@ class SimConfig:
             raise ValueError("n_paths must be at least 1")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.scheme != SCHEME_EULER_PROJECT:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.antithetic and self.n_paths % 2:
             raise ValueError("antithetic sampling needs an even number of paths")
 
@@ -156,10 +144,6 @@ def _mm_fixed_right(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.einsum("pij,jk->pik", x, a, optimize=True)
 
 
-def _mm_fixed_left(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,pjk->pik", a, x, optimize=True)
-
-
 def _mm_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[-1] == 2:
         a00, a01, a10, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]
@@ -219,6 +203,54 @@ def _check_conservative(params: AffineParams):
                           "(c = 0 and gamma = 0)")
 
 
+@dataclass(frozen=True)
+class _Scheme:
+    """Step-invariant inputs of the Euler update, derived once from params."""
+
+    b: np.ndarray
+    drift: LinearDrift
+    sigma: np.ndarray        # Sigma^T Sigma = alpha
+    m_sites: np.ndarray      # (n_m, d, d)
+    m_rates: np.ndarray      # (n_m,)
+    mu_sites: np.ndarray     # (n_mu, d, d)
+    mu_weights: np.ndarray   # (n_mu, d, d)
+
+    @classmethod
+    def of(cls, params: AffineParams) -> _Scheme:
+        d = params.d
+        return cls(b=params.b, drift=params.drift,
+                   sigma=diffusion_factor(params.alpha).sigma,
+                   m_sites=np.array([xi for xi, _ in params.m.atoms]).reshape(-1, d, d),
+                   m_rates=np.array([w for _, w in params.m.atoms], dtype=float),
+                   mu_sites=np.array([xi for xi, _ in params.mu.atoms]).reshape(-1, d, d),
+                   mu_weights=np.array([wm for _, wm in params.mu.atoms]).reshape(-1, d, d))
+
+    @property
+    def n_atoms(self) -> int:
+        return len(self.m_sites) + len(self.mu_sites)
+
+
+def _advance(x: np.ndarray, normals: np.ndarray, uniforms: np.ndarray, dt: float,
+             scheme: _Scheme) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One projected Euler step for a batch of PSD states x (n, d, d), given
+    the step's standard normals (n, d, d) and one uniform per atom
+    (n, n_atoms), m atoms first. Returns the new states, the jump counts and
+    the intensities integrated over the step (both (n, n_atoms))."""
+    n = len(x)
+    n_m = len(scheme.m_sites)
+    noise = _mm_fixed_right(_mm_batch(_sqrt_psd_batch(x), normals), scheme.sigma) * np.sqrt(dt)
+    x_new = x + (scheme.b + scheme.drift.apply(x)) * dt + noise + noise.transpose(0, 2, 1)
+    lam = np.concatenate(
+        [np.broadcast_to(scheme.m_rates * dt, (n, n_m)),
+         np.maximum(np.einsum("kij,pji->pk", scheme.mu_weights, x), 0.0) * dt], axis=1)
+    counts = _poisson_from_uniform(lam, uniforms)
+    if n_m:
+        x_new = x_new + np.einsum("pk,kij->pij", counts[:, :n_m], scheme.m_sites)
+    if len(scheme.mu_sites):
+        x_new = x_new + np.einsum("pk,kij->pij", counts[:, n_m:], scheme.mu_sites)
+    return _project_psd_batch(0.5 * (x_new + x_new.transpose(0, 2, 1))), counts, lam
+
+
 def step(params: AffineParams, x: np.ndarray, dt: float,
          rng: np.random.Generator) -> np.ndarray:
     """One Euler step from a single PSD state; the result is projected back
@@ -228,23 +260,10 @@ def step(params: AffineParams, x: np.ndarray, dt: float,
     x = np.asarray(x, dtype=float)
     if not is_psd(x):
         raise DomainError("state must be PSD")
-    d = params.d
-    sigma = diffusion_factor(params.alpha).sigma
-    g = rng.standard_normal((d, d))
-    sqx = sqrt_psd(psd_project(x))
-    incr = (params.b + params.drift.apply(x)) * dt
-    noise = sqx @ g @ sigma * np.sqrt(dt)
-    incr = incr + noise + noise.T
-    for xi, w in params.m.atoms:
-        n = int(_poisson_from_uniform(np.array([w * dt]), np.array([rng.random()]))[0])
-        if n:
-            incr = incr + n * xi
-    for xi, wm in params.mu.atoms:
-        lam = max(float(np.einsum("ij,ji->", wm, x)) * dt, 0.0)
-        n = int(_poisson_from_uniform(np.array([lam]), np.array([rng.random()]))[0])
-        if n:
-            incr = incr + n * xi
-    return psd_project(symmetrize(x + incr))
+    scheme = _Scheme.of(params)
+    g = rng.standard_normal((params.d, params.d))
+    u = rng.random(scheme.n_atoms)
+    return _advance(x[None], g[None], u[None], dt, scheme)[0][0]
 
 
 @dataclass
@@ -262,66 +281,37 @@ def _simulate_block(params: AffineParams, x0: np.ndarray, dt: float, n_steps: in
                     seed: int, paths: range, antithetic: bool) -> PathStats:
     d = params.d
     n = len(paths)
-    sigma = diffusion_factor(params.alpha).sigma
-    sqdt = np.sqrt(dt)
-    m_atoms = params.m.atoms
-    mu_atoms = params.mu.atoms
-    n_atoms = len(m_atoms) + len(mu_atoms)
+    scheme = _Scheme.of(params)
+    n_atoms = scheme.n_atoms
 
     normals = np.empty((n_steps, n, d, d))
     for i, p in enumerate(paths):
         tag, sign = _gauss_tag(p, antithetic)
         normals[:, i] = sign * _stream(seed, tag).standard_normal((n_steps, d, d))
+    uniforms = np.empty((n_steps, n, n_atoms))
     if n_atoms:
-        uniforms = np.empty((n_steps, n, n_atoms))
         for i, p in enumerate(paths):
             uniforms[:, i] = _stream(seed, 2 * p + 1).random((n_steps, n_atoms))
 
     x = np.broadcast_to(x0, (n, d, d)).copy()
     counts = np.zeros((n, n_atoms))
     intens = np.zeros((n, n_atoms))
-    beta = params.drift.beta if hasattr(params.drift, "beta") else None
-    drift_mat = None if beta is not None else params.drift
-    m_sites = np.stack([xi for xi, _ in m_atoms]) if m_atoms else None
-    m_lams = np.array([w * dt for _, w in m_atoms]) if m_atoms else None
-    mu_sites = np.stack([xi for xi, _ in mu_atoms]) if mu_atoms else None
-    mu_wms = np.stack([wm for _, wm in mu_atoms]) if mu_atoms else None
-
     for k in range(n_steps):
-        sqx = _sqrt_psd_batch(x)
-        noise = _mm_fixed_right(_mm_batch(sqx, normals[k]), sigma) * sqdt
-        if beta is not None:
-            bx = _mm_fixed_left(beta, x)
-            drift = bx + bx.transpose(0, 2, 1)
-        else:
-            drift = np.stack([drift_mat.apply(xp) for xp in x])
-        x_new = x + (params.b + drift) * dt + noise + noise.transpose(0, 2, 1)
-        if n_atoms:
-            col = 0
-            if m_atoms:
-                lam = np.broadcast_to(m_lams, (n, len(m_atoms)))
-                cm = _poisson_from_uniform(lam, uniforms[k][:, :len(m_atoms)])
-                counts[:, :len(m_atoms)] += cm
-                intens[:, :len(m_atoms)] += lam
-                x_new = x_new + np.einsum("pk,kij->pij", cm, m_sites)
-                col = len(m_atoms)
-            if mu_atoms:
-                lam = np.maximum(np.einsum("kij,pji->pk", mu_wms, x), 0.0) * dt
-                cmu = _poisson_from_uniform(lam, uniforms[k][:, col:])
-                counts[:, col:] += cmu
-                intens[:, col:] += lam
-                x_new = x_new + np.einsum("pk,kij->pij", cmu, mu_sites)
-        x = _project_psd_batch(0.5 * (x_new + x_new.transpose(0, 2, 1)))
+        x, step_counts, step_intens = _advance(x, normals[k], uniforms[k], dt, scheme)
+        counts += step_counts
+        intens += step_intens
 
     return PathStats(x_final=x, jump_counts=counts, intensity_integrals=intens,
                      dt=dt, n_steps=n_steps)
 
 
 def _max_workers() -> int:
-    env = os.environ.get("PSDAFFINE_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    env = os.environ.get("PSDAFFINE_THREADS", "").strip()
+    if not env:
+        return os.cpu_count() or 1
+    if not env.isdecimal() or int(env) < 1:
+        raise ValueError(f"PSDAFFINE_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def simulate_paths(params: AffineParams, x0: np.ndarray, T: float,

@@ -387,12 +387,21 @@ def boundary_limit(params: AffineParams, u0: np.ndarray, T: float, n_max: int = 
 _PD_TOL = 1e-10
 
 
+def solve_auto(params: AffineParams, u0: np.ndarray, T: float,
+               cfg: SolverConfig | None = None) -> RiccatiSolution:
+    """Direct solver when Re(u0) is positive definite, projected solver
+    otherwise."""
+    u0 = np.asarray(u0, dtype=complex)
+    if min_eig(u0.real) > _PD_TOL * max(1.0, frobenius(u0.real)):
+        return solve(params, u0, T, cfg)
+    return solve_boundary(params, u0, T, cfg)
+
+
 def transform(params: AffineParams, u0: np.ndarray, x: np.ndarray, T: float,
               cfg: SolverConfig | None = None) -> complex:
     """Fourier-Laplace transform value exp(-phi(T, u0) - tr(psi(T, u0) x)).
 
-    Dispatches to the direct solver when Re(u0) is positive definite and to
-    the projected solver otherwise. For conservative parameter sets the
+    Solves through :func:`solve_auto`. For conservative parameter sets the
     modulus is at most 1.
     """
     u0 = np.asarray(u0, dtype=complex)
@@ -403,10 +412,7 @@ def transform(params: AffineParams, u0: np.ndarray, x: np.ndarray, T: float,
         raise ValueError("T must be nonnegative")
     if T == 0:
         return complex(np.exp(-trace_inner(u0, x)))
-    if min_eig(u0.real) > _PD_TOL * max(1.0, frobenius(u0.real)):
-        sol = solve(params, u0, T, cfg)
-    else:
-        sol = solve_boundary(params, u0, T, cfg)
+    sol = solve_auto(params, u0, T, cfg)
     if not sol.completed:
         raise BlowUpError(sol.diagnostics.t_plus)
     phi_t, psi_t = sol.eval(T)

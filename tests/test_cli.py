@@ -265,6 +265,44 @@ def test_compare_threshold_breach_exits_one(capsys, wishart_file, ugrid_file):
     assert "threshold breach" in err
 
 
+@pytest.mark.parametrize("command", ["transform", "mbajd", "simulate", "compare"])
+def test_u_dimension_mismatch_exits_two(capsys, tmp_path, wishart_file, command):
+    ufile = tmp_path / "u3.json"
+    ufile.write_text(json.dumps({"u": [{"re": np.eye(3).tolist()}], "times": [0.5]}))
+    if command == "transform":
+        argv = ("transform", wishart_file, str(ufile))
+    elif command == "mbajd":
+        argv = ("mbajd", wishart_file, "--u", str(ufile))
+    else:
+        argv = (command, wishart_file, "--u", str(ufile), "-T", "0.5",
+                "--paths", "16", "--dt", "0.1")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "$.u[0]: dimension does not match" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_x_dimension_mismatch_exits_two(capsys, tmp_path, wishart_file, ugrid_file,
+                                        command):
+    xfile = tmp_path / "x3.json"
+    xfile.write_text(json.dumps({"x": np.eye(3).tolist()}))
+    code, _, err = run_cli(capsys, command, wishart_file, "--u", ugrid_file,
+                           "--x", str(xfile), "-T", "0.5", "--paths", "16", "--dt", "0.1")
+    assert code == 2
+    assert "--x: dimension does not match" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_simulate_rejects_bad_thread_count(capsys, monkeypatch, wishart_file, ugrid_file,
+                                           value):
+    monkeypatch.setenv("PSDAFFINE_THREADS", value)
+    code, out, err = run_cli(capsys, "simulate", wishart_file, "--u", ugrid_file,
+                             "-T", "0.5", "--paths", "16", "--dt", "0.1")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: PSDAFFINE_THREADS must be a positive integer, got {value!r}\n"
+
+
 # ---------------------------------------------------------------------------
 # mbajd
 # ---------------------------------------------------------------------------

@@ -260,13 +260,15 @@ def test_determinant_never_vanishes_along_trajectories():
             assert abs(det) > 1e-8
 
 
-def test_sigma_cross_check_catches_corruption():
-    # feeding a wrong integrand through the public entry must trip the check:
-    # simulate by comparing against a deliberately broken block matrix
-    from psdaffine.closedform import _sigma_vanloan
+def test_sigma_cross_check_catches_corruption(monkeypatch):
+    # a transpose convention mistake in the block exponential must trip the
+    # quadrature witness on the public entry point
+    import psdaffine.closedform as cf
     beta = np.array([[-0.5, 0.3], [0.0, -0.2]])
     alpha = np.eye(2)
-    good = _sigma_vanloan(beta, alpha, 1.0)
-    bad = _sigma_vanloan(beta.T, alpha, 1.0)  # transpose convention mistake
-    assert frobenius(good - bad) > 1e-3  # the witness has something to catch
+    good = cf._sigma_vanloan(beta, alpha, 1.0)
     np.testing.assert_allclose(sigma_integral(beta, alpha, 1.0), good, atol=1e-9)
+    correct = cf._sigma_vanloan
+    monkeypatch.setattr(cf, "_sigma_vanloan", lambda b, a, t: correct(b.T, a, t))
+    with pytest.raises(RuntimeError, match="cross-check failed"):
+        sigma_integral(beta, alpha, 1.0)

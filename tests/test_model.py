@@ -10,8 +10,6 @@ from psdaffine import (
     LyapunovDrift,
     MatrixAtomicMeasure,
     TruncatedParams,
-    apply_drift,
-    apply_drift_adjoint,
     boundary_pairs,
     detruncate,
     frobenius,
@@ -61,8 +59,7 @@ def test_drift_adjointness_identity():
             dd = d * (d + 1) // 2
             drift = GeneralDrift(matrix=rng.standard_normal((dd, dd)), d=d)
         x, u = random_sym(rng, d), random_sym(rng, d)
-        gap = abs(trace_inner(apply_drift(drift, x), u)
-                  - trace_inner(x, apply_drift_adjoint(drift, u)))
+        gap = abs(trace_inner(drift.apply(x), u) - trace_inner(x, drift.adjoint(u)))
         assert gap <= 1e-12 * (1 + frobenius(x) * frobenius(u))
 
 
@@ -71,11 +68,9 @@ def test_drift_adjoint_complex_argument():
     beta = rng.standard_normal((3, 3))
     drift = LyapunovDrift(beta=beta)
     u = random_interior_u(rng, 3)
-    np.testing.assert_allclose(apply_drift_adjoint(drift, u), beta.T @ u + u @ beta,
-                               atol=1e-14)
+    np.testing.assert_allclose(drift.adjoint(u), beta.T @ u + u @ beta, atol=1e-14)
     gen = as_general(drift)
-    np.testing.assert_allclose(apply_drift_adjoint(gen, u),
-                               apply_drift_adjoint(drift, u), atol=1e-12)
+    np.testing.assert_allclose(gen.adjoint(u), drift.adjoint(u), atol=1e-12)
 
 
 def test_lyapunov_general_round_trip():
@@ -90,7 +85,7 @@ def test_lyapunov_general_round_trip():
 
 def test_zero_drift():
     drift = LyapunovDrift(beta=np.zeros((2, 2)))
-    np.testing.assert_allclose(apply_drift(drift, np.eye(2)), np.zeros((2, 2)))
+    np.testing.assert_allclose(drift.apply(np.eye(2)), np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +230,7 @@ def test_detruncate_single_atom_on_basis(scale):
             e = np.zeros((2, 2))
             e[i, j] = e[j, i] = 1.0
             expected = beta @ e + e @ beta.T - trace_inner(wm, e) * chi
-            np.testing.assert_allclose(apply_drift(params.drift, e), expected,
-                                       atol=1e-12)
+            np.testing.assert_allclose(params.drift.apply(e), expected, atol=1e-12)
 
 
 def test_detruncate_re_truncate_round_trip():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from psdaffine import (
     AffineParams,
     AtomicMeasure,
     DomainError,
+    GeneralDrift,
     LyapunovDrift,
     MatrixAtomicMeasure,
     SimConfig,
@@ -17,7 +20,14 @@ from psdaffine import (
     trace_inner,
     transform,
 )
-from psdaffine.montecarlo import _poisson_from_uniform, _project_psd_batch, _sqrt_psd_batch
+from psdaffine.model import sym_to_vec, vec_to_sym
+from psdaffine.montecarlo import (
+    _advance,
+    _poisson_from_uniform,
+    _project_psd_batch,
+    _Scheme,
+    _sqrt_psd_batch,
+)
 from conftest import random_psd, random_sym
 
 
@@ -82,9 +92,36 @@ def test_poisson_inversion_is_exact_poisson():
         assert abs(freq - pmf) < tol
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_batched_drift_matches_per_matrix(d):
+    rng = np.random.default_rng(40 + d)
+    xs = np.stack([random_sym(rng, d) for _ in range(64)])
+    lyap = LyapunovDrift(beta=rng.standard_normal((d, d)))
+    assert np.array_equal(lyap.apply(xs), np.stack([lyap.apply(x) for x in xs]))
+    dd = d * (d + 1) // 2
+    gen = GeneralDrift(matrix=rng.standard_normal((dd, dd)), d=d)
+    looped = np.stack([vec_to_sym(gen.matrix @ sym_to_vec(x), d) for x in xs])
+    np.testing.assert_allclose(gen.apply(xs), looped, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(gen.apply(xs), np.stack([gen.apply(x) for x in xs]),
+                               rtol=0, atol=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # single step
 # ---------------------------------------------------------------------------
+
+
+def test_step_draw_order_feeds_the_kernel():
+    # d*d normals, then one uniform per m atom and one per mu atom
+    params = conservative_params(m_atoms=((0.3 * np.eye(2), 0.7),),
+                                 mu_atoms=((0.2 * np.eye(2), 0.5 * np.eye(2)),))
+    x = random_psd(np.random.default_rng(7), 2)
+    got = step(params, x, 0.1, np.random.default_rng(13))
+    rng = np.random.default_rng(13)
+    g = rng.standard_normal((2, 2))
+    u = rng.random(2)
+    want = _advance(x[None], g[None], u[None], 0.1, _Scheme.of(params))[0][0]
+    assert np.array_equal(got, want)
 
 
 def test_step_all_zero_params_is_identity():
@@ -253,3 +290,36 @@ def test_final_states_are_psd():
     stats = simulate_paths(params, np.eye(2), 0.5, SimConfig(n_paths=300, dt=2.0**-6, seed=4))
     for x in stats.x_final:
         assert is_psd(x)
+
+
+def golden_params(d):
+    ones, eye = np.ones((d, d)), np.eye(d)
+    alpha = 0.5 * eye + 0.1 * ones
+    return AffineParams(
+        d=d, alpha=alpha, b=d * alpha,
+        drift=LyapunovDrift(beta=-0.6 * eye + 0.2 * np.triu(ones, 1)),
+        m=AtomicMeasure(atoms=((0.3 * eye + 0.05 * ones, 0.8),)),
+        mu=MatrixAtomicMeasure(atoms=((0.2 * np.diag(np.arange(1.0, d + 1)), 0.4 * eye),)))
+
+
+# SHA-256 of x_final, jump_counts and intensity_integrals (recorded with
+# NumPy 2.4 and OpenBLAS on x86-64; another BLAS/LAPACK build may move them).
+# Cone projection is active on about 7% (d = 2) and 12% (d = 3) of the
+# path-steps. A change of these bits changes every Monte Carlo estimate and
+# must be stated with its size.
+GOLDEN = {
+    2: "15215249003867692abf1de5ca82daae56d0cd7c1f229c28d0fea64eb3421af7",
+    3: "c505058b59ccf1dfb5ab8304aee8aee7d05920b57aa75aea40eb52a4c9eecf61",
+}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_simulate_paths_golden_bits(monkeypatch, d):
+    import psdaffine.montecarlo as mc
+    monkeypatch.setattr(mc, "_BLOCK_PATHS", 160)  # two blocks: 160 + 140 paths
+    stats = simulate_paths(golden_params(d), 0.5 * np.eye(d), 0.5,
+                           SimConfig(n_paths=300, dt=2.0**-5, seed=2024))
+    h = hashlib.sha256()
+    for a in (stats.x_final, stats.jump_counts, stats.intensity_integrals):
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    assert h.hexdigest() == GOLDEN[d]

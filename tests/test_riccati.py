@@ -30,7 +30,6 @@ from psdaffine import (
     trace_inner,
     transform,
 )
-from psdaffine.model import apply_drift_adjoint
 from psdaffine.riccati import RiccatiRHS
 from conftest import random_admissible, random_interior_u, random_psd, random_spd, random_sym
 
@@ -86,7 +85,7 @@ def test_rhs_psi_term_by_term_oracle():
     u = random_interior_u(rng, 2)
     got = rhs_psi(params, u)
     quadratic = -2.0 * u @ params.alpha @ u
-    linear = apply_drift_adjoint(params.drift, u) + params.gamma
+    linear = params.drift.adjoint(u) + params.gamma
     jump = -jump_transform_mu(params.mu, u)
     np.testing.assert_allclose(got, quadratic + linear + jump, atol=1e-13)
     # phi rate assembled the same way
