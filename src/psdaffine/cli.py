@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -24,7 +25,7 @@ from .model import (
     MatrixAtomicMeasure,
     validate as validate_params,
 )
-from .symcore import DomainError, frobenius, is_psd, trace_inner
+from .symcore import DomainError, is_psd, trace_inner
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -51,7 +52,13 @@ def _require(obj: dict, key: str, path: str):
 def _number(val, path: str) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ParamFileError(f"{path}: expected a number")
-    return float(val)
+    try:
+        out = float(val)
+    except OverflowError:  # an integer literal beyond the float range
+        out = math.inf
+    if not math.isfinite(out):
+        raise ParamFileError(f"{path}: expected a finite number, got {val!r}")
+    return out
 
 
 def _matrix(val, path: str, d: int | None = None) -> np.ndarray:
@@ -207,35 +214,6 @@ def load_matrix_file(path: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# MBAJD detection
-# ---------------------------------------------------------------------------
-
-
-def detect_mbajd(params: AffineParams) -> closedform.MBAJDSpec | None:
-    """Recognize b = 2 p alpha with Lyapunov drift, no killing, no mu jumps;
-    p is recovered by a scalar least-squares fit with residual <= 1e-10."""
-    if not (params.is_conservative and params.mu.is_empty
-            and isinstance(params.drift, LyapunovDrift)):
-        return None
-    alpha_sq = trace_inner(params.alpha, params.alpha)
-    if alpha_sq == 0.0:
-        if frobenius(params.b) > 1e-12:
-            return None
-        p = (params.d - 1) / 2.0  # irrelevant when alpha = 0
-    else:
-        p = trace_inner(params.b, params.alpha) / (2.0 * alpha_sq)
-        if frobenius(params.b - 2.0 * p * params.alpha) > 1e-10 * max(1.0, frobenius(params.b)):
-            return None
-        if p < (params.d - 1) / 2.0 - 1e-12:
-            return None
-    try:
-        return closedform.MBAJDSpec(d=params.d, alpha=params.alpha,
-                                    beta=params.drift.beta, p=p, m=params.m)
-    except DomainError:
-        return None
-
-
-# ---------------------------------------------------------------------------
 # Row output
 # ---------------------------------------------------------------------------
 
@@ -348,7 +326,7 @@ def cmd_transform(args) -> int:
     _check_dims(params.d, us, x)
 
     method = args.method
-    spec = detect_mbajd(params)
+    spec = closedform.MBAJDSpec.from_params(params)
     if method == "auto":
         method = "closed" if spec is not None else "ode"
     if method == "closed":
@@ -399,7 +377,7 @@ def cmd_compare(args) -> int:
     us, _ = load_ugrid(args.u)
     x = load_matrix_file(args.x) if args.x else np.eye(params.d)
     _check_dims(params.d, us, x)
-    spec = detect_mbajd(params)
+    spec = closedform.MBAJDSpec.from_params(params)
     cfg = montecarlo.SimConfig(n_paths=args.paths, dt=args.dt, seed=args.seed,
                                antithetic=args.antithetic)
     rows = []
@@ -442,7 +420,7 @@ def cmd_compare(args) -> int:
 
 def cmd_mbajd(args) -> int:
     params = load_params(args.params)
-    spec = detect_mbajd(params)
+    spec = closedform.MBAJDSpec.from_params(params)
     if spec is None:
         print("error: parameter set is not an MBAJD (need gamma = 0, c = 0, "
               "empty mu, Lyapunov drift and b = 2 p alpha)", file=sys.stderr)
@@ -472,6 +450,17 @@ def cmd_mbajd(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for float flags: inf and nan are malformed input."""
+    try:
+        val = float(text)
+    except ValueError:
+        val = math.nan
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return val
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="psdaffine",
@@ -483,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params")
     p.add_argument("--pairs", type=int, default=64,
                    help="random boundary pairs besides the canonical ones")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_finite_float, default=1e-9)
     p.add_argument("--out", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_validate)
 
@@ -499,9 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params")
     p.add_argument("--u", required=True, help="u-grid file")
     p.add_argument("--x", default=None, help="initial state file (default: identity)")
-    p.add_argument("-T", type=float, required=True)
+    p.add_argument("-T", type=_finite_float, required=True)
     p.add_argument("--paths", type=int, default=10000)
-    p.add_argument("--dt", type=float, default=2.0**-8)
+    p.add_argument("--dt", type=_finite_float, default=2.0**-8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--antithetic", action="store_true")
     p.add_argument("--out", choices=("csv", "json"), default="csv")
@@ -511,21 +500,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params")
     p.add_argument("--u", required=True)
     p.add_argument("--x", default=None)
-    p.add_argument("-T", type=float, required=True)
+    p.add_argument("-T", type=_finite_float, required=True)
     p.add_argument("--paths", type=int, default=10000)
-    p.add_argument("--dt", type=float, default=2.0**-8)
+    p.add_argument("--dt", type=_finite_float, default=2.0**-8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--antithetic", action="store_true")
-    p.add_argument("--allowance", type=float, default=0.005,
+    p.add_argument("--allowance", type=_finite_float, default=0.005,
                    help="discretization allowance added to 3 stderr")
-    p.add_argument("--closed-tol", type=float, default=1e-6)
+    p.add_argument("--closed-tol", type=_finite_float, default=1e-6)
     p.add_argument("--out", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("mbajd", help="closed-form phi, psi table")
     p.add_argument("params")
     p.add_argument("--u", required=True)
-    p.add_argument("-T", type=float, default=None,
+    p.add_argument("-T", type=_finite_float, default=None,
                    help="single time (otherwise the u-grid times are used)")
     p.add_argument("--out", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_mbajd)
@@ -541,7 +530,8 @@ def main(argv=None) -> int:
     except ParamFileError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (DomainError, riccati.BlowUpError, ValueError) as exc:
+    except (DomainError, riccati.BlowUpError, closedform.BranchTrackingError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -71,6 +71,33 @@ class MBAJDSpec:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "p", p)
+        # largest horizon whose sigma has passed the quadrature witness
+        object.__setattr__(self, "_witnessed", 0.0)
+
+    @classmethod
+    def from_params(cls, params: AffineParams) -> MBAJDSpec | None:
+        """Recognize b = 2 p alpha with Lyapunov drift, no killing, no mu jumps;
+        p is recovered by a scalar least-squares fit with residual <= 1e-10.
+        Returns None for any other parameter set."""
+        if not (params.is_conservative and params.mu.is_empty
+                and isinstance(params.drift, LyapunovDrift)):
+            return None
+        alpha_sq = trace_inner(params.alpha, params.alpha)
+        if alpha_sq == 0.0:
+            if frobenius(params.b) > 1e-12:
+                return None
+            p = (params.d - 1) / 2.0  # irrelevant when alpha = 0
+        else:
+            p = trace_inner(params.b, params.alpha) / (2.0 * alpha_sq)
+            if frobenius(params.b - 2.0 * p * params.alpha) > 1e-10 * max(1.0, frobenius(params.b)):
+                return None
+            if p < (params.d - 1) / 2.0 - 1e-12:
+                return None
+        try:
+            return cls(d=params.d, alpha=params.alpha, beta=params.drift.beta, p=p,
+                       m=params.m)
+        except DomainError:
+            return None
 
     def to_affine_params(self) -> AffineParams:
         """The same model as a general parameter set (b = 2 p alpha)."""
@@ -115,11 +142,8 @@ def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 30):
     return recurse(a, b, fa, fm, fb, whole, 0)
 
 
-# cross-check registry: (beta bytes, alpha bytes) -> largest t validated
-_SIGMA_CHECKED: dict[tuple[bytes, bytes], float] = {}
-
-
-def _sigma_vanloan(beta: np.ndarray, alpha: np.ndarray, t: float) -> np.ndarray:
+def _vanloan(beta: np.ndarray, alpha: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """exp(beta t) and sigma_t(alpha) from one block matrix exponential."""
     d = beta.shape[0]
     blk = np.zeros((2 * d, 2 * d))
     blk[:d, :d] = beta
@@ -129,21 +153,29 @@ def _sigma_vanloan(beta: np.ndarray, alpha: np.ndarray, t: float) -> np.ndarray:
     # top-right block is int_0^t e^{beta (t-s)} 2 alpha e^{-beta^T s} ds;
     # multiplying by e^{beta^T t} (the transpose of the top-left block)
     # turns it into 2 int_0^t e^{beta r} alpha e^{beta^T r} dr
-    return symmetrize(e[:d, d:] @ e[:d, :d].T)
+    return e[:d, :d], symmetrize(e[:d, d:] @ e[:d, :d].T)
 
 
-def sigma_integral(beta: np.ndarray, alpha: np.ndarray, t: float,
-                   check: bool | str = True) -> np.ndarray:
+def _sigma_vanloan(beta: np.ndarray, alpha: np.ndarray, t: float) -> np.ndarray:
+    return _vanloan(beta, alpha, t)[1]
+
+
+def _witness(beta: np.ndarray, alpha: np.ndarray, t: float, sig: np.ndarray) -> None:
+    """Raise unless adaptive quadrature of 2 omega_s(alpha) over [0, t]
+    agrees with sig to 1e-8 relative."""
+    quad = _adaptive_simpson(lambda s: 2.0 * flow_omega(beta, alpha, s), 0.0, t,
+                             tol=1e-11 * max(1.0, frobenius(alpha)))
+    disc = frobenius(sig - quad)
+    if disc > 1e-8 * max(1.0, frobenius(sig)):
+        raise RuntimeError(
+            f"sigma_integral cross-check failed: block-exponential and "
+            f"quadrature differ by {disc:.3e}")
+
+
+def sigma_integral(beta: np.ndarray, alpha: np.ndarray, t: float) -> np.ndarray:
     """sigma_t(alpha) = 2 int_0^t omega_s(alpha) ds, computed by a block
-    matrix exponential and cross-checked against adaptive quadrature.
-
-    check=True reruns the quadrature witness on every call; check="auto"
-    reruns it only the first time a given (beta, alpha) is seen at a horizon
-    at least this large (the block construction has no t-dependent failure
-    modes beyond what one horizon exposes, so this catches sign and
-    transpose mistakes at a fraction of the cost). A discrepancy above 1e-8
-    raises immediately.
-    """
+    matrix exponential and cross-checked on every call against adaptive
+    quadrature; a discrepancy above 1e-8 raises."""
     beta = check_square(np.asarray(beta, dtype=float), "beta")
     alpha = check_sym(np.asarray(alpha, dtype=float), "alpha")
     if t < 0:
@@ -151,36 +183,34 @@ def sigma_integral(beta: np.ndarray, alpha: np.ndarray, t: float,
     if t == 0:
         return np.zeros_like(alpha)
     sig = _sigma_vanloan(beta, alpha, t)
-    run_check = bool(check)
-    if check == "auto":
-        key = (beta.tobytes(), alpha.tobytes())
-        run_check = _SIGMA_CHECKED.get(key, 0.0) < t
-        if run_check:
-            _SIGMA_CHECKED[key] = t
-    if run_check:
-        quad = _adaptive_simpson(lambda s: 2.0 * flow_omega(beta, alpha, s), 0.0, t,
-                                 tol=1e-11 * max(1.0, frobenius(alpha)))
-        disc = frobenius(sig - quad)
-        if disc > 1e-8 * max(1.0, frobenius(sig)):
-            raise RuntimeError(
-                f"sigma_integral cross-check failed: block-exponential and "
-                f"quadrature differ by {disc:.3e}")
+    _witness(beta, alpha, t, sig)
     return sig
 
 
-def mbajd_psi(spec: MBAJDSpec, u: np.ndarray, t: float,
-              _sigma_check: bool | str = True) -> np.ndarray:
+def _flow_sigma(spec: MBAJDSpec, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """exp(beta t) and sigma_t(alpha), witnessed only past the
+    largest horizon this spec has passed (the block construction has no
+    t-dependent failure modes beyond what one horizon exposes)."""
+    if not t >= 0:
+        raise DomainError(f"the closed form requires t >= 0, got {t}")
+    e, sig = _vanloan(spec.beta, spec.alpha, t)
+    if t > spec._witnessed:
+        _witness(spec.beta, spec.alpha, t, sig)
+        object.__setattr__(spec, "_witnessed", t)
+    return e, sig
+
+
+def mbajd_psi(spec: MBAJDSpec, u: np.ndarray, t: float) -> np.ndarray:
     """psi(t, u) in the singular-safe form exp(beta^T t)(I + u sigma)^{-1} u exp(beta t)."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (spec.d, spec.d):
         raise DomainError("u must be d x d")
     if t == 0:
         return u.copy()
-    sig = sigma_integral(spec.beta, spec.alpha, t, check=_sigma_check)
+    e, sig = _flow_sigma(spec, t)
     a = np.eye(spec.d) + u @ sig
     if np.linalg.cond(a) > 1e12:
         raise DomainError(f"I + u sigma_t(alpha) is near singular at t = {t}")
-    e = mat_exp(spec.beta * t)
     psi = e.T @ np.linalg.solve(a, u) @ e
     return (psi + psi.T) / 2.0  # symmetric in exact arithmetic
 
@@ -193,14 +223,13 @@ def _logdet_continuous(spec: MBAJDSpec, u: np.ndarray, t: float) -> complex:
     persistent jump of pi or more between refinement levels is an error.
     """
     eye = np.eye(spec.d)
-    # prime the cross-check at the full horizon so the grid sweep skips it
-    sigma_integral(spec.beta, spec.alpha, t, check="auto")
 
     def dets(grid):
         vals = np.empty(len(grid), dtype=complex)
-        for i, s in enumerate(grid):
-            sig = sigma_integral(spec.beta, spec.alpha, float(s), check="auto")
-            vals[i] = np.linalg.det(eye + u @ sig)
+        vals[0] = 1.0
+        # from the horizon down, so a new horizon is witnessed once, at t
+        for i in range(len(grid) - 1, 0, -1):
+            vals[i] = np.linalg.det(eye + u @ _flow_sigma(spec, float(grid[i]))[1])
         return vals
 
     n = 16
@@ -230,14 +259,8 @@ def mbajd_phi(spec: MBAJDSpec, u: np.ndarray, t: float) -> complex:
         return 0.0 + 0.0j
     val = spec.p * _logdet_continuous(spec, u, t)
     if not spec.m.is_empty:
-        def integrand(s):
-            if s == 0.0:
-                psi_s = u
-            else:
-                psi_s = mbajd_psi(spec, u, s, _sigma_check="auto")
-            return -jump_transform_m(spec.m, psi_s)
-
-        val = val + _adaptive_simpson(integrand, 0.0, t, tol=1e-10)
+        val = val + _adaptive_simpson(
+            lambda s: -jump_transform_m(spec.m, mbajd_psi(spec, u, s)), 0.0, t, tol=1e-10)
     return complex(val)
 
 

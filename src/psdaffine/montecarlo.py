@@ -157,17 +157,27 @@ def _mm_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
+class PoissonOverflowError(DomainError):
+    """A jump intensity per step is too large for exact CDF inversion."""
+
+    def __init__(self, lam: float):
+        super().__init__(f"Poisson intensity {lam:.6g} per step is too large for exact "
+                         f"CDF inversion; use a smaller dt")
+
+
 def _poisson_from_uniform(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Exact Poisson counts by CDF inversion of one uniform per entry."""
     counts = np.zeros(lam.shape, dtype=np.int64)
     p = np.exp(-lam)
+    if not p.all():  # exp(-lam) underflows for lam above about 745
+        raise PoissonOverflowError(float(lam[p == 0.0].max()))
     cdf = p.copy()
     active = u > cdf
     k = 0
     while active.any():
         k += 1
         if k > 100_000:
-            raise RuntimeError("Poisson inversion ran away (intensity too large?)")
+            raise PoissonOverflowError(float(lam[active].max()))
         p = p * lam / k
         cdf = cdf + p
         counts[active] = k

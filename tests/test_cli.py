@@ -7,7 +7,6 @@ import pytest
 
 from psdaffine import AffineParams, AtomicMeasure, LyapunovDrift, MBAJDSpec
 from psdaffine.cli import (
-    detect_mbajd,
     load_params,
     main,
     params_from_json,
@@ -43,9 +42,24 @@ def x_file(tmp_path):
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects a flag value
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _no_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def assert_clean_exit(code, out, err, expected):
+    """Exit code as expected, no traceback, and any stdout is strict JSON."""
+    assert code == expected
+    assert "Traceback" not in err
+    if out:
+        json.loads(out, parse_constant=_no_constant)
 
 
 def parse_csv(text):
@@ -87,15 +101,15 @@ def test_parse_error_paths():
         params_from_json(bad3)
 
 
-def test_detect_mbajd_recovers_p(wishart_file):
+def test_mbajd_from_params_recovers_p(wishart_file):
     params = load_params(wishart_file)
-    spec = detect_mbajd(params)
+    spec = MBAJDSpec.from_params(params)
     assert spec is not None
     assert spec.p == pytest.approx(1.0, abs=1e-12)
     # perturbing b off the 2 p alpha ray breaks detection
     off = AffineParams(d=2, alpha=params.alpha, b=params.b + np.diag([1e-6, 0.0]),
                        drift=params.drift)
-    assert detect_mbajd(off) is None
+    assert MBAJDSpec.from_params(off) is None
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +315,69 @@ def test_simulate_rejects_bad_thread_count(capsys, monkeypatch, wishart_file, ug
     assert code == 1
     assert out == ""
     assert err == f"error: PSDAFFINE_THREADS must be a positive integer, got {value!r}\n"
+
+
+@pytest.mark.parametrize("field", ["times", "params"])
+@pytest.mark.parametrize("constant", ["Infinity", "-Infinity", "NaN"])
+def test_non_finite_json_number_exits_two(capsys, tmp_path, wishart_file, field,
+                                          constant):
+    ufile = tmp_path / "u.json"
+    ufile.write_text('{"u": [{"re": [[1.0, 0.0], [0.0, 1.0]]}], "times": [%s]}'
+                     % (constant if field == "times" else "0.5"))
+    pfile = tmp_path / "p.json"
+    text = (tmp_path / "wishart.json").read_text()
+    pfile.write_text(text.replace('"c": 0.0', f'"c": {constant}')
+                     if field == "params" else text)
+    code, out, err = run_cli(capsys, "transform", str(pfile), str(ufile),
+                             "--method", "ode", "--out", "json")
+    assert_clean_exit(code, out, err, 2)
+    path = "$.times[0]" if field == "times" else "$.c"
+    assert f"{path}: expected a finite number" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("compare", "-T", "inf"),
+    ("compare", "--allowance", "nan"),
+    ("compare", "--closed-tol", "inf"),
+    ("simulate", "--dt", "nan"),
+    ("simulate", "-T", "abc"),
+    ("validate", "--tol", "inf"),
+    ("mbajd", "-T", "inf"),
+])
+def test_non_finite_float_flag_exits_two(capsys, wishart_file, ugrid_file, argv):
+    command, flag, value = argv
+    base = {"validate": (), "mbajd": ("--u", ugrid_file),
+            "simulate": ("--u", ugrid_file, "-T", "0.5", "--paths", "16", "--dt", "0.1"),
+            "compare": ("--u", ugrid_file, "-T", "0.5", "--paths", "16", "--dt", "0.1")}
+    code, out, err = run_cli(capsys, command, wishart_file, *base[command],
+                             flag, value, "--out", "json")
+    assert_clean_exit(code, out, err, 2)
+    assert f"expected a finite number, got '{value}'" in err
+
+
+def test_simulate_poisson_overflow_named_error(capsys, tmp_path, ugrid_file):
+    params = AffineParams(d=2, alpha=np.eye(2), b=np.eye(2),
+                          drift=LyapunovDrift(beta=-np.eye(2)),
+                          m=AtomicMeasure(atoms=((np.eye(2), 1e5),)))
+    pfile = tmp_path / "heavy.json"
+    pfile.write_text(serialize_params(params))
+    code, out, err = run_cli(capsys, "simulate", str(pfile), "--u", ugrid_file,
+                             "-T", "0.5", "--paths", "16", "--dt", "0.01",
+                             "--out", "json")
+    assert_clean_exit(code, out, err, 1)
+    assert err.startswith("error: Poisson intensity 1000 per step")
+    assert "smaller dt" in err
+
+
+def test_transform_branch_tracking_failure_exits_one(capsys, tmp_path, wishart_file):
+    ufile = tmp_path / "u.json"
+    ufile.write_text(json.dumps({"u": [{"re": (1e-3 * np.eye(2)).tolist(),
+                                        "im": (1e5 * np.eye(2)).tolist()}],
+                                 "times": [2.0]}))
+    code, out, err = run_cli(capsys, "transform", wishart_file, str(ufile),
+                             "--method", "closed", "--out", "json")
+    assert_clean_exit(code, out, err, 1)
+    assert err == "error: argument increments above pi persisted under grid refinement\n"
 
 
 # ---------------------------------------------------------------------------

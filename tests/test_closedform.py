@@ -255,7 +255,7 @@ def test_determinant_never_vanishes_along_trajectories():
     for _ in range(5):
         u = random_interior_u(rng, 2, imag_scale=1.5)
         for t in np.linspace(0.05, 2.0, 25):
-            sig = sigma_integral(spec.beta, spec.alpha, float(t), check="auto")
+            sig = sigma_integral(spec.beta, spec.alpha, float(t))
             det = np.linalg.det(np.eye(2) + u @ sig)
             assert abs(det) > 1e-8
 
@@ -272,3 +272,80 @@ def test_sigma_cross_check_catches_corruption(monkeypatch):
     monkeypatch.setattr(cf, "_sigma_vanloan", lambda b, a, t: correct(b.T, a, t))
     with pytest.raises(RuntimeError, match="cross-check failed"):
         sigma_integral(beta, alpha, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the quadrature witness of each spec
+# ---------------------------------------------------------------------------
+
+
+def _corrupt_witness(monkeypatch):
+    """Make the quadrature side of the witness use the transposed flow, so
+    every witness on a non-normal beta fails."""
+    import psdaffine.closedform as cf
+    correct = cf.flow_omega
+    monkeypatch.setattr(cf, "flow_omega", lambda b, x, s: correct(b.T, x, s))
+
+
+def _count_flow_omega(monkeypatch):
+    import psdaffine.closedform as cf
+    calls = []
+    correct = cf.flow_omega
+
+    def counting(b, x, s):
+        calls.append(s)
+        return correct(b, x, s)
+
+    monkeypatch.setattr(cf, "flow_omega", counting)
+    return calls
+
+
+NON_NORMAL_BETA = np.array([[-0.5, 0.3], [0.0, -0.2]])
+
+
+def test_failed_witness_is_not_remembered(monkeypatch):
+    spec = basic_spec(beta=NON_NORMAL_BETA)
+    _corrupt_witness(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="cross-check failed"):
+            mbajd_phi(spec, np.eye(2) + 0j, 1.0)
+
+
+def test_fresh_spec_rewitnesses_a_passed_pair(monkeypatch):
+    u = np.eye(2) + 0j
+    passed = basic_spec(beta=NON_NORMAL_BETA)
+    mbajd_phi(passed, u, 1.0)
+    _corrupt_witness(monkeypatch)
+    # the spec that passed at this horizon skips the witness; a new spec with
+    # the same (beta, alpha) runs it, whatever ran earlier in the process
+    mbajd_phi(passed, u, 1.0)
+    with pytest.raises(RuntimeError, match="cross-check failed"):
+        mbajd_phi(basic_spec(beta=NON_NORMAL_BETA), u, 1.0)
+
+
+@pytest.mark.parametrize("t", [-0.5, float("nan")])
+def test_closed_form_rejects_negative_or_nan_time(t):
+    spec = basic_spec()
+    for f in (mbajd_psi, mbajd_phi):
+        with pytest.raises(DomainError, match="requires t >= 0"):
+            f(spec, np.eye(2) + 0j, t)
+
+
+def test_witness_runs_once_per_new_horizon(monkeypatch):
+    rng = np.random.default_rng(16)
+    beta = random_stable_beta(rng, 2)
+    times = (0.25, 0.5, 1.0, 2.0)
+    calls = _count_flow_omega(monkeypatch)
+    per_witness = []
+    for t in times:
+        sigma_integral(beta, np.eye(2), t)
+        per_witness.append(len(calls))
+        calls.clear()
+    assert min(per_witness) > 0
+    spec = basic_spec(beta=beta, atoms=((random_psd(rng, 2) + 0.1 * np.eye(2), 0.5),))
+    for _ in range(16):
+        u = random_interior_u(rng, 2)
+        for t in times:
+            mbajd_phi(spec, u, t)
+            mbajd_psi(spec, u, t)
+    assert len(calls) == sum(per_witness)

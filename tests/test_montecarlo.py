@@ -22,6 +22,7 @@ from psdaffine import (
 )
 from psdaffine.model import sym_to_vec, vec_to_sym
 from psdaffine.montecarlo import (
+    PoissonOverflowError,
     _advance,
     _poisson_from_uniform,
     _project_psd_batch,
@@ -90,6 +91,16 @@ def test_poisson_inversion_is_exact_poisson():
         freq = float((counts == k).mean())
         tol = 5 * np.sqrt(pmf * (1 - pmf) / n)
         assert abs(freq - pmf) < tol
+
+
+@pytest.mark.parametrize("lam, u", [(800.0, 0.5), (700.0, np.nextafter(1.0, 0.0))])
+def test_poisson_overflow_is_a_named_domain_error(lam, u):
+    # exp(-800) underflows to 0; at 700 the CDF sum stalls below the largest
+    # uniform and the iteration guard trips
+    with pytest.raises(PoissonOverflowError, match="smaller dt") as info:
+        _poisson_from_uniform(np.array([0.5, lam]), np.array([0.3, u]))
+    assert isinstance(info.value, DomainError)
+    assert f"intensity {lam:g} per step" in str(info.value)
 
 
 @pytest.mark.parametrize("d", [2, 3])
