@@ -41,7 +41,6 @@ from .riccati import (
     BoundaryLimitResult,
     DegenerateAlphaWarning,
     RiccatiSolution,
-    SolverConfig,
     boundary_limit,
     characteristic_function,
     generator_exp,

@@ -44,6 +44,8 @@ MAX_FACTOR = 5.0
 # PI controller exponents for an order-5 error estimate
 PI_ALPHA = 0.7 / 5.0
 PI_BETA = 0.4 / 5.0
+# step budget (accepted plus rejected) of one integration
+MAX_STEPS = 1_000_000
 
 
 @dataclass
@@ -100,6 +102,8 @@ def _initial_step(f, t0, y0, f0, t_end, rtol, atol):
     d1 = float(np.linalg.norm(f0 / scale)) / max(1, y0.size) ** 0.5
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_end - t0)
+    if not h0 > 0.0:  # f0 / scale overflowed; integrate reports the underflow
+        return 0.0
     y1 = y0 + h0 * f0
     f1 = f(t0 + h0, y1)
     d2 = float(np.linalg.norm((f1 - f0) / scale)) / max(1, y0.size) ** 0.5 / h0
@@ -111,8 +115,7 @@ def _initial_step(f, t0, y0, f0, t_end, rtol, atol):
 
 
 def integrate(f, t0: float, y0: np.ndarray, t_end: float, rtol: float, atol: float,
-              max_step: float = np.inf, monitor=None, max_steps: int = 1_000_000,
-              ) -> IntegrationResult:
+              monitor=None) -> IntegrationResult:
     """Integrate y' = f(t, y) from t0 to t_end.
 
     ``monitor(t, y)``, if given, runs after every accepted step and returns
@@ -123,7 +126,7 @@ def integrate(f, t0: float, y0: np.ndarray, t_end: float, rtol: float, atol: flo
     f0 = np.asarray(f(t, y), dtype=float)
     if not np.all(np.isfinite(f0)):
         raise FloatingPointError("right-hand side not finite at the initial state")
-    h = min(_initial_step(f, t, y, f0, t_end, rtol, atol), max_step)
+    h = _initial_step(f, t, y, f0, t_end, rtol, atol)
 
     ts = [t]
     ys = [y.copy()]
@@ -135,7 +138,7 @@ def integrate(f, t0: float, y0: np.ndarray, t_end: float, rtol: float, atol: flo
     k[0] = f0
 
     while t < t_end:
-        if n_accepted + n_rejected > max_steps:
+        if n_accepted + n_rejected > MAX_STEPS:
             raise RuntimeError("step budget exhausted")
         h = min(h, t_end - t)
         if h < 1e-14 * max(1.0, abs(t)):
@@ -171,7 +174,7 @@ def integrate(f, t0: float, y0: np.ndarray, t_end: float, rtol: float, atol: flo
 
         err = max(err, 1e-10)  # keep the controller bounded
         factor = SAFETY * err ** (-PI_ALPHA) * err_prev ** PI_BETA
-        h = min(h * min(MAX_FACTOR, max(MIN_FACTOR, factor)), max_step)
+        h = h * min(MAX_FACTOR, max(MIN_FACTOR, factor))
         err_prev = err
 
     return IntegrationResult("finished", np.array(ts), np.array(ys),

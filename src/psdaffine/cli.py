@@ -218,10 +218,23 @@ def load_matrix_file(path: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _json_safe(value):
+    """Non-finite floats become null: NaN and Infinity are not JSON."""
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_json_safe(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _dump_json(obj, stream) -> None:
+    json.dump(_json_safe(obj), stream, indent=2, allow_nan=False)
+    stream.write("\n")
+
+
 def _emit(rows: list[dict], columns: list[str], fmt: str, stream) -> None:
     if fmt == "json":
-        json.dump([{k: row.get(k) for k in columns} for row in rows], stream, indent=2)
-        stream.write("\n")
+        _dump_json([{k: row.get(k) for k in columns} for row in rows], stream)
         return
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(columns)
@@ -257,8 +270,7 @@ def cmd_validate(args) -> int:
     params = load_params(args.params)
     report = validate_params(params, n_random_pairs=args.pairs, tol=args.tol)
     if args.out == "json":
-        json.dump(report.to_dict(), sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _dump_json(report.to_dict(), sys.stdout)
     else:
         for check in report.checks:
             status = "ok" if check.passed else "FAIL"
@@ -272,12 +284,11 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_FAILURE
 
 
-def _transform_rows_ode(params, us, times, x, d):
+def _transform_rows_ode(params, us, times, x):
     rows = []
-    cfg = riccati.SolverConfig()
     t_max = max(times) if times else 0.0
     for k, u in enumerate(us):
-        sol = riccati.solve_auto(params, u, t_max, cfg) if t_max > 0 else None
+        sol = riccati.solve_auto(params, u, t_max) if t_max > 0 else None
         for t in times:
             row = {"u_index": k, "t": float(t), "method": "ode"}
             if t == 0.0:
@@ -336,7 +347,7 @@ def cmd_transform(args) -> int:
             return EXIT_FAILURE
         rows = _transform_rows_closed(spec, us, times, x)
     else:
-        rows = _transform_rows_ode(params, us, times, x, params.d)
+        rows = _transform_rows_ode(params, us, times, x)
 
     columns = (_TRANSFORM_BASE_COLS + _psi_columns(params.d)
                + ["value_re", "value_im", "t_plus"])
@@ -531,7 +542,7 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (DomainError, riccati.BlowUpError, closedform.BranchTrackingError,
-            ValueError) as exc:
+            closedform.QuadratureError, FloatingPointError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

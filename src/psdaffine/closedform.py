@@ -41,6 +41,14 @@ class BranchTrackingError(RuntimeError):
     """The log-determinant argument could not be followed continuously."""
 
 
+class QuadratureError(RuntimeError):
+    """Adaptive quadrature failed, or disagreed with the block exponential
+    it witnesses."""
+
+
+_MAX_DEPTH = 30  # bisection levels of the adaptive quadrature
+
+
 @dataclass(frozen=True)
 class MBAJDSpec:
     d: int
@@ -111,11 +119,12 @@ def flow_omega(beta: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
     return symmetrize(e @ np.asarray(x, dtype=float) @ e.T)
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 30):
+def _adaptive_simpson(f, a: float, b: float, tol: float):
     """Adaptive Simpson quadrature for scalar/array, real/complex integrands.
 
     Error control is the standard |S_fine - S_coarse| / 15 estimate, taken
-    as a max over components for array-valued integrands.
+    as a max over components for array-valued integrands. A non-finite
+    estimate raises at once: bisecting it further cannot make it finite.
     """
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
@@ -131,10 +140,13 @@ def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 30):
         left = simpson((m - a) / 6.0, fa, flm, fm)
         right = simpson((b - m) / 6.0, fm, frm, fb)
         err = np.max(np.abs(left + right - whole)) / 15.0
-        if err <= tol or depth >= max_depth:
-            if depth >= max_depth and err > tol:
-                raise RuntimeError("adaptive quadrature failed to converge")
+        if err <= tol:
             return left + right + (left + right - whole) / 15.0
+        if not np.isfinite(err):
+            raise QuadratureError(
+                f"adaptive quadrature met a non-finite integrand on [{a:.6g}, {b:.6g}]")
+        if depth >= _MAX_DEPTH:
+            raise QuadratureError("adaptive quadrature failed to converge")
         return (recurse(a, m, fa, flm, fm, left, depth + 1)
                 + recurse(m, b, fm, frm, fb, right, depth + 1))
 
@@ -167,7 +179,7 @@ def _witness(beta: np.ndarray, alpha: np.ndarray, t: float, sig: np.ndarray) -> 
                              tol=1e-11 * max(1.0, frobenius(alpha)))
     disc = frobenius(sig - quad)
     if disc > 1e-8 * max(1.0, frobenius(sig)):
-        raise RuntimeError(
+        raise QuadratureError(
             f"sigma_integral cross-check failed: block-exponential and "
             f"quadrature differ by {disc:.3e}")
 

@@ -166,7 +166,11 @@ class PoissonOverflowError(DomainError):
 
 
 def _poisson_from_uniform(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Exact Poisson counts by CDF inversion of one uniform per entry."""
+    """Exact Poisson counts by CDF inversion of one uniform per entry.
+
+    Past the mode the terms can fall below the rounding gap of the CDF sum
+    while a uniform close to 1 still lies above it; such an entry keeps the
+    count of the first term that leaves the sum unchanged."""
     counts = np.zeros(lam.shape, dtype=np.int64)
     p = np.exp(-lam)
     if not p.all():  # exp(-lam) underflows for lam above about 745
@@ -179,9 +183,10 @@ def _poisson_from_uniform(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
         if k > 100_000:
             raise PoissonOverflowError(float(lam[active].max()))
         p = p * lam / k
-        cdf = cdf + p
+        grown = cdf + p
         counts[active] = k
-        active = u > cdf
+        active = (u > grown) & (grown != cdf)
+        cdf = grown
     return counts
 
 

@@ -54,19 +54,14 @@ class DegenerateAlphaWarning(UserWarning):
     """Degenerate nonzero diffusion coefficient: outside the proved regime."""
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-11
-    max_step: float = np.inf
-    blowup_norm: float = 1e8
-    boundary_floor: float = -1e-8
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0 or self.max_step <= 0:
-            raise ValueError("tolerances and max_step must be positive")
-        if self.blowup_norm <= 1:
-            raise ValueError("blowup_norm must exceed 1")
+# Fixed numerics of every solve: the DOPRI5 tolerances, the norm of psi
+# (isometric coordinates) at which a solve stops as blown up, and the
+# smallest eigenvalue of Re psi below which a solve from the interior
+# reports a boundary-floor hit.
+_REL_TOL = 1e-9
+_ABS_TOL = 1e-11
+_BLOWUP_NORM = 1e8
+_BOUNDARY_FLOOR = -1e-8
 
 
 @dataclass
@@ -225,8 +220,7 @@ def _warn_if_degenerate(params) -> bool:
     return degenerate
 
 
-def _solve_impl(params, u0: np.ndarray, T: float, cfg: SolverConfig,
-                projected: bool) -> RiccatiSolution:
+def _solve_impl(params, u0: np.ndarray, T: float, projected: bool) -> RiccatiSolution:
     if T <= 0:
         raise ValueError("T must be positive")
     u0 = np.asarray(u0, dtype=complex)
@@ -243,19 +237,18 @@ def _solve_impl(params, u0: np.ndarray, T: float, cfg: SolverConfig,
         diag.max_psi_norm = max(diag.max_psi_norm, psi_norm)
         lam = min_eig(rhs.unpack_psi(y).real)
         diag.min_re_psi_eig = min(diag.min_re_psi_eig, lam)
-        if track_floor and lam <= cfg.boundary_floor:
+        if track_floor and lam <= _BOUNDARY_FLOOR:
             diag.boundary_floor_hit = True
         if degenerate:
             q = riccati_quadratic_real(rhs.unpack_psi(y), params.alpha)
             diag.quadratic_monitor_min = min(diag.quadratic_monitor_min, q)
-        if psi_norm >= cfg.blowup_norm:
+        if psi_norm >= _BLOWUP_NORM:
             diag.t_plus = t
             return False
         return True
 
     y0 = rhs.pack(0.0 + 0.0j, u0)
-    res = _dopri5.integrate(rhs, 0.0, y0, T, rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                            max_step=cfg.max_step, monitor=monitor)
+    res = _dopri5.integrate(rhs, 0.0, y0, T, rtol=_REL_TOL, atol=_ABS_TOL, monitor=monitor)
     diag.n_accepted = res.n_accepted
     diag.n_rejected = res.n_rejected
     completed = res.status == "finished"
@@ -273,20 +266,20 @@ def _solve_impl(params, u0: np.ndarray, T: float, cfg: SolverConfig,
                            completed=completed, _rhs=rhs, _result=res)
 
 
-def solve(params: AffineParams | TruncatedParams, u0: np.ndarray, T: float,
-          cfg: SolverConfig | None = None) -> RiccatiSolution:
+def solve(params: AffineParams | TruncatedParams, u0: np.ndarray,
+          T: float) -> RiccatiSolution:
     """Integrate the system from initial data u0 with Re(u0) PSD up to T.
 
     Use :func:`solve_boundary` when Re(u0) is singular; there the jump
     exponents must be evaluated at the cone projection of Re(psi).
     """
-    return _solve_impl(params, u0, T, cfg or SolverConfig(), projected=False)
+    return _solve_impl(params, u0, T, projected=False)
 
 
-def solve_boundary(params: AffineParams | TruncatedParams, u0: np.ndarray, T: float,
-                   cfg: SolverConfig | None = None) -> RiccatiSolution:
+def solve_boundary(params: AffineParams | TruncatedParams, u0: np.ndarray,
+                   T: float) -> RiccatiSolution:
     """Integrate the projected system; valid for any PSD Re(u0), including 0."""
-    return _solve_impl(params, u0, T, cfg or SolverConfig(), projected=True)
+    return _solve_impl(params, u0, T, projected=True)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +321,8 @@ def _neville_limit(hs: np.ndarray, values: np.ndarray) -> np.ndarray:
     return tbl[0]
 
 
-def boundary_limit(params: AffineParams, u0: np.ndarray, T: float, n_max: int = 64,
-                   cfg: SolverConfig | None = None) -> BoundaryLimitResult:
+def boundary_limit(params: AffineParams, u0: np.ndarray, T: float,
+                   n_max: int = 64) -> BoundaryLimitResult:
     """Approach boundary initial data through u0 + (1/n) I, n = 1, 2, 4, ...
 
     Each shifted problem has positive definite real part, hence a unique
@@ -340,7 +333,6 @@ def boundary_limit(params: AffineParams, u0: np.ndarray, T: float, n_max: int = 
     u0 = np.asarray(u0, dtype=complex)
     if not is_psd(u0.real):
         raise DomainError("boundary_limit requires Re(u0) PSD")
-    cfg = cfg or SolverConfig()
     eye = np.eye(params.d)
 
     ns: list[int] = []
@@ -352,7 +344,7 @@ def boundary_limit(params: AffineParams, u0: np.ndarray, T: float, n_max: int = 
     psis: list[np.ndarray] = []
     last_solution = None
     for n in ns:
-        sol = solve(params, u0 + (1.0 / n) * eye, T, cfg)
+        sol = solve(params, u0 + (1.0 / n) * eye, T)
         if not sol.completed:
             raise BlowUpError(sol.diagnostics.t_plus,
                               f"shifted solve (n = {n}) terminated early")
@@ -387,18 +379,16 @@ def boundary_limit(params: AffineParams, u0: np.ndarray, T: float, n_max: int = 
 _PD_TOL = 1e-10
 
 
-def solve_auto(params: AffineParams, u0: np.ndarray, T: float,
-               cfg: SolverConfig | None = None) -> RiccatiSolution:
+def solve_auto(params: AffineParams, u0: np.ndarray, T: float) -> RiccatiSolution:
     """Direct solver when Re(u0) is positive definite, projected solver
     otherwise."""
     u0 = np.asarray(u0, dtype=complex)
     if min_eig(u0.real) > _PD_TOL * max(1.0, frobenius(u0.real)):
-        return solve(params, u0, T, cfg)
-    return solve_boundary(params, u0, T, cfg)
+        return solve(params, u0, T)
+    return solve_boundary(params, u0, T)
 
 
-def transform(params: AffineParams, u0: np.ndarray, x: np.ndarray, T: float,
-              cfg: SolverConfig | None = None) -> complex:
+def transform(params: AffineParams, u0: np.ndarray, x: np.ndarray, T: float) -> complex:
     """Fourier-Laplace transform value exp(-phi(T, u0) - tr(psi(T, u0) x)).
 
     Solves through :func:`solve_auto`. For conservative parameter sets the
@@ -412,7 +402,7 @@ def transform(params: AffineParams, u0: np.ndarray, x: np.ndarray, T: float,
         raise ValueError("T must be nonnegative")
     if T == 0:
         return complex(np.exp(-trace_inner(u0, x)))
-    sol = solve_auto(params, u0, T, cfg)
+    sol = solve_auto(params, u0, T)
     if not sol.completed:
         raise BlowUpError(sol.diagnostics.t_plus)
     phi_t, psi_t = sol.eval(T)
@@ -420,19 +410,10 @@ def transform(params: AffineParams, u0: np.ndarray, x: np.ndarray, T: float,
 
 
 def characteristic_function(params: AffineParams, w: np.ndarray, x: np.ndarray,
-                            T: float, cfg: SolverConfig | None = None) -> complex:
-    """Transform at purely imaginary initial data i w; modulus at most 1."""
-    w = np.asarray(w, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if not is_psd(x):
-        raise DomainError("characteristic_function requires x PSD")
-    if T == 0:
-        return complex(np.exp(-1j * trace_inner(w, x)))
-    sol = solve_boundary(params, 1j * w, T, cfg)
-    if not sol.completed:
-        raise BlowUpError(sol.diagnostics.t_plus)
-    phi_t, psi_t = sol.eval(T)
-    return complex(np.exp(-phi_t - trace_inner(psi_t, x)))
+                            T: float) -> complex:
+    """Transform at purely imaginary initial data i w; modulus at most 1.
+    Re(i w) = 0 is singular, so :func:`transform` takes the projected solver."""
+    return transform(params, 1j * np.asarray(w, dtype=float), x, T)
 
 
 def generator_exp(params: AffineParams, u: np.ndarray, x: np.ndarray) -> complex:

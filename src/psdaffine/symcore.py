@@ -108,13 +108,10 @@ def min_eig(x: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(symmetrize(np.asarray(x, dtype=float)))[0])
 
 
-def is_psd(x: np.ndarray, tol: float | None = None) -> bool:
-    """Positive semidefinite up to slack: lambda_min >= -tol, tol defaulting
-    to PSD_SLACK * max(1, ||x||)."""
+def is_psd(x: np.ndarray) -> bool:
+    """Positive semidefinite up to slack: lambda_min >= -PSD_SLACK * max(1, ||x||)."""
     x = np.asarray(x, dtype=float)
-    if tol is None:
-        tol = PSD_SLACK * max(1.0, frobenius(x))
-    return min_eig(x) >= -tol
+    return min_eig(x) >= -PSD_SLACK * max(1.0, frobenius(x))
 
 
 def psd_project(x: np.ndarray) -> np.ndarray:

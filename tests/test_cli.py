@@ -1,11 +1,14 @@
+import contextlib
 import csv
 import io
 import json
+import signal
+import time
 
 import numpy as np
 import pytest
 
-from psdaffine import AffineParams, AtomicMeasure, LyapunovDrift, MBAJDSpec
+from psdaffine import AffineParams, AtomicMeasure, LyapunovDrift, MBAJDSpec, montecarlo
 from psdaffine.cli import (
     load_params,
     main,
@@ -60,6 +63,43 @@ def assert_clean_exit(code, out, err, expected):
     assert "Traceback" not in err
     if out:
         json.loads(out, parse_constant=_no_constant)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Turn a hang into a test failure after ``seconds`` of wall time."""
+    def expire(signum, frame):
+        raise TimeoutError(f"command still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def write_params(tmp_path, name, params):
+    path = tmp_path / name
+    path.write_text(serialize_params(params))
+    return str(path)
+
+
+def huge_beta_file(tmp_path):
+    """MBAJD whose flow exp(beta t) overflows for every t > 0."""
+    spec = MBAJDSpec(d=2, alpha=np.eye(2), beta=1e300 * np.eye(2), p=1.0)
+    return write_params(tmp_path, "huge_beta.json", spec.to_affine_params())
+
+
+def huge_alpha_file(tmp_path):
+    """alpha = b = 1e308 I in the file: the Riccati rate is not finite at the
+    initial state and neither is lambda_min(alpha)."""
+    obj = params_to_json(AffineParams(d=2, alpha=np.eye(2), b=np.eye(2),
+                                      drift=LyapunovDrift(beta=-0.5 * np.eye(2))))
+    obj["alpha"] = obj["b"] = [[1e308, 0.0], [0.0, 1e308]]
+    path = tmp_path / "huge_alpha.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
 
 
 def parse_csv(text):
@@ -425,3 +465,77 @@ def test_mbajd_rejects_non_mbajd(capsys, tmp_path, ugrid_file):
 def test_missing_file_exit_two(capsys):
     code, _, err = run_cli(capsys, "validate", "/nonexistent/params.json")
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# non-finite numerics end in an exit code, never a hang or a traceback
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["mbajd", "transform"])
+def test_closed_form_non_finite_integrand_exits_one(capsys, tmp_path, ugrid_file, command):
+    pfile = huge_beta_file(tmp_path)
+    argv = ((command, pfile, "--u", ugrid_file) if command == "mbajd"
+            else (command, pfile, ugrid_file))
+    start = time.perf_counter()
+    with deadline(10.0):
+        code, out, err = run_cli(capsys, *argv, "--out", "json")
+    assert time.perf_counter() - start < 10.0
+    assert_clean_exit(code, out, err, 1)
+    assert err.startswith("error: adaptive quadrature met a non-finite integrand")
+
+
+def test_transform_ode_first_step_underflow_reports_blowup(capsys, tmp_path, ugrid_file):
+    code, out, err = run_cli(capsys, "transform", huge_beta_file(tmp_path), ugrid_file,
+                             "--method", "ode", "--out", "json")
+    assert_clean_exit(code, out, err, 0)
+    # u = I: the first step underflows; u = 0 is a fixed point of the flow
+    late = {r["u_index"]: r for r in json.loads(out) if r["t"] > 0}
+    assert late[0]["status"] == "blowup" and late[0]["t_plus"] == 0.0
+    assert late[1]["status"] == "ok"
+
+
+def test_transform_ode_non_finite_rate_exits_one(capsys, tmp_path, ugrid_file):
+    code, out, err = run_cli(capsys, "transform", huge_alpha_file(tmp_path), ugrid_file,
+                             "--method", "ode", "--out", "json")
+    assert_clean_exit(code, out, err, 1)
+    assert err.endswith("error: right-hand side not finite at the initial state\n")
+
+
+def test_validate_json_is_strict_for_non_finite_values(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "validate", huge_alpha_file(tmp_path), "--out", "json")
+    assert_clean_exit(code, out, err, 1)
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["alpha_psd"]["value"] is None
+    assert checks["alpha_psd"]["passed"] is False
+
+
+class _LargestUniformStream:
+    """Stands in for a path's Philox stream: zero normals, and every uniform
+    the largest float below 1."""
+
+    def __init__(self, seed, tag):
+        pass
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+    def random(self, shape):
+        return np.full(shape, np.nextafter(1.0, 0.0))
+
+
+def test_simulate_survives_the_largest_uniform(capsys, monkeypatch, tmp_path, ugrid_file):
+    # intensity 0.1 per step: the rounded Poisson CDF stops growing below u
+    params = AffineParams(d=2, alpha=np.eye(2), b=np.eye(2),
+                          drift=LyapunovDrift(beta=-np.eye(2)),
+                          m=AtomicMeasure(atoms=((np.eye(2), 10.0),)))
+    monkeypatch.setattr(montecarlo, "_stream", _LargestUniformStream)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "simulate", write_params(tmp_path, "p.json", params),
+                             "--u", ugrid_file, "-T", "0.05", "--paths", "4",
+                             "--dt", "0.01", "--out", "json")
+    assert time.perf_counter() - start < 1.0
+    assert_clean_exit(code, out, err, 0)
+    rows = json.loads(out)
+    assert rows[1]["mean_re"] == 1.0  # u = 0
+    assert 0.0 <= rows[0]["mean_re"] < 1e-30  # ten unit jumps per step

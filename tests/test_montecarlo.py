@@ -1,4 +1,5 @@
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -93,10 +94,24 @@ def test_poisson_inversion_is_exact_poisson():
         assert abs(freq - pmf) < tol
 
 
-@pytest.mark.parametrize("lam, u", [(800.0, 0.5), (700.0, np.nextafter(1.0, 0.0))])
+@pytest.mark.parametrize("lam", [0.1, 50.0, 700.0])
+def test_poisson_inversion_at_the_largest_uniform(lam):
+    # the rounded CDF sum stops growing below the largest uniform under 1;
+    # the inversion must stop there too, not spin to its iteration guard
+    from scipy.stats import poisson
+
+    u = np.nextafter(1.0, 0.0)
+    start = time.perf_counter()
+    counts = _poisson_from_uniform(np.array([0.5, lam]), np.array([0.3, u]))
+    elapsed = time.perf_counter() - start
+    assert counts[0] == 0
+    assert abs(counts[1] - poisson.ppf(u, lam)) <= 1
+    assert elapsed < 0.1
+
+
+@pytest.mark.parametrize("lam, u", [(800.0, 0.5)])
 def test_poisson_overflow_is_a_named_domain_error(lam, u):
-    # exp(-800) underflows to 0; at 700 the CDF sum stalls below the largest
-    # uniform and the iteration guard trips
+    # exp(-800) underflows to 0
     with pytest.raises(PoissonOverflowError, match="smaller dt") as info:
         _poisson_from_uniform(np.array([0.5, lam]), np.array([0.3, u]))
     assert isinstance(info.value, DomainError)

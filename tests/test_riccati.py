@@ -10,7 +10,6 @@ from psdaffine import (
     LyapunovDrift,
     MatrixAtomicMeasure,
     MBAJDSpec,
-    SolverConfig,
     TruncatedParams,
     boundary_limit,
     characteristic_function,
@@ -197,8 +196,7 @@ def test_blowup_detected_and_reported():
     params = AffineParams(d=2, alpha=-np.eye(2), b=np.zeros((2, 2)),
                           drift=LyapunovDrift(beta=np.zeros((2, 2))))
     with pytest.warns(DegenerateAlphaWarning):
-        sol = solve(params, np.eye(2, dtype=complex), 1.0,
-                    SolverConfig(blowup_norm=1e10))
+        sol = solve(params, np.eye(2, dtype=complex), 1.0)
     assert not sol.completed
     assert sol.diagnostics.t_plus == pytest.approx(0.5, abs=1e-2)
     with pytest.warns(DegenerateAlphaWarning):
