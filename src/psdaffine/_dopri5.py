@@ -49,24 +49,15 @@ MAX_STEPS = 1_000_000
 
 
 @dataclass
-class DenseSegment:
-    t0: float
-    h: float
-    y0: np.ndarray
-    q: np.ndarray  # (n, 4)
-
-    def eval(self, t: float) -> np.ndarray:
-        theta = (t - self.t0) / self.h
-        p = np.array([theta, theta**2, theta**3, theta**4])
-        return self.y0 + self.h * (self.q @ p)
-
-
-@dataclass
 class IntegrationResult:
+    """Accepted-step grid with quartic dense output: step k starts at
+    (ts[k], ys[k]) with size hs[k] and interpolant coefficients qs[k] (N, 4)."""
+
     status: str  # "finished" | "stopped" | "underflow"
     ts: np.ndarray
     ys: np.ndarray
-    segments: list[DenseSegment]
+    hs: np.ndarray  # kept, not derived: ts[k+1] - ts[k] is rounded
+    qs: np.ndarray
     n_accepted: int
     n_rejected: int
 
@@ -75,14 +66,14 @@ class IntegrationResult:
         return float(self.ts[-1])
 
     def eval(self, t: float) -> np.ndarray:
-        if not self.segments:
+        if not len(self.hs) or t <= self.ts[0]:
             return self.ys[0].copy()
-        if t <= self.ts[0]:
-            return self.ys[0].copy()
-        # segments are contiguous: segment k covers [ts[k], ts[k+1]]
-        k = int(np.searchsorted(self.ts, t, side="right")) - 1
-        k = min(k, len(self.segments) - 1)
-        return self.segments[k].eval(t)
+        # step k covers [ts[k], ts[k+1]]
+        k = min(int(np.searchsorted(self.ts, t, side="right")) - 1, len(self.hs) - 1)
+        h = self.hs[k]
+        theta = (t - self.ts[k]) / h
+        p = np.array([theta, theta**2, theta**3, theta**4])
+        return self.ys[k] + h * (self.qs[k] @ p)
 
 
 def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray,
@@ -129,21 +120,26 @@ def integrate(f, t0: float, y0: np.ndarray, t_end: float, rtol: float, atol: flo
     h = _initial_step(f, t, y, f0, t_end, rtol, atol)
 
     ts = [t]
-    ys = [y.copy()]
-    segments: list[DenseSegment] = []
+    ys = [y]
+    hs: list[float] = []
+    qs: list[np.ndarray] = []
     n_accepted = 0
     n_rejected = 0
     err_prev = 1.0
     k = np.empty((7, y.size))
     k[0] = f0
 
+    def result(status: str) -> IntegrationResult:
+        return IntegrationResult(status, np.array(ts), np.array(ys), np.array(hs),
+                                 np.array(qs).reshape(len(hs), y.size, 4),
+                                 n_accepted, n_rejected)
+
     while t < t_end:
         if n_accepted + n_rejected > MAX_STEPS:
             raise RuntimeError("step budget exhausted")
         h = min(h, t_end - t)
         if h < 1e-14 * max(1.0, abs(t)):
-            return IntegrationResult("underflow", np.array(ts), np.array(ys),
-                                     segments, n_accepted, n_rejected)
+            return result("underflow")
         with np.errstate(over="ignore", invalid="ignore"):
             for s in range(1, 7):
                 k[s] = f(t + C[s] * h, y + h * (A[s] @ k[:s]))
@@ -160,22 +156,21 @@ def integrate(f, t0: float, y0: np.ndarray, t_end: float, rtol: float, atol: flo
             h *= factor
             continue
 
-        segments.append(DenseSegment(t0=t, h=h, y0=y.copy(), q=k.T @ P))
+        hs.append(h)
+        qs.append(k.T @ P)
         t = t + h
-        y = y_new.copy()
+        y = y_new
         ts.append(t)
-        ys.append(y.copy())
+        ys.append(y)
         n_accepted += 1
         k[0] = k[6]  # FSAL
 
         if monitor is not None and not monitor(t, y):
-            return IntegrationResult("stopped", np.array(ts), np.array(ys),
-                                     segments, n_accepted, n_rejected)
+            return result("stopped")
 
         err = max(err, 1e-10)  # keep the controller bounded
         factor = SAFETY * err ** (-PI_ALPHA) * err_prev ** PI_BETA
         h = h * min(MAX_FACTOR, max(MIN_FACTOR, factor))
         err_prev = err
 
-    return IntegrationResult("finished", np.array(ts), np.array(ys),
-                             segments, n_accepted, n_rejected)
+    return result("finished")

@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -253,12 +254,28 @@ def _psi_columns(d: int) -> list[str]:
     return cols
 
 
-def _psi_to_row(psi: np.ndarray, row: dict) -> None:
+def _exponent_row(k: int, t: float, phi: complex, psi: np.ndarray, **extra) -> dict:
+    """Row with the u index, the time, phi and the upper triangle of psi."""
+    row = {"u_index": k, "t": float(t), **extra,
+           "phi_re": float(phi.real), "phi_im": float(phi.imag)}
     d = psi.shape[0]
-    for part, comp in (("re", psi.real), ("im", psi.imag)):
-        for i in range(d):
-            for j in range(i, d):
-                row[f"psi_{part}_{i}{j}"] = float(comp[i, j])
+    iu = np.triu_indices(d)
+    row.update(zip(_psi_columns(d), map(float, np.concatenate([psi.real[iu], psi.imag[iu]]))))
+    return row
+
+
+def _transform_row(k: int, t: float, method: str, phi: complex, psi: np.ndarray,
+                   x: np.ndarray) -> dict:
+    value = np.exp(-phi - trace_inner(psi, x))
+    return _exponent_row(k, t, phi, psi, method=method, status="ok", t_plus=None,
+                         value_re=float(value.real), value_im=float(value.imag))
+
+
+def _closed_exponents(spec, us, times):
+    """(u index, t, phi, psi) of the closed form over the whole u-grid."""
+    for k, u in enumerate(us):
+        for t in times:
+            yield k, t, closedform.mbajd_phi(spec, u, t), closedform.mbajd_psi(spec, u, t)
 
 
 # ---------------------------------------------------------------------------
@@ -290,38 +307,15 @@ def _transform_rows_ode(params, us, times, x):
     for k, u in enumerate(us):
         sol = riccati.solve_auto(params, u, t_max) if t_max > 0 else None
         for t in times:
-            row = {"u_index": k, "t": float(t), "method": "ode"}
             if t == 0.0:
                 phi, psi = 0.0 + 0.0j, u
             elif sol is not None and (sol.completed or t <= sol.t_end):
                 phi, psi = sol.eval(t)
             else:
-                row.update({"status": "blowup",
-                            "t_plus": float(sol.diagnostics.t_plus)})
-                rows.append(row)
+                rows.append({"u_index": k, "t": float(t), "method": "ode",
+                             "status": "blowup", "t_plus": float(sol.diagnostics.t_plus)})
                 continue
-            value = np.exp(-phi - trace_inner(psi, x))
-            row.update({"status": "ok", "t_plus": None,
-                        "phi_re": float(phi.real), "phi_im": float(phi.imag),
-                        "value_re": float(value.real), "value_im": float(value.imag)})
-            _psi_to_row(psi, row)
-            rows.append(row)
-    return rows
-
-
-def _transform_rows_closed(spec, us, times, x):
-    rows = []
-    for k, u in enumerate(us):
-        for t in times:
-            phi = closedform.mbajd_phi(spec, u, t)
-            psi = closedform.mbajd_psi(spec, u, t)
-            value = np.exp(-phi - trace_inner(psi, x))
-            row = {"u_index": k, "t": float(t), "method": "closed", "status": "ok",
-                   "t_plus": None,
-                   "phi_re": float(phi.real), "phi_im": float(phi.imag),
-                   "value_re": float(value.real), "value_im": float(value.imag)}
-            _psi_to_row(psi, row)
-            rows.append(row)
+            rows.append(_transform_row(k, t, "ode", phi, psi, x))
     return rows
 
 
@@ -345,7 +339,8 @@ def cmd_transform(args) -> int:
             print("error: method=closed requires gamma = 0, c = 0, empty mu, "
                   "a Lyapunov drift and b = 2 p alpha", file=sys.stderr)
             return EXIT_FAILURE
-        rows = _transform_rows_closed(spec, us, times, x)
+        rows = [_transform_row(k, t, "closed", phi, psi, x)
+                for k, t, phi, psi in _closed_exponents(spec, us, times)]
     else:
         rows = _transform_rows_ode(params, us, times, x)
 
@@ -355,17 +350,20 @@ def cmd_transform(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def _mc_inputs(args):
+    """Parameters, u-grid, initial state and config of simulate and compare."""
     params = load_params(args.params)
-    if not params.is_conservative:
-        print("error: simulation requires a conservative parameter set "
-              "(c = 0 and gamma = 0)", file=sys.stderr)
-        return EXIT_FAILURE
+    montecarlo._check_conservative(params)
     us, _ = load_ugrid(args.u)
     x = load_matrix_file(args.x) if args.x else np.eye(params.d)
     _check_dims(params.d, us, x)
     cfg = montecarlo.SimConfig(n_paths=args.paths, dt=args.dt, seed=args.seed,
                                antithetic=args.antithetic)
+    return params, us, x, cfg
+
+
+def cmd_simulate(args) -> int:
+    params, us, x, cfg = _mc_inputs(args)
     rows = []
     for k, u in enumerate(us):
         est = montecarlo.estimate_transform(params, u, x, args.T, cfg)
@@ -380,17 +378,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    params = load_params(args.params)
-    if not params.is_conservative:
-        print("error: comparison simulates paths, which requires a conservative "
-              "parameter set (c = 0 and gamma = 0)", file=sys.stderr)
-        return EXIT_FAILURE
-    us, _ = load_ugrid(args.u)
-    x = load_matrix_file(args.x) if args.x else np.eye(params.d)
-    _check_dims(params.d, us, x)
+    params, us, x, cfg = _mc_inputs(args)
     spec = closedform.MBAJDSpec.from_params(params)
-    cfg = montecarlo.SimConfig(n_paths=args.paths, dt=args.dt, seed=args.seed,
-                               antithetic=args.antithetic)
     rows = []
     failures = []
     for k, u in enumerate(us):
@@ -442,15 +431,8 @@ def cmd_mbajd(args) -> int:
         times = [args.T]
     if not times:
         raise ParamFileError(f"{args.u}: $.times: needed unless -T is given")
-    rows = []
-    for k, u in enumerate(us):
-        for t in times:
-            phi = closedform.mbajd_phi(spec, u, t)
-            psi = closedform.mbajd_psi(spec, u, t)
-            row = {"u_index": k, "t": float(t), "p": spec.p,
-                   "phi_re": float(phi.real), "phi_im": float(phi.imag)}
-            _psi_to_row(psi, row)
-            rows.append(row)
+    rows = [_exponent_row(k, t, phi, psi, p=spec.p)
+            for k, t, phi, psi in _closed_exponents(spec, us, times)]
     columns = ["u_index", "t", "p", "phi_re", "phi_im"] + _psi_columns(params.d)
     _emit(rows, columns, args.out, sys.stdout)
     return EXIT_OK
@@ -495,31 +477,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_transform)
 
-    p = sub.add_parser("simulate", help="Monte Carlo transform estimates")
-    p.add_argument("params")
-    p.add_argument("--u", required=True, help="u-grid file")
-    p.add_argument("--x", default=None, help="initial state file (default: identity)")
-    p.add_argument("-T", type=_finite_float, required=True)
-    p.add_argument("--paths", type=int, default=10000)
-    p.add_argument("--dt", type=_finite_float, default=2.0**-8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--antithetic", action="store_true")
-    p.add_argument("--out", choices=("csv", "json"), default="csv")
+    mc = argparse.ArgumentParser(add_help=False)  # flags of simulate and compare
+    mc.add_argument("params")
+    mc.add_argument("--u", required=True, help="u-grid file")
+    mc.add_argument("--x", default=None, help="initial state file (default: identity)")
+    mc.add_argument("-T", type=_finite_float, required=True)
+    mc.add_argument("--paths", type=int, default=10000)
+    mc.add_argument("--dt", type=_finite_float, default=2.0**-8)
+    mc.add_argument("--seed", type=int, default=0)
+    mc.add_argument("--antithetic", action="store_true")
+    mc.add_argument("--out", choices=("csv", "json"), default="csv")
+
+    p = sub.add_parser("simulate", parents=[mc], help="Monte Carlo transform estimates")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("compare", help="three-way check: ODE vs closed form vs MC")
-    p.add_argument("params")
-    p.add_argument("--u", required=True)
-    p.add_argument("--x", default=None)
-    p.add_argument("-T", type=_finite_float, required=True)
-    p.add_argument("--paths", type=int, default=10000)
-    p.add_argument("--dt", type=_finite_float, default=2.0**-8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--antithetic", action="store_true")
+    p = sub.add_parser("compare", parents=[mc],
+                       help="three-way check: ODE vs closed form vs MC")
     p.add_argument("--allowance", type=_finite_float, default=0.005,
                    help="discretization allowance added to 3 stderr")
     p.add_argument("--closed-tol", type=_finite_float, default=1e-6)
-    p.add_argument("--out", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("mbajd", help="closed-form phi, psi table")
@@ -536,15 +512,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ParamFileError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (DomainError, riccati.BlowUpError, closedform.BranchTrackingError,
-            closedform.QuadratureError, FloatingPointError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    # overflow ends in an error line or a status column, not in numpy warnings;
+    # a filter, unlike np.errstate, also reaches the simulation's worker threads
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            return args.func(args)
+        except ParamFileError as exc:
+            print(f"input error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        except (DomainError, riccati.BlowUpError, closedform.BranchTrackingError,
+                closedform.QuadratureError, FloatingPointError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_FAILURE
 
 
 if __name__ == "__main__":

@@ -39,8 +39,7 @@ SQRT2 = math.sqrt(2.0)
 @lru_cache(maxsize=None)
 def _triu_indices(d: int):
     iu, ju = np.triu_indices(d)
-    diag = iu == ju
-    return iu, ju, diag
+    return iu, ju, iu != ju
 
 
 def sym_dim(d: int) -> int:
@@ -49,24 +48,27 @@ def sym_dim(d: int) -> int:
 
 
 def sym_to_vec(x: np.ndarray) -> np.ndarray:
-    """Isometric vectorization: upper triangle with off-diagonals scaled by
-    sqrt(2), so that v(x) . v(y) = tr(x y)."""
+    """Isometric vectorization of one matrix (d, d) or a stack (..., d, d):
+    upper triangle with off-diagonals scaled by sqrt(2), so that
+    v(x) . v(y) = tr(x y)."""
     x = np.asarray(x)
-    d = x.shape[0]
-    iu, ju, diag = _triu_indices(d)
-    v = x[iu, ju].copy()
-    v[~diag] *= SQRT2
+    iu, ju, off = _triu_indices(x.shape[-1])
+    v = x[..., iu, ju]
+    # .T puts the vector axis first at any depth (faster than [..., off]); the
+    # diagonal is left alone, as 1.0 * z can flip the sign of a complex zero
+    v.T[off] *= SQRT2
     return v
 
 
 def vec_to_sym(v: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of sym_to_vec; output is exactly symmetric."""
-    iu, ju, diag = _triu_indices(d)
-    vals = np.asarray(v).copy()
-    vals[~diag] /= SQRT2
-    x = np.zeros((d, d), dtype=vals.dtype)
-    x[iu, ju] = vals
-    x[ju, iu] = vals
+    """Inverse of sym_to_vec for one vector (D,) or a stack (..., D); output
+    is exactly symmetric."""
+    iu, ju, off = _triu_indices(d)
+    vals = np.array(v)
+    vals.T[off] /= SQRT2
+    x = np.zeros(vals.shape[:-1] + (d, d), dtype=vals.dtype)
+    x[..., iu, ju] = vals
+    x[..., ju, iu] = vals
     return x
 
 
@@ -128,13 +130,7 @@ class GeneralDrift:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """B(x) for one matrix (d, d) or a stack (..., d, d): one product
         with the matrix in the isometric basis."""
-        iu, ju, diag = _triu_indices(self.d)
-        scale = np.where(diag, 1.0, SQRT2)
-        v = (x[..., iu, ju] * scale) @ self.matrix.T / scale
-        out = np.empty(v.shape[:-1] + (self.d, self.d), dtype=v.dtype)
-        out[..., iu, ju] = v
-        out[..., ju, iu] = v
-        return out
+        return vec_to_sym(sym_to_vec(x) @ self.matrix.T, self.d)
 
     def adjoint(self, u: np.ndarray) -> np.ndarray:
         # transpose in an orthonormal basis is the trace-pairing adjoint
@@ -148,17 +144,9 @@ LinearDrift = LyapunovDrift | GeneralDrift
 
 
 def _drift_matrix(drift) -> np.ndarray:
-    d = drift.d
-    dd = sym_dim(d)
-    iu, ju, diag = _triu_indices(d)
-    cols = np.empty((dd, dd))
-    for k in range(dd):
-        e = np.zeros((d, d))
-        w = 1.0 if diag[k] else 1.0 / SQRT2
-        e[iu[k], ju[k]] = w
-        e[ju[k], iu[k]] = w
-        cols[:, k] = sym_to_vec(drift.apply(e))
-    return cols
+    # column k is the image of the k-th isometric basis matrix
+    dd = sym_dim(drift.d)
+    return sym_to_vec(drift.apply(vec_to_sym(np.eye(dd), drift.d))).T
 
 
 def as_general(drift: LinearDrift) -> GeneralDrift:

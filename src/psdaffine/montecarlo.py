@@ -165,6 +165,10 @@ class PoissonOverflowError(DomainError):
                          f"CDF inversion; use a smaller dt")
 
 
+class NonFiniteStateError(DomainError):
+    """An Euler step left the finite floating-point range."""
+
+
 def _poisson_from_uniform(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Exact Poisson counts by CDF inversion of one uniform per entry.
 
@@ -250,7 +254,8 @@ def _advance(x: np.ndarray, normals: np.ndarray, uniforms: np.ndarray, dt: float
     """One projected Euler step for a batch of PSD states x (n, d, d), given
     the step's standard normals (n, d, d) and one uniform per atom
     (n, n_atoms), m atoms first. Returns the new states, the jump counts and
-    the intensities integrated over the step (both (n, n_atoms))."""
+    the intensities integrated over the step (both (n, n_atoms)); raises
+    NonFiniteStateError when a new state is not finite."""
     n = len(x)
     n_m = len(scheme.m_sites)
     noise = _mm_fixed_right(_mm_batch(_sqrt_psd_batch(x), normals), scheme.sigma) * np.sqrt(dt)
@@ -263,7 +268,11 @@ def _advance(x: np.ndarray, normals: np.ndarray, uniforms: np.ndarray, dt: float
         x_new = x_new + np.einsum("pk,kij->pij", counts[:, :n_m], scheme.m_sites)
     if len(scheme.mu_sites):
         x_new = x_new + np.einsum("pk,kij->pij", counts[:, n_m:], scheme.mu_sites)
-    return _project_psd_batch(0.5 * (x_new + x_new.transpose(0, 2, 1))), counts, lam
+    x_new = 0.5 * (x_new + x_new.transpose(0, 2, 1))
+    if not np.isfinite(x_new).all():
+        raise NonFiniteStateError(f"simulated states overflow the float range in an "
+                                  f"Euler step of size {dt:.6g}")
+    return _project_psd_batch(x_new), counts, lam
 
 
 def step(params: AffineParams, x: np.ndarray, dt: float,

@@ -142,8 +142,9 @@ class RiccatiRHS:
         return np.concatenate([v.real, v.imag, [phi.real, phi.imag]])
 
     def unpack_psi(self, y: np.ndarray) -> np.ndarray:
-        d, dd = self.d, self.D
-        return vec_to_sym(y[:dd] + 1j * y[dd:2 * dd], d)
+        """psi of one packed state (n,) or of a stack (..., n)."""
+        dd = self.D
+        return vec_to_sym(y[..., :dd] + 1j * y[..., dd:2 * dd], self.d)
 
     def unpack_phi(self, y: np.ndarray) -> complex:
         return complex(y[-2], y[-1])
@@ -235,12 +236,13 @@ def _solve_impl(params, u0: np.ndarray, T: float, projected: bool) -> RiccatiSol
     def monitor(t, y):
         psi_norm = float(np.linalg.norm(y[:2 * rhs.D]))  # isometric coordinates
         diag.max_psi_norm = max(diag.max_psi_norm, psi_norm)
-        lam = min_eig(rhs.unpack_psi(y).real)
+        psi = rhs.unpack_psi(y)
+        lam = min_eig(psi.real)
         diag.min_re_psi_eig = min(diag.min_re_psi_eig, lam)
         if track_floor and lam <= _BOUNDARY_FLOOR:
             diag.boundary_floor_hit = True
         if degenerate:
-            q = riccati_quadratic_real(rhs.unpack_psi(y), params.alpha)
+            q = riccati_quadratic_real(psi, params.alpha)
             diag.quadratic_monitor_min = min(diag.quadratic_monitor_min, q)
         if psi_norm >= _BLOWUP_NORM:
             diag.t_plus = t
@@ -259,11 +261,9 @@ def _solve_impl(params, u0: np.ndarray, T: float, projected: bool) -> RiccatiSol
             f"quadratic form monitor went negative ({diag.quadratic_monitor_min:.3e}): "
             "run is outside the proved regime", DegenerateAlphaWarning, stacklevel=3)
 
-    dd = rhs.D
-    psi = np.array([vec_to_sym(y[:dd] + 1j * y[dd:2 * dd], rhs.d) for y in res.ys])
     phi = res.ys[:, -2] + 1j * res.ys[:, -1]
-    return RiccatiSolution(u0=u0, times=res.ts, phi=phi, psi=psi, diagnostics=diag,
-                           completed=completed, _rhs=rhs, _result=res)
+    return RiccatiSolution(u0=u0, times=res.ts, phi=phi, psi=rhs.unpack_psi(res.ys),
+                           diagnostics=diag, completed=completed, _rhs=rhs, _result=res)
 
 
 def solve(params: AffineParams | TruncatedParams, u0: np.ndarray,

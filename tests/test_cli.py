@@ -3,7 +3,9 @@ import csv
 import io
 import json
 import signal
+import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -85,9 +87,9 @@ def write_params(tmp_path, name, params):
     return str(path)
 
 
-def huge_beta_file(tmp_path):
+def huge_beta_file(tmp_path, d=2):
     """MBAJD whose flow exp(beta t) overflows for every t > 0."""
-    spec = MBAJDSpec(d=2, alpha=np.eye(2), beta=1e300 * np.eye(2), p=1.0)
+    spec = MBAJDSpec(d=d, alpha=np.eye(d), beta=1e300 * np.eye(d), p=1.0)
     return write_params(tmp_path, "huge_beta.json", spec.to_affine_params())
 
 
@@ -100,6 +102,18 @@ def huge_alpha_file(tmp_path):
     path = tmp_path / "huge_alpha.json"
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+@contextlib.contextmanager
+def warnings_on_stderr():
+    """Print every warning to stderr, as a plain run does, instead of into
+    pytest's record, so that capsys sees it."""
+    def show(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = show
+        yield
 
 
 def parse_csv(text):
@@ -539,3 +553,50 @@ def test_simulate_survives_the_largest_uniform(capsys, monkeypatch, tmp_path, ug
     rows = json.loads(out)
     assert rows[1]["mean_re"] == 1.0  # u = 0
     assert 0.0 <= rows[0]["mean_re"] < 1e-30  # ten unit jumps per step
+
+
+@pytest.mark.parametrize("command, fixture, code", [
+    (("mbajd", "{p}", "--u", "{u}"), huge_beta_file, 1),
+    (("transform", "{p}", "{u}", "--method", "closed"), huge_beta_file, 1),
+    (("transform", "{p}", "{u}", "--method", "ode"), huge_beta_file, 0),
+    (("transform", "{p}", "{u}", "--method", "ode"), huge_alpha_file, 1),
+    (("validate", "{p}"), huge_alpha_file, 1),
+], ids=["mbajd-huge-beta", "closed-huge-beta", "ode-huge-beta", "ode-huge-alpha",
+        "validate-huge-alpha"])
+def test_overflow_prints_no_numpy_warning(capsys, tmp_path, ugrid_file, command, fixture,
+                                          code):
+    argv = [a.format(p=fixture(tmp_path), u=ugrid_file) for a in command]
+    with warnings_on_stderr():
+        got, out, err = run_cli(capsys, *argv, "--out", "json")
+    assert_clean_exit(got, out, err, code)
+    assert "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_simulate_non_finite_states_named_error(capsys, monkeypatch, tmp_path, d, threads):
+    # beta = 1e300 I: the second Euler step overflows, before the d = 3 eigh
+    # or the d = 2 analytic kernels see a non-finite state
+    monkeypatch.setenv("PSDAFFINE_THREADS", threads)
+    monkeypatch.setattr(montecarlo, "_BLOCK_PATHS", 32)  # two path blocks
+    ufile = tmp_path / "u.json"
+    ufile.write_text(json.dumps({"u": [{"re": np.eye(d).tolist()}]}))
+    with warnings_on_stderr():
+        code, out, err = run_cli(capsys, "simulate", huge_beta_file(tmp_path, d),
+                                 "--u", str(ufile), "-T", "0.5", "--paths", "64",
+                                 "--dt", "0.05", "--out", "json")
+    assert_clean_exit(code, out, err, 1)
+    assert out == ""
+    assert err == ("error: simulated states overflow the float range in an Euler "
+                   "step of size 0.05\n")
+
+
+def test_degenerate_alpha_transform_still_warns(capsys, tmp_path, ugrid_file):
+    params = AffineParams(d=2, alpha=np.diag([1.0, 0.0]), b=np.diag([1.0, 0.2]),
+                          drift=LyapunovDrift(beta=-np.eye(2)))
+    with warnings_on_stderr():
+        code, out, err = run_cli(capsys, "transform", write_params(tmp_path, "deg.json", params),
+                                 ugrid_file, "--method", "ode", "--out", "json")
+    assert_clean_exit(code, out, err, 0)
+    assert "DegenerateAlphaWarning: alpha is degenerate and nonzero" in err
+    assert "RuntimeWarning" not in err

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from psdaffine import (
     AffineParams,
@@ -47,6 +50,47 @@ def test_vectorization_is_isometric():
             assert np.dot(sym_to_vec(x), sym_to_vec(y)) == pytest.approx(
                 trace_inner(x, y), abs=1e-12)
             np.testing.assert_allclose(vec_to_sym(sym_to_vec(x), d), x, atol=1e-14)
+
+
+@st.composite
+def _sym_stack_pairs(draw):
+    """Two complex symmetric stacks of one shape, (k, d, d) or (j, k, d, d)
+    with d = 2..5, with signed zeros among the entries."""
+    d = draw(st.integers(2, 5))
+    shape = draw(st.sampled_from([(3,), (1,), (2, 3), (4, 1)])) + (d, d)
+    upper = np.triu(np.ones((d, d), dtype=bool))
+
+    def sym():
+        a = draw(hnp.arrays(np.float64, shape, elements=st.floats(-10.0, 10.0)))
+        return np.where(upper, a, np.swapaxes(a, -1, -2))  # exactly symmetric
+
+    x, y = sym().astype(complex), sym().astype(complex)
+    x.imag, y.imag = sym(), sym()
+    return d, x, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sym_stack_pairs())
+def test_stacked_vectorization_matches_per_matrix(case):
+    d, x, y = case
+    v = sym_to_vec(x)
+    assert v.shape == x.shape[:-2] + (d * (d + 1) // 2,)
+    per = np.stack([sym_to_vec(m) for m in x.reshape(-1, d, d)])
+    assert v.tobytes() == per.tobytes()
+    back = vec_to_sym(v, d)
+    per_back = np.stack([vec_to_sym(w, d) for w in v.reshape(-1, v.shape[-1])])
+    assert back.shape == x.shape and back.tobytes() == per_back.tobytes()
+    # the diagonal comes back bit for bit, signed zeros included; the sqrt(2)
+    # scaling of the off-diagonals round-trips to within one unit in the last place
+    assert np.diagonal(back, 0, -2, -1).tobytes() == np.diagonal(x, 0, -2, -1).tobytes()
+    assert back.tobytes() == np.swapaxes(back, -1, -2).tobytes()
+    np.testing.assert_array_max_ulp(back.real, x.real, maxulp=1)
+    np.testing.assert_array_max_ulp(back.imag, x.imag, maxulp=1)
+    # isometry, matrix by matrix: v(x) . v(y) = tr(x y)
+    lhs = np.einsum("...i,...i->...", v, sym_to_vec(y))
+    rhs = np.einsum("...ij,...ji->...", x, y)
+    scale = 1.0 + np.linalg.norm(x, axis=(-2, -1)) * np.linalg.norm(y, axis=(-2, -1))
+    assert np.all(np.abs(lhs - rhs) <= 1e-13 * scale)
 
 
 def test_drift_adjointness_identity():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from psdaffine import (
     BlowUpError,
     DegenerateAlphaWarning,
     DomainError,
+    GeneralDrift,
     LyapunovDrift,
     MatrixAtomicMeasure,
     MBAJDSpec,
@@ -29,6 +32,7 @@ from psdaffine import (
     trace_inner,
     transform,
 )
+from psdaffine.model import sym_to_vec
 from psdaffine.riccati import RiccatiRHS
 from conftest import random_admissible, random_interior_u, random_psd, random_spd, random_sym
 
@@ -412,3 +416,78 @@ def test_real_data_stays_real():
     sol = solve(params, u0, 1.0)
     assert np.abs(sol.psi.imag).max() == 0.0
     assert np.abs(sol.phi.imag).max() == 0.0
+
+
+# ---------------------------------------------------------------------------
+# golden bits of the single-u step sequence
+# ---------------------------------------------------------------------------
+
+
+def golden_solve_params(d, general):
+    ones, eye = np.ones((d, d)), np.eye(d)
+    alpha = 0.5 * eye + 0.1 * ones
+    drift = LyapunovDrift(beta=-0.6 * eye + 0.2 * np.triu(ones, 1))
+    if general:
+        a = sym_to_vec(eye + 0.1 * ones)
+        drift = GeneralDrift(matrix=drift.as_matrix() + 0.3 * np.outer(a, a), d=d)
+    return AffineParams(
+        d=d, alpha=alpha, b=d * alpha, drift=drift,
+        m=AtomicMeasure(atoms=((0.3 * eye + 0.05 * ones, 0.8),)),
+        mu=MatrixAtomicMeasure(atoms=((0.2 * np.diag(np.arange(1.0, d + 1)), 0.4 * eye),)))
+
+
+# SHA-256 of times, phi, psi and the dense output at four off-grid times
+# (recorded with NumPy 2.4 and OpenBLAS on x86-64; another BLAS/LAPACK build
+# may move them). A change of these bits changes every ODE transform value
+# and must be stated with its size.
+GOLDEN_SOLVE = {
+    ("solve", 2, False):
+        "fea5f2a5668f46e0f1dd5cd885310198422143e0b217cce7e51bd8f4c54fa2cc",
+    ("solve", 2, True):
+        "b7e5f74cf7c51522d1b8d70948e7365f82c34d5cb8a598dfef055a4fad734908",
+    ("solve", 3, False):
+        "52f042a5128d3d329fa9dcc65c98f648fd4039ad766b01397aeebdb7fbdb24b3",
+    ("solve", 3, True):
+        "1592e2b980ac13135d92ac68f54d7155fb6c26771d95d59bc0dec67b328bfee4",
+    ("solve", 5, False):
+        "ff13f783837068434b811b6b2ce56efd5bb6def37dee168d704ffa8835ffecb0",
+    ("solve", 5, True):
+        "c1b3131b671aaee64f01ec5a565006e0940cdc32710190f21ae1c62b136aa702",
+    ("solve_boundary", 2, False):
+        "7eae62cb6efc3cfc59d1e4f39f8709a3417cd90e4f7beb81e78fc35b38538d3e",
+    ("solve_boundary", 2, True):
+        "6554cc364b0c1c4e1ea16996ba94fb5a029ca604e079c022282d67566e0a963f",
+    ("solve_boundary", 3, False):
+        "9a29728882852682e3042c894aafee49e0c70e674c2782589436bc2c6b08b4e3",
+    ("solve_boundary", 3, True):
+        "6244d01bc012579ae6130478cb3bde34102116d4d9230bd439f62f3e4ee70d64",
+    ("solve_boundary", 5, False):
+        "2aefa6fe1fae8c5ab2e8d83a25affacbc2b2dd9dbb01d8d223c0c9ffb15ad854",
+    ("solve_boundary", 5, True):
+        "020b25ba9c8df47b0fae66438849894c95f8b61f9763b866a07e5aba31a6e7ea",
+}
+
+
+def golden_solve_digest(route, d, general):
+    ones, eye = np.ones((d, d)), np.eye(d)
+    im = 0.3 * eye - 0.1 * ones
+    if route == "solve":
+        u0, solver = 0.7 * eye + 0.1 * ones + 1j * im, solve
+    else:
+        u0, solver = np.diag(np.arange(d) % 2 * 1.0) + 1j * im, solve_boundary
+    sol = solver(golden_solve_params(d, general), u0, 1.0)
+    assert sol.completed
+    h = hashlib.sha256()
+    for a in (sol.times, sol.phi, sol.psi):
+        h.update(np.ascontiguousarray(a).tobytes())
+    for t in (0.13, 0.37, 0.61, 0.89):
+        phi_t, psi_t = sol.eval(t)
+        h.update(np.complex128(phi_t).tobytes() + np.ascontiguousarray(psi_t).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("route", ["solve", "solve_boundary"])
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("general", [False, True], ids=["lyapunov", "general"])
+def test_solve_golden_bits(route, d, general):
+    assert golden_solve_digest(route, d, general) == GOLDEN_SOLVE[route, d, general]
