@@ -33,6 +33,7 @@ from .montecarlo import (
     diffusion_factor,
     estimate_char_function,
     estimate_transform,
+    estimate_transforms,
     simulate_paths,
     step,
 )

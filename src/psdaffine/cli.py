@@ -365,8 +365,7 @@ def _mc_inputs(args):
 def cmd_simulate(args) -> int:
     params, us, x, cfg = _mc_inputs(args)
     rows = []
-    for k, u in enumerate(us):
-        est = montecarlo.estimate_transform(params, u, x, args.T, cfg)
+    for k, est in enumerate(montecarlo.estimate_transforms(params, us, x, args.T, cfg)):
         rows.append({"u_index": k, "t": args.T,
                      "mean_re": float(est.mean.real), "mean_im": float(est.mean.imag),
                      "stderr": float(est.stderr), "n_paths": est.n_paths,
@@ -380,11 +379,15 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     params, us, x, cfg = _mc_inputs(args)
     spec = closedform.MBAJDSpec.from_params(params)
+    # every exact value before the one simulation, so that an ODE error ends
+    # the command before any path is drawn
+    exact = [(riccati.transform(params, u, x, args.T),
+              closedform.mbajd_transform(spec, u, x, args.T) if spec is not None else None)
+             for u in us]
+    estimates = montecarlo.estimate_transforms(params, us, x, args.T, cfg)
     rows = []
     failures = []
-    for k, u in enumerate(us):
-        ode_val = riccati.transform(params, u, x, args.T)
-        est = montecarlo.estimate_transform(params, u, x, args.T, cfg)
+    for k, ((ode_val, closed_val), est) in enumerate(zip(exact, estimates)):
         mc_diff = abs(ode_val - est.mean)
         mc_bound = 3.0 * est.stderr + args.allowance
         row = {"u_index": k, "t": args.T,
@@ -392,8 +395,7 @@ def cmd_compare(args) -> int:
                "mc_re": float(est.mean.real), "mc_im": float(est.mean.imag),
                "mc_stderr": float(est.stderr), "mc_abs_diff": float(mc_diff),
                "mc_bound": float(mc_bound), "mc_pass": mc_diff <= mc_bound}
-        if spec is not None:
-            closed_val = closedform.mbajd_transform(spec, u, x, args.T)
+        if closed_val is not None:
             closed_diff = abs(ode_val - closed_val)
             row.update({"closed_re": float(closed_val.real),
                         "closed_im": float(closed_val.imag),

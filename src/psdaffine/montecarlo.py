@@ -17,12 +17,18 @@ Gaussian stream and one jump stream per path, so results are bit-identical
 for a fixed (seed, config, params) no matter how paths are partitioned
 across workers. Poisson counts are inverted from a single uniform per
 (step, atom), which keeps the draw layout independent of the realized
-counts.
+counts. Each stream is drawn in chunks of _CHUNK_STEPS steps into buffers
+reused across chunks, so the memory of a path block is fixed by the chunk,
+not by T/dt; chunked draws give the same numbers as one draw of all steps.
+
+estimate_transforms evaluates every u on the same simulated paths (common
+random numbers), so the estimates of one call have correlated errors.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -32,6 +38,7 @@ from .model import AffineParams, LinearDrift
 from .symcore import DomainError, frobenius, is_psd, spectrum
 
 _BLOCK_PATHS = 4096  # fixed blocking: memory bound, never affects results
+_CHUNK_STEPS = 256   # steps drawn per stream refill: memory bound, never affects results
 
 
 @dataclass(frozen=True)
@@ -205,10 +212,25 @@ def _stream(seed: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _gauss_tag(path: int, antithetic: bool) -> tuple[int, float]:
-    if antithetic:
-        return 2 * (path // 2), -1.0 if path % 2 else 1.0
-    return 2 * path, 1.0
+def _gauss_streams(paths: range, antithetic: bool) -> list[tuple[int, int]]:
+    """(row, stream tag) of each Gaussian stream a block draws. A plain path
+    p owns stream 2p. The pair (2k, 2k + 1) of antithetic sampling shares
+    stream 2k, drawn once into the even path's row (see _negate_pairs); a
+    block that starts at an odd path draws that pair's stream into row 0."""
+    if not antithetic:
+        return [(i, 2 * p) for i, p in enumerate(paths)]
+    return [(i, p - p % 2) for i, p in enumerate(paths) if p % 2 == 0 or i == 0]
+
+
+def _negate_pairs(normals: np.ndarray, paths: range) -> None:
+    """Give each odd path of an antithetic block the negated draws of its
+    pair, in place: from the even path's row before it or, for a block that
+    starts at an odd path, from its own row 0."""
+    n = len(paths)
+    first = 1 + paths.start % 2  # first odd-path row whose even path is in the block
+    np.negative(normals[:, first - 1:n - 1:2], out=normals[:, first::2])
+    if paths.start % 2:
+        np.negative(normals[:, 0], out=normals[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -307,23 +329,38 @@ def _simulate_block(params: AffineParams, x0: np.ndarray, dt: float, n_steps: in
     n = len(paths)
     scheme = _Scheme.of(params)
     n_atoms = scheme.n_atoms
+    chunk = min(n_steps, _CHUNK_STEPS)
+    normals = np.empty((chunk, n, d, d))
+    uniforms = np.empty((chunk, n, n_atoms))
+    gauss = _gauss_streams(paths, antithetic)
+    # a run of one chunk creates, draws and drops each generator, so no
+    # generator outlives its draw; longer runs keep them (thousands per
+    # block, a few MB) so that each chunk continues its streams
+    kept = {} if n_steps > chunk else None
 
-    normals = np.empty((n_steps, n, d, d))
-    for i, p in enumerate(paths):
-        tag, sign = _gauss_tag(p, antithetic)
-        normals[:, i] = sign * _stream(seed, tag).standard_normal((n_steps, d, d))
-    uniforms = np.empty((n_steps, n, n_atoms))
-    if n_atoms:
-        for i, p in enumerate(paths):
-            uniforms[:, i] = _stream(seed, 2 * p + 1).random((n_steps, n_atoms))
+    def stream(tag):
+        if kept is None:
+            return _stream(seed, tag)
+        if tag not in kept:
+            kept[tag] = _stream(seed, tag)
+        return kept[tag]
 
     x = np.broadcast_to(x0, (n, d, d)).copy()
     counts = np.zeros((n, n_atoms))
     intens = np.zeros((n, n_atoms))
-    for k in range(n_steps):
-        x, step_counts, step_intens = _advance(x, normals[k], uniforms[k], dt, scheme)
-        counts += step_counts
-        intens += step_intens
+    for start in range(0, n_steps, chunk):
+        steps = min(chunk, n_steps - start)
+        for i, tag in gauss:
+            normals[:steps, i] = stream(tag).standard_normal((steps, d, d))
+        if antithetic:
+            _negate_pairs(normals[:steps], paths)
+        if n_atoms:
+            for i, p in enumerate(paths):
+                uniforms[:steps, i] = stream(2 * p + 1).random((steps, n_atoms))
+        for k in range(steps):
+            x, step_counts, step_intens = _advance(x, normals[k], uniforms[k], dt, scheme)
+            counts += step_counts
+            intens += step_intens
 
     return PathStats(x_final=x, jump_counts=counts, intensity_integrals=intens,
                      dt=dt, n_steps=n_steps)
@@ -382,17 +419,31 @@ def _mean_stderr(values: np.ndarray, antithetic: bool) -> tuple[complex, float]:
     return mean, max(se_re, se_im)
 
 
+def estimate_transforms(params: AffineParams, us: Sequence[np.ndarray], x: np.ndarray,
+                        T: float, cfg: SimConfig) -> list[MCEstimate]:
+    """Monte Carlo estimates of E[exp(-tr(u X_T))] started from x, one per u
+    in us. All of them use the same simulated paths (common random numbers),
+    so their errors are correlated; an empty us simulates nothing."""
+    us = [np.asarray(u, dtype=complex) for u in us]
+    for u in us:
+        if not is_psd(u.real):
+            raise DomainError("estimate_transform requires Re(u0) PSD")
+    if not us:
+        return []
+    stats = simulate_paths(params, x, T, cfg)
+    estimates = []
+    for u in us:
+        values = np.exp(-np.einsum("ij,pji->p", u, stats.x_final))
+        mean, stderr = _mean_stderr(values, cfg.antithetic)
+        estimates.append(MCEstimate(mean=mean, stderr=stderr, n_paths=cfg.n_paths,
+                                    dt=stats.dt, n_steps=stats.n_steps))
+    return estimates
+
+
 def estimate_transform(params: AffineParams, u0: np.ndarray, x: np.ndarray,
                        T: float, cfg: SimConfig) -> MCEstimate:
     """Monte Carlo estimate of E[exp(-tr(u0 X_T))] started from x."""
-    u0 = np.asarray(u0, dtype=complex)
-    if not is_psd(u0.real):
-        raise DomainError("estimate_transform requires Re(u0) PSD")
-    stats = simulate_paths(params, x, T, cfg)
-    values = np.exp(-np.einsum("ij,pji->p", u0, stats.x_final))
-    mean, stderr = _mean_stderr(values, cfg.antithetic)
-    return MCEstimate(mean=mean, stderr=stderr, n_paths=cfg.n_paths,
-                      dt=stats.dt, n_steps=stats.n_steps)
+    return estimate_transforms(params, [u0], x, T, cfg)[0]
 
 
 def estimate_char_function(params: AffineParams, w: np.ndarray, x: np.ndarray,

@@ -315,13 +315,28 @@ def test_compare_wishart_passes(capsys, wishart_file, ugrid_file, x_file):
     assert float(rows[0]["closed_abs_diff"]) <= 1e-6
 
 
-def test_compare_empty_grid_exits_zero(capsys, wishart_file, tmp_path):
+def _no_simulation(*args, **kwargs):
+    raise AssertionError("simulate_paths called on an empty u-grid")
+
+
+def test_compare_empty_grid_exits_zero(capsys, monkeypatch, wishart_file, tmp_path):
+    monkeypatch.setattr(montecarlo, "simulate_paths", _no_simulation)
     ufile = tmp_path / "empty.json"
     ufile.write_text(json.dumps({"u": [], "times": []}))
     code, out, _ = run_cli(capsys, "compare", wishart_file, "--u", str(ufile),
                            "-T", "0.5", "--paths", "16", "--dt", "0.1")
     assert code == 0
     assert parse_csv(out) == []
+
+
+def test_simulate_empty_grid_exits_zero(capsys, monkeypatch, wishart_file, tmp_path):
+    monkeypatch.setattr(montecarlo, "simulate_paths", _no_simulation)
+    ufile = tmp_path / "empty.json"
+    ufile.write_text(json.dumps({"u": []}))
+    code, out, err = run_cli(capsys, "simulate", wishart_file, "--u", str(ufile),
+                             "-T", "0.5", "--paths", "16", "--dt", "0.1", "--out", "json")
+    assert_clean_exit(code, out, err, 0)
+    assert json.loads(out) == []
 
 
 def test_compare_threshold_breach_exits_one(capsys, wishart_file, ugrid_file):

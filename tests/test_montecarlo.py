@@ -1,5 +1,6 @@
 import hashlib
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from psdaffine import (
     diffusion_factor,
     estimate_char_function,
     estimate_transform,
+    estimate_transforms,
     is_psd,
     simulate_paths,
     step,
@@ -266,6 +268,43 @@ def test_estimate_independent_of_block_partition():
     assert split.mean == ref.mean and split.stderr == ref.stderr
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_estimate_transforms_equals_one_u_estimates(monkeypatch, antithetic, threads):
+    # 600 steps: two full draw chunks and a partial one; 101-path blocks
+    # start the second block in the middle of an antithetic pair
+    import psdaffine.montecarlo as mc
+    monkeypatch.setenv("PSDAFFINE_THREADS", threads)
+    monkeypatch.setattr(mc, "_BLOCK_PATHS", 101)
+    params = golden_params(2)
+    cfg = SimConfig(n_paths=250, dt=0.001, seed=8, antithetic=antithetic)
+    us = [np.eye(2) + 0j, 0.5 * np.eye(2) + 1j * np.eye(2), np.zeros((2, 2), dtype=complex)]
+    shared = estimate_transforms(params, us, np.eye(2), 0.6, cfg)
+    assert shared[0].n_steps == 600
+    for est, u in zip(shared, us):
+        one = estimate_transform(params, u, np.eye(2), 0.6, cfg)
+        assert est == one  # mean and stderr bit for bit
+
+
+def _no_simulation(*args, **kwargs):
+    raise AssertionError("simulate_paths called")
+
+
+def test_estimate_transforms_empty_grid_does_not_simulate(monkeypatch):
+    import psdaffine.montecarlo as mc
+    monkeypatch.setattr(mc, "simulate_paths", _no_simulation)
+    assert estimate_transforms(conservative_params(), [], np.eye(2), 1.0,
+                               SimConfig(n_paths=8, dt=0.1, seed=0)) == []
+
+
+def test_estimate_transforms_checks_every_u_before_simulating(monkeypatch):
+    import psdaffine.montecarlo as mc
+    monkeypatch.setattr(mc, "simulate_paths", _no_simulation)
+    with pytest.raises(DomainError):
+        estimate_transforms(conservative_params(), [np.eye(2) + 0j, -np.eye(2) + 0j],
+                            np.eye(2), 1.0, SimConfig(n_paths=8, dt=0.1, seed=0))
+
+
 def test_estimate_matches_ode_within_tolerance():
     params = conservative_params(m_atoms=((0.4 * np.eye(2), 0.4),))
     cfg = SimConfig(n_paths=20_000, dt=2.0**-8, seed=9)
@@ -339,13 +378,56 @@ GOLDEN = {
 }
 
 
+def _digest(stats):
+    h = hashlib.sha256()
+    for a in (stats.x_final, stats.jump_counts, stats.intensity_integrals):
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_simulate_paths_golden_bits(monkeypatch, d):
     import psdaffine.montecarlo as mc
     monkeypatch.setattr(mc, "_BLOCK_PATHS", 160)  # two blocks: 160 + 140 paths
     stats = simulate_paths(golden_params(d), 0.5 * np.eye(d), 0.5,
                            SimConfig(n_paths=300, dt=2.0**-5, seed=2024))
-    h = hashlib.sha256()
-    for a in (stats.x_final, stats.jump_counts, stats.intensity_integrals):
-        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
-    assert h.hexdigest() == GOLDEN[d]
+    assert _digest(stats) == GOLDEN[d]
+
+
+# The same digest over 600 steps: two full draw chunks and a partial one, in
+# 25-path blocks, so that blocks start and end in the middle of an antithetic
+# pair. They equal the digests of drawing each path's whole stream at once.
+GOLDEN_CHUNKED = {
+    (2, False): "fa15bb6122a9b931b4b0b49f3e4f0d757e31f96ccfab88bbff387820668ec985",
+    (2, True): "e7b3ad840dc87e09c1c5cde206f35c24f35ee1bae8a1456e379b1916fc089b09",
+    (3, False): "16e482163e1b5d345e427491909c7bfff1854e6d8442792ae32c8af535105002",
+    (3, True): "335e9dda0b4325f35a86fd90397afbfad686cf8c666b8f2d73f4a694da4734c2",
+}
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("d", [2, 3])
+def test_simulate_paths_golden_bits_chunked(monkeypatch, d, antithetic):
+    import psdaffine.montecarlo as mc
+    monkeypatch.setattr(mc, "_BLOCK_PATHS", 25)  # 25 + 25 + 12 paths
+    stats = simulate_paths(golden_params(d), 0.5 * np.eye(d), 0.6,
+                           SimConfig(n_paths=62, dt=0.001, seed=2024, antithetic=antithetic))
+    assert stats.n_steps == 600
+    assert _digest(stats) == GOLDEN_CHUNKED[(d, antithetic)]
+
+
+def test_simulate_paths_memory_flat_in_steps(monkeypatch):
+    # the normals and uniforms are drawn in chunks of steps, so a path
+    # block's peak memory does not grow with T / dt
+    monkeypatch.setenv("PSDAFFINE_THREADS", "1")
+    params = golden_params(2)
+    peaks = []
+    for n_steps in (512, 2048):
+        tracemalloc.start()
+        try:
+            simulate_paths(params, 0.5 * np.eye(2), 1.0,
+                           SimConfig(n_paths=512, dt=1.0 / n_steps, seed=3))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.3 * peaks[0]
