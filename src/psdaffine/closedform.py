@@ -27,10 +27,11 @@ import numpy as np
 from .model import AtomicMeasure, AffineParams, LyapunovDrift, jump_transform_m
 from .symcore import (
     DomainError,
+    canonical_sym,
+    check_psd,
     check_square,
     check_sym,
     frobenius,
-    is_psd,
     mat_exp,
     symmetrize,
     trace_inner,
@@ -59,21 +60,17 @@ class MBAJDSpec:
 
     def __post_init__(self):
         d = int(self.d)
-        alpha = np.asarray(self.alpha, dtype=float)
-        check_sym(alpha, "alpha", tol=1e-12 * max(1.0, float(np.abs(alpha).max())))
-        alpha = symmetrize(alpha)
+        alpha = canonical_sym(self.alpha, "alpha")
         beta = check_square(np.asarray(self.beta, dtype=float), "beta").copy()
         if alpha.shape != (d, d) or beta.shape != (d, d):
             raise DomainError("alpha and beta must be d x d")
-        if not is_psd(alpha):
-            raise DomainError("alpha must be PSD")
+        check_psd(alpha, "alpha must be PSD")
         p = float(self.p)
         if p < (d - 1) / 2.0:
             raise DomainError(f"p must be at least (d-1)/2 = {(d - 1) / 2}")
         for xi, _ in self.m.atoms:
             if xi.shape != (d, d):
                 raise DomainError("m atom dimension does not match d")
-        alpha.setflags(write=False)
         beta.setflags(write=False)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "alpha", alpha)
@@ -224,7 +221,7 @@ def mbajd_psi(spec: MBAJDSpec, u: np.ndarray, t: float) -> np.ndarray:
     if np.linalg.cond(a) > 1e12:
         raise DomainError(f"I + u sigma_t(alpha) is near singular at t = {t}")
     psi = e.T @ np.linalg.solve(a, u) @ e
-    return (psi + psi.T) / 2.0  # symmetric in exact arithmetic
+    return symmetrize(psi)  # symmetric in exact arithmetic
 
 
 def _logdet_continuous(spec: MBAJDSpec, u: np.ndarray, t: float) -> complex:
@@ -278,9 +275,7 @@ def mbajd_phi(spec: MBAJDSpec, u: np.ndarray, t: float) -> complex:
 
 def mbajd_transform(spec: MBAJDSpec, u: np.ndarray, x: np.ndarray, t: float) -> complex:
     """exp(-phi(t, u) - tr(psi(t, u) x)) for the jump-diffusion of ``spec``."""
-    x = np.asarray(x, dtype=float)
-    if not is_psd(x):
-        raise DomainError("transform requires x PSD")
+    x = check_psd(np.asarray(x, dtype=float), "transform requires x PSD")
     if t == 0:
         return complex(np.exp(-trace_inner(np.asarray(u, dtype=complex), x)))
     phi = mbajd_phi(spec, u, t)

@@ -20,12 +20,13 @@ import numpy as np
 from .symcore import (
     DomainError,
     boundary_pairs,
+    canonical_sym,
+    check_psd,
     check_square,
-    check_sym,
+    eigenvalues,
     frobenius,
     is_psd,
     min_eig,
-    symmetrize,
     trace_inner,
 )
 
@@ -161,22 +162,11 @@ def as_general(drift: LinearDrift) -> GeneralDrift:
 # ---------------------------------------------------------------------------
 
 
-def _canonical_sym(x, name: str) -> np.ndarray:
-    """Validate symmetry up to rounding and store the exactly symmetric part."""
-    x = np.asarray(x, dtype=float)
-    check_sym(x, name, tol=1e-12 * max(1.0, float(np.abs(x).max()) if x.size else 0.0))
-    x = symmetrize(x)
-    x.setflags(write=False)
-    return x
-
-
 def _validated_atom_site(xi, idx: int) -> np.ndarray:
-    xi = _canonical_sym(xi, f"atoms[{idx}].xi")
+    xi = canonical_sym(xi, f"atoms[{idx}].xi")
     if frobenius(xi) == 0.0:
         raise DomainError(f"atoms[{idx}].xi must be nonzero")
-    if not is_psd(xi):
-        raise DomainError(f"atoms[{idx}].xi must be PSD")
-    return xi
+    return check_psd(xi, f"atoms[{idx}].xi must be PSD")
 
 
 @dataclass(frozen=True)
@@ -213,11 +203,10 @@ class MatrixAtomicMeasure:
         validated = []
         for k, (xi, wm) in enumerate(self.atoms):
             xi = _validated_atom_site(xi, k)
-            wm = _canonical_sym(wm, f"atoms[{k}].weightMatrix")
+            wm = canonical_sym(wm, f"atoms[{k}].weightMatrix")
             if wm.shape != xi.shape:
                 raise DomainError(f"atoms[{k}]: xi and weightMatrix dimensions differ")
-            if not is_psd(wm):
-                raise DomainError(f"atoms[{k}].weightMatrix must be PSD")
+            check_psd(wm, f"atoms[{k}].weightMatrix must be PSD")
             validated.append((xi, wm))
         object.__setattr__(self, "atoms", tuple(validated))
 
@@ -249,7 +238,7 @@ class AlphaClass(enum.Enum):
 
 def classify_alpha(alpha: np.ndarray) -> AlphaClass:
     tol = 1e-10 * max(1.0, frobenius(alpha))
-    w = np.linalg.eigvalsh(symmetrize(np.asarray(alpha, dtype=float)))
+    w = eigenvalues(alpha)
     if np.all(np.abs(w) <= tol):
         return AlphaClass.ZERO
     if np.all(w > tol):
@@ -281,10 +270,10 @@ class AffineParams:
         if d < 2:
             raise DomainError("model parameters require d >= 2")
         object.__setattr__(self, "d", d)
-        alpha = _canonical_sym(self.alpha, "alpha")
-        b = _canonical_sym(self.b, "b")
-        gamma = _canonical_sym(self.gamma if self.gamma is not None else np.zeros((d, d)),
-                               "gamma")
+        alpha = canonical_sym(self.alpha, "alpha")
+        b = canonical_sym(self.b, "b")
+        gamma = canonical_sym(self.gamma if self.gamma is not None else np.zeros((d, d)),
+                              "gamma")
         for name, arr in (("alpha", alpha), ("b", b), ("gamma", gamma)):
             if arr.shape != (d, d):
                 raise DomainError(f"{name} must be {d} x {d}")
@@ -360,8 +349,7 @@ def detruncate(tp: TruncatedParams) -> AffineParams:
 
 def _check_exponent_domain(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
-    if not is_psd(u.real):
-        raise DomainError("jump transform requires Re(u) PSD (bounded integrand)")
+    check_psd(u.real, "jump transform requires Re(u) PSD (bounded integrand)")
     return u
 
 

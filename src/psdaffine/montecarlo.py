@@ -35,7 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import AffineParams, LinearDrift
-from .symcore import DomainError, frobenius, is_psd, spectrum
+from .symcore import DomainError, check_psd, frobenius, mat_mul, spectrum, symmetrize
+# the per-layer benchmark hooks the step's cone kernels under these two names
+from .symcore import cone_project as _project_psd_batch, cone_sqrt as _sqrt_psd_batch
 
 _BLOCK_PATHS = 4096  # fixed blocking: memory bound, never affects results
 _CHUNK_STEPS = 256   # steps drawn per stream refill: memory bound, never affects results
@@ -76,92 +78,10 @@ class DiffusionFactor:
 
 def diffusion_factor(alpha: np.ndarray) -> DiffusionFactor:
     """Factor Sigma = diag(sqrt(lambda)) Q^T from alpha = Q diag(lambda) Q^T."""
-    if not is_psd(alpha):
-        raise DomainError("diffusion factor requires alpha PSD")
+    check_psd(alpha, "diffusion factor requires alpha PSD")
     s = spectrum(alpha)
     sigma = np.sqrt(np.maximum(s.eigenvalues, 0.0))[:, None] * s.eigenvectors.T
     return DiffusionFactor(sigma=sigma)
-
-
-# ---------------------------------------------------------------------------
-# Batched cone operations (analytic for d = 2, spectral otherwise)
-# ---------------------------------------------------------------------------
-
-
-def _sqrt_psd_batch(x: np.ndarray) -> np.ndarray:
-    if x.shape[-1] == 2:
-        a, bb, c = x[:, 0, 0], x[:, 0, 1], x[:, 1, 1]
-        det = np.maximum(a * c - bb * bb, 0.0)
-        s = np.sqrt(det)
-        tt = a + c + 2.0 * s
-        inv = np.where(tt > 0.0, 1.0 / np.sqrt(np.where(tt > 0.0, tt, 1.0)), 0.0)
-        out = np.empty_like(x)
-        out[:, 0, 0] = (a + s) * inv
-        out[:, 0, 1] = bb * inv
-        out[:, 1, 0] = bb * inv
-        out[:, 1, 1] = (c + s) * inv
-        return out
-    w, q = np.linalg.eigh(x)
-    w = np.sqrt(np.maximum(w, 0.0))
-    return np.einsum("pik,pk,pjk->pij", q, w, q)
-
-
-def _eigvals2(x: np.ndarray):
-    a, bb, c = x[:, 0, 0], x[:, 0, 1], x[:, 1, 1]
-    half_tr = 0.5 * (a + c)
-    gap = np.sqrt(np.maximum(0.25 * (a - c) ** 2 + bb * bb, 0.0))
-    return half_tr - gap, half_tr + gap
-
-
-def _project_psd_batch(x: np.ndarray) -> np.ndarray:
-    """Clamp negative eigenvalues; rows already in the cone pass through."""
-    if x.shape[-1] == 2:
-        lo, hi = _eigvals2(x)
-        bad = lo < 0.0
-        if not bad.any():
-            return x
-        out = x.copy()
-        xb = x[bad]
-        lam = hi[bad]
-        a, bb, c = xb[:, 0, 0], xb[:, 0, 1], xb[:, 1, 1]
-        # eigenvector of the top eigenvalue, using the better-conditioned row
-        v0 = np.where(np.abs(lam - a) >= np.abs(lam - c), bb, lam - c)
-        v1 = np.where(np.abs(lam - a) >= np.abs(lam - c), lam - a, bb)
-        nrm = np.sqrt(v0 * v0 + v1 * v1)
-        degenerate = nrm < 1e-300  # x is (numerically) a multiple of I
-        v0 = np.where(degenerate, 1.0, v0 / np.where(degenerate, 1.0, nrm))
-        v1 = np.where(degenerate, 0.0, v1 / np.where(degenerate, 1.0, nrm))
-        lam = np.maximum(lam, 0.0)
-        fix = np.empty_like(xb)
-        fix[:, 0, 0] = lam * v0 * v0
-        fix[:, 0, 1] = lam * v0 * v1
-        fix[:, 1, 0] = fix[:, 0, 1]
-        fix[:, 1, 1] = lam * v1 * v1
-        out[bad] = fix
-        return out
-    w, q = np.linalg.eigh(x)
-    if (w[:, 0] >= 0.0).all():
-        return x
-    w = np.maximum(w, 0.0)
-    return np.einsum("pik,pk,pjk->pij", q, w, q)
-
-
-def _mm_fixed_right(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Batch-of-matrices times a fixed matrix: x[p] @ a."""
-    return np.einsum("pij,jk->pik", x, a, optimize=True)
-
-
-def _mm_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[-1] == 2:
-        a00, a01, a10, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]
-        b00, b01, b10, b11 = b[:, 0, 0], b[:, 0, 1], b[:, 1, 0], b[:, 1, 1]
-        out = np.empty_like(a)
-        out[:, 0, 0] = a00 * b00 + a01 * b10
-        out[:, 0, 1] = a00 * b01 + a01 * b11
-        out[:, 1, 0] = a10 * b00 + a11 * b10
-        out[:, 1, 1] = a10 * b01 + a11 * b11
-        return out
-    return a @ b
 
 
 class PoissonOverflowError(DomainError):
@@ -280,7 +200,8 @@ def _advance(x: np.ndarray, normals: np.ndarray, uniforms: np.ndarray, dt: float
     NonFiniteStateError when a new state is not finite."""
     n = len(x)
     n_m = len(scheme.m_sites)
-    noise = _mm_fixed_right(_mm_batch(_sqrt_psd_batch(x), normals), scheme.sigma) * np.sqrt(dt)
+    noise = np.einsum("pij,jk->pik", mat_mul(_sqrt_psd_batch(x), normals), scheme.sigma,
+                      optimize=True) * np.sqrt(dt)
     x_new = x + (scheme.b + scheme.drift.apply(x)) * dt + noise + noise.transpose(0, 2, 1)
     lam = np.concatenate(
         [np.broadcast_to(scheme.m_rates * dt, (n, n_m)),
@@ -290,7 +211,7 @@ def _advance(x: np.ndarray, normals: np.ndarray, uniforms: np.ndarray, dt: float
         x_new = x_new + np.einsum("pk,kij->pij", counts[:, :n_m], scheme.m_sites)
     if len(scheme.mu_sites):
         x_new = x_new + np.einsum("pk,kij->pij", counts[:, n_m:], scheme.mu_sites)
-    x_new = 0.5 * (x_new + x_new.transpose(0, 2, 1))
+    x_new = symmetrize(x_new)
     if not np.isfinite(x_new).all():
         raise NonFiniteStateError(f"simulated states overflow the float range in an "
                                   f"Euler step of size {dt:.6g}")
@@ -303,9 +224,7 @@ def step(params: AffineParams, x: np.ndarray, dt: float,
     onto the cone. Draw order per step: d*d normals, then one uniform per
     m atom, then one uniform per mu atom."""
     _check_conservative(params)
-    x = np.asarray(x, dtype=float)
-    if not is_psd(x):
-        raise DomainError("state must be PSD")
+    x = check_psd(np.asarray(x, dtype=float), "state must be PSD")
     scheme = _Scheme.of(params)
     g = rng.standard_normal((params.d, params.d))
     u = rng.random(scheme.n_atoms)
@@ -381,9 +300,7 @@ def simulate_paths(params: AffineParams, x0: np.ndarray, T: float,
     of steps). Path blocks may run on a thread pool; the per-path streams
     make the result independent of the partition."""
     _check_conservative(params)
-    x0 = np.asarray(x0, dtype=float)
-    if not is_psd(x0):
-        raise DomainError("initial state must be PSD")
+    x0 = check_psd(np.asarray(x0, dtype=float), "initial state must be PSD")
     if T <= 0:
         raise ValueError("T must be positive")
     n_steps = max(1, int(np.ceil(T / cfg.dt - 1e-12)))
@@ -426,8 +343,7 @@ def estimate_transforms(params: AffineParams, us: Sequence[np.ndarray], x: np.nd
     so their errors are correlated; an empty us simulates nothing."""
     us = [np.asarray(u, dtype=complex) for u in us]
     for u in us:
-        if not is_psd(u.real):
-            raise DomainError("estimate_transform requires Re(u0) PSD")
+        check_psd(u.real, "estimate_transform requires Re(u0) PSD")
     if not us:
         return []
     stats = simulate_paths(params, x, T, cfg)

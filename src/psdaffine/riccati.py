@@ -33,6 +33,7 @@ from .model import (
 )
 from .symcore import (
     DomainError,
+    check_psd,
     frobenius,
     is_psd,
     min_eig,
@@ -225,8 +226,7 @@ def _solve_impl(params, u0: np.ndarray, T: float, projected: bool) -> RiccatiSol
     if T <= 0:
         raise ValueError("T must be positive")
     u0 = np.asarray(u0, dtype=complex)
-    if not is_psd(u0.real):
-        raise DomainError("initial data must have PSD real part")
+    check_psd(u0.real, "initial data must have PSD real part")
     degenerate = _warn_if_degenerate(params)
 
     rhs = RiccatiRHS(params, projected=projected)
@@ -331,8 +331,7 @@ def boundary_limit(params: AffineParams, u0: np.ndarray, T: float,
     1/n -> 0. Non-convergence is reported, in which case no limit is claimed.
     """
     u0 = np.asarray(u0, dtype=complex)
-    if not is_psd(u0.real):
-        raise DomainError("boundary_limit requires Re(u0) PSD")
+    check_psd(u0.real, "boundary_limit requires Re(u0) PSD")
     eye = np.eye(params.d)
 
     ns: list[int] = []
@@ -395,9 +394,7 @@ def transform(params: AffineParams, u0: np.ndarray, x: np.ndarray, T: float) -> 
     modulus is at most 1.
     """
     u0 = np.asarray(u0, dtype=complex)
-    x = np.asarray(x, dtype=float)
-    if not is_psd(x):
-        raise DomainError("transform requires x PSD")
+    x = check_psd(np.asarray(x, dtype=float), "transform requires x PSD")
     if T < 0:
         raise ValueError("T must be nonnegative")
     if T == 0:
@@ -425,10 +422,8 @@ def generator_exp(params: AffineParams, u: np.ndarray, x: np.ndarray) -> complex
     with F and R the phi and psi rates."""
     u = np.asarray(u, dtype=complex)
     x = np.asarray(x, dtype=float)
-    if not is_psd(u.real):
-        raise DomainError("generator_exp requires Re(u) PSD")
-    if not is_psd(x):
-        raise DomainError("generator_exp requires x PSD")
+    check_psd(u.real, "generator_exp requires Re(u) PSD")
+    check_psd(x, "generator_exp requires x PSD")
     rhs = RiccatiRHS(params, projected=False)
     val = (-rhs.phi_rate(u) - trace_inner(rhs.psi_rate(u), x)) * np.exp(-trace_inner(u, x))
     return complex(val)

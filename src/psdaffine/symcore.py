@@ -39,6 +39,15 @@ def check_sym(x: np.ndarray, name: str = "x", tol: float = 0.0) -> np.ndarray:
     return x
 
 
+def canonical_sym(x, name: str) -> np.ndarray:
+    """Validate symmetry up to rounding and store the exactly symmetric part."""
+    x = np.asarray(x, dtype=float)
+    check_sym(x, name, tol=1e-12 * max(1.0, float(np.abs(x).max()) if x.size else 0.0))
+    x = symmetrize(x)
+    x.setflags(write=False)
+    return x
+
+
 def sym(entries) -> np.ndarray:
     """Construct a real symmetric matrix, enforcing exact symmetry."""
     x = np.array(entries, dtype=float)
@@ -58,13 +67,23 @@ def csym(re, im=None) -> np.ndarray:
 
 
 def symmetrize(x: np.ndarray) -> np.ndarray:
-    """(x + x.T)/2, for results that are symmetric up to rounding."""
-    return (x + x.T) / 2
+    """(x + x^T)/2 of one matrix or a stack, halved first so that no finite
+    input overflows (the bits differ only there and for subnormals)."""
+    h = 0.5 * x
+    return h + h.swapaxes(-1, -2)
 
 
 def frobenius(x: np.ndarray) -> float:
-    """Frobenius norm; coincides with the trace-inner-product norm sqrt(tr(x xbar))."""
-    return float(np.linalg.norm(x))
+    """Frobenius norm sqrt(tr(x xbar)). A sum of squares that overflows, or
+    underflows to 0, is taken again of x scaled by 2^-e (exact) to bring the
+    largest entry into [0.5, 1), or a subnormal one up by 2^1023."""
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(x))
+        if (n == np.inf or n == 0.0) and np.isfinite(x).all() and np.any(x):
+            x = np.asarray(x)
+            e = max(int(np.frexp(max(np.abs(x.real).max(), np.abs(x.imag).max()))[1]), -1023)
+            n = float(np.ldexp(np.linalg.norm(x * np.ldexp(1.0, -e)), e))
+    return n
 
 
 def trace_inner(x: np.ndarray, y: np.ndarray):
@@ -82,6 +101,97 @@ def trace_inner(x: np.ndarray, y: np.ndarray):
     return float(out)
 
 
+# ---------------------------------------------------------------------------
+# Cone kernels: one matrix (d, d) or a stack (..., d, d), unchecked. One eigh
+# per matrix, or analytic formulas on stacks of 2 x 2 matrices; the checked
+# sqrt_psd, psd_project and min_eig below take outside input.
+# ---------------------------------------------------------------------------
+
+
+def _rebuild(w: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """q diag(w) q^T, symmetrized: the one spectral reconstruction."""
+    return symmetrize((q * w[..., None, :]) @ q.swapaxes(-1, -2))
+
+
+def _spectral(x: np.ndarray, root: bool) -> np.ndarray:
+    """Symmetric x rebuilt from its eigenvalues clamped at 0, or from their square roots."""
+    w, q = np.linalg.eigh(x)
+    w = np.maximum(w, 0.0)
+    return _rebuild(np.sqrt(w) if root else w, q)
+
+
+def cone_sqrt(x: np.ndarray) -> np.ndarray:
+    """Symmetric square root of symmetric x; negative eigenvalues count as 0."""
+    return _sqrt2(x) if x.ndim > 2 and x.shape[-1] == 2 else _spectral(x, root=True)
+
+
+def cone_project(x: np.ndarray) -> np.ndarray:
+    """Nearest (Frobenius) PSD matrix to symmetric x: clamp negative eigenvalues (Higham 1988)."""
+    return _project2(x) if x.ndim > 2 and x.shape[-1] == 2 else _spectral(x, root=False)
+
+
+def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b; on stacks of 2 x 2 matrices the analytic product, faster and never fused."""
+    return _mm2(a, b) if a.ndim > 2 and a.shape[-1] == 2 else a @ b
+
+
+def eigenvalues(x: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric part of real x."""
+    return np.linalg.eigvalsh(symmetrize(np.asarray(x, dtype=float)))
+
+
+# the d = 2 fast path: analytic formulas on the entries of [[a, b], [b, c]]
+
+
+def _sym2(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    return np.stack([a, b, b, c], axis=-1).reshape(a.shape + (2, 2))
+
+
+def _sqrt2(x: np.ndarray) -> np.ndarray:
+    a, bb, c = x[..., 0, 0], x[..., 0, 1], x[..., 1, 1]
+    s = np.sqrt(np.maximum(a * c - bb * bb, 0.0))
+    tt = a + c + 2.0 * s
+    inv = np.where(tt > 0.0, 1.0 / np.sqrt(np.where(tt > 0.0, tt, 1.0)), 0.0)
+    return _sym2((a + s) * inv, bb * inv, (c + s) * inv)
+
+
+def _project2(x: np.ndarray) -> np.ndarray:
+    """Matrices in the cone pass through; others keep their top eigenpair, clamped at 0."""
+    a, bb, c = x[..., 0, 0], x[..., 0, 1], x[..., 1, 1]
+    half_tr = 0.5 * (a + c)
+    gap = np.sqrt(np.maximum(0.25 * (a - c) ** 2 + bb * bb, 0.0))
+    bad = half_tr - gap < 0.0
+    if not bad.any():
+        return x
+    a, bb, c, lam = a[bad], bb[bad], c[bad], (half_tr + gap)[bad]
+    # eigenvector of the top eigenvalue, using the better-conditioned row
+    top = np.abs(lam - a) >= np.abs(lam - c)
+    v0, v1 = np.where(top, bb, lam - c), np.where(top, lam - a, bb)
+    nrm = np.sqrt(v0 * v0 + v1 * v1)
+    degenerate = nrm < 1e-300  # x is (numerically) a multiple of I
+    nrm = np.where(degenerate, 1.0, nrm)
+    v0, v1 = np.where(degenerate, 1.0, v0 / nrm), np.where(degenerate, 0.0, v1 / nrm)
+    lam = np.maximum(lam, 0.0)
+    out = x.copy()
+    out[bad] = _sym2(lam * v0 * v0, lam * v0 * v1, lam * v1 * v1)
+    return out
+
+
+def _mm2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
+    return np.stack([a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+                     a10 * b00 + a11 * b10, a10 * b01 + a11 * b11], axis=-1).reshape(a.shape)
+
+
+def _checked_sym(x) -> np.ndarray:
+    """Symmetric part of outside input x, checked finite and symmetric up to rounding."""
+    x = check_sym(np.asarray(x, dtype=float), tol=1e-12 * max(1.0, frobenius(x)))
+    if not np.isfinite(x).all():
+        raise DomainError("eigendecomposition failed: non-finite entries")
+    return symmetrize(x)
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Eigendecomposition x = Q diag(w) Q^T with w ascending and Q orthogonal."""
@@ -90,22 +200,17 @@ class Spectrum:
     eigenvectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        q = self.eigenvectors
-        return symmetrize((q * self.eigenvalues) @ q.T)
+        return _rebuild(self.eigenvalues, self.eigenvectors)
 
 
 def spectrum(x: np.ndarray) -> Spectrum:
     """Spectral decomposition of a real symmetric matrix."""
-    x = check_sym(np.asarray(x, dtype=float), tol=1e-12 * max(1.0, frobenius(x)))
-    if not np.isfinite(x).all():
-        raise DomainError("eigendecomposition failed: non-finite entries")
-    w, q = np.linalg.eigh(symmetrize(x))
-    return Spectrum(eigenvalues=w, eigenvectors=q)
+    return Spectrum(*np.linalg.eigh(_checked_sym(x)))
 
 
 def min_eig(x: np.ndarray) -> float:
     """Smallest eigenvalue of a real symmetric matrix."""
-    return float(np.linalg.eigvalsh(symmetrize(np.asarray(x, dtype=float)))[0])
+    return float(eigenvalues(x)[0])
 
 
 def is_psd(x: np.ndarray) -> bool:
@@ -114,22 +219,22 @@ def is_psd(x: np.ndarray) -> bool:
     return min_eig(x) >= -PSD_SLACK * max(1.0, frobenius(x))
 
 
+def check_psd(x: np.ndarray, message: str) -> np.ndarray:
+    """Return ``x`` if it is PSD up to slack, else raise DomainError(message)."""
+    if not is_psd(x):
+        raise DomainError(message)
+    return x
+
+
 def psd_project(x: np.ndarray) -> np.ndarray:
     """Nearest (Frobenius) positive semidefinite matrix: clamp negative eigenvalues."""
-    s = spectrum(x)
-    w = np.maximum(s.eigenvalues, 0.0)
-    q = s.eigenvectors
-    return symmetrize((q * w) @ q.T)
+    return cone_project(_checked_sym(x))
 
 
 def sqrt_psd(x: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root. Raises DomainError on non-PSD input."""
-    if not is_psd(x):
-        raise DomainError("sqrt_psd requires a positive semidefinite input")
-    s = spectrum(x)
-    w = np.sqrt(np.maximum(s.eigenvalues, 0.0))
-    q = s.eigenvectors
-    return symmetrize((q * w) @ q.T)
+    check_psd(x, "sqrt_psd requires a positive semidefinite input")
+    return cone_sqrt(_checked_sym(x))
 
 
 def mat_exp(a: np.ndarray) -> np.ndarray:
@@ -214,7 +319,7 @@ def boundary_pairs(d: int, n_random: int = 0, rng=None) -> list[tuple[np.ndarray
             k = int(rng.integers(1, d))
             w1 = rng.uniform(0.5, 1.5, size=k)
             w2 = rng.uniform(0.5, 1.5, size=d - k)
-            x = symmetrize((q[:, :k] * w1) @ q[:, :k].T)
-            u = symmetrize((q[:, k:] * w2) @ q[:, k:].T)
+            x = _rebuild(w1, q[:, :k])
+            u = _rebuild(w2, q[:, k:])
             pairs.append((x / frobenius(x), u / frobenius(u)))
     return pairs

@@ -9,8 +9,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from psdaffine import AffineParams, AtomicMeasure, LyapunovDrift, MBAJDSpec, montecarlo
+from psdaffine import (
+    AffineParams,
+    AtomicMeasure,
+    GeneralDrift,
+    LyapunovDrift,
+    MatrixAtomicMeasure,
+    MBAJDSpec,
+    montecarlo,
+)
 from psdaffine.cli import (
     load_params,
     main,
@@ -95,11 +106,22 @@ def huge_beta_file(tmp_path, d=2):
 
 def huge_alpha_file(tmp_path):
     """alpha = b = 1e308 I in the file: the Riccati rate is not finite at the
-    initial state and neither is lambda_min(alpha)."""
+    initial state, while lambda_min(alpha) = 1e308 is."""
     obj = params_to_json(AffineParams(d=2, alpha=np.eye(2), b=np.eye(2),
                                       drift=LyapunovDrift(beta=-0.5 * np.eye(2))))
     obj["alpha"] = obj["b"] = [[1e308, 0.0], [0.0, 1e308]]
     path = tmp_path / "huge_alpha.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def huge_drift_file(tmp_path):
+    """beta = 1.7e308 [[-1, 1], [1, -1]]: B(x) = beta x + x beta^T overflows on
+    the boundary pairs, so the inward-pointing value is not finite."""
+    obj = params_to_json(AffineParams(d=2, alpha=np.eye(2), b=np.eye(2),
+                                      drift=LyapunovDrift(beta=-0.5 * np.eye(2))))
+    obj["drift"]["beta"] = [[-1.7e308, 1.7e308], [1.7e308, -1.7e308]]
+    path = tmp_path / "huge_drift.json"
     path.write_text(json.dumps(obj))
     return str(path)
 
@@ -126,14 +148,41 @@ def parse_csv(text):
 # ---------------------------------------------------------------------------
 
 
-def test_serialize_parse_round_trip_idempotent():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((2, 2))
-    params = AffineParams(
-        d=2, alpha=a @ a.T / 3 + 0.1 * np.eye(2), b=2.3456789012345678 * np.eye(2),
-        drift=LyapunovDrift(beta=rng.standard_normal((2, 2))),
-        m=AtomicMeasure(atoms=((np.eye(2) * 0.7, 1 / 3),)))
+_HUGE = st.floats(-1e308, 1e308)  # finite entries up to 1e308, subnormals included
+
+
+@st.composite
+def _param_sets(draw):
+    """Parameter sets with every entry drawn up to 1e308 in magnitude: exactly
+    symmetric alpha, b and gamma, either drift, and diagonal PSD atoms."""
+    d = draw(st.integers(2, 3))
+    upper = np.triu(np.ones((d, d), dtype=bool))
+
+    def sym():
+        a = draw(hnp.arrays(np.float64, (d, d), elements=_HUGE))
+        return np.where(upper, a, a.T)
+
+    def psd_site():
+        return np.diag(draw(hnp.arrays(np.float64, d, elements=st.floats(1e-300, 1e308))))
+
+    if draw(st.booleans()):
+        drift = LyapunovDrift(beta=draw(hnp.arrays(np.float64, (d, d), elements=_HUGE)))
+    else:
+        dd = d * (d + 1) // 2
+        drift = GeneralDrift(matrix=draw(hnp.arrays(np.float64, (dd, dd), elements=_HUGE)),
+                             d=d)
+    m_atoms = tuple((psd_site(), draw(st.floats(1e-300, 1e308)))
+                    for _ in range(draw(st.integers(0, 2))))
+    mu_atoms = tuple((psd_site(), psd_site()) for _ in range(draw(st.integers(0, 1))))
+    return AffineParams(d=d, alpha=sym(), b=sym(), drift=drift, c=draw(_HUGE), gamma=sym(),
+                        m=AtomicMeasure(atoms=m_atoms), mu=MatrixAtomicMeasure(atoms=mu_atoms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_param_sets())
+def test_serialize_parse_round_trip_idempotent(params):
     text = serialize_params(params)
+    json.loads(text, parse_constant=_no_constant)  # strict JSON: no Infinity or NaN
     again = serialize_params(params_from_json(json.loads(text)))
     assert text == again  # byte-identical canonical form
 
@@ -532,11 +581,21 @@ def test_transform_ode_non_finite_rate_exits_one(capsys, tmp_path, ugrid_file):
 
 
 def test_validate_json_is_strict_for_non_finite_values(capsys, tmp_path):
-    code, out, err = run_cli(capsys, "validate", huge_alpha_file(tmp_path), "--out", "json")
+    code, out, err = run_cli(capsys, "validate", huge_drift_file(tmp_path), "--out", "json")
     assert_clean_exit(code, out, err, 1)
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
-    assert checks["alpha_psd"]["value"] is None
-    assert checks["alpha_psd"]["passed"] is False
+    assert checks["inward_pointing"]["value"] is None
+    assert checks["inward_pointing"]["passed"] is False
+
+
+def test_validate_passes_huge_finite_alpha(capsys, tmp_path):
+    # neither symmetrizing nor the norm in the alpha tolerance overflows
+    code, out, err = run_cli(capsys, "validate", huge_alpha_file(tmp_path), "--out", "json")
+    assert_clean_exit(code, out, err, 0)
+    report = json.loads(out)
+    assert report["alpha_class"] == "invertible"
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["alpha_psd"]["value"] == 1e308
 
 
 class _LargestUniformStream:
@@ -575,9 +634,10 @@ def test_simulate_survives_the_largest_uniform(capsys, monkeypatch, tmp_path, ug
     (("transform", "{p}", "{u}", "--method", "closed"), huge_beta_file, 1),
     (("transform", "{p}", "{u}", "--method", "ode"), huge_beta_file, 0),
     (("transform", "{p}", "{u}", "--method", "ode"), huge_alpha_file, 1),
-    (("validate", "{p}"), huge_alpha_file, 1),
+    (("validate", "{p}"), huge_alpha_file, 0),
+    (("validate", "{p}"), huge_drift_file, 1),
 ], ids=["mbajd-huge-beta", "closed-huge-beta", "ode-huge-beta", "ode-huge-alpha",
-        "validate-huge-alpha"])
+        "validate-huge-alpha", "validate-huge-drift"])
 def test_overflow_prints_no_numpy_warning(capsys, tmp_path, ugrid_file, command, fixture,
                                           code):
     argv = [a.format(p=fixture(tmp_path), u=ugrid_file) for a in command]

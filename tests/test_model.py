@@ -223,6 +223,12 @@ def test_alpha_classification():
     assert classify_alpha(np.diag([1.0, 0.0, 2.0])) is AlphaClass.DEGENERATE_NONZERO
 
 
+def test_alpha_classification_of_huge_finite_alpha():
+    # the norm in the tolerance overflowed to inf, which called every alpha zero
+    assert classify_alpha(1e200 * np.eye(2)) is AlphaClass.INVERTIBLE
+    assert classify_alpha(1e308 * np.diag([1.0, 0.0])) is AlphaClass.DEGENERATE_NONZERO
+
+
 def test_structural_validation_errors():
     with pytest.raises(DomainError):
         AffineParams(d=1, alpha=np.eye(1), b=np.eye(1),

@@ -1,5 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import minimize
 
 from psdaffine import (
@@ -15,6 +20,14 @@ from psdaffine import (
     sqrt_psd,
     sym,
     trace_inner,
+)
+from psdaffine.symcore import (
+    _spectral,
+    cone_project,
+    cone_sqrt,
+    eigenvalues,
+    mat_mul,
+    symmetrize,
 )
 from conftest import random_psd, random_sym
 
@@ -242,6 +255,107 @@ def test_norm_bounded_by_trace_on_cone():
         d = int(rng.integers(2, 7))
         xi = random_psd(rng, d, rank=int(rng.integers(1, d + 1)))
         assert frobenius(xi) <= np.trace(xi) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# overflow-safe symmetrize and norm
+# ---------------------------------------------------------------------------
+
+
+def test_symmetrize_matches_half_sum_and_keeps_huge_entries():
+    rng = np.random.default_rng(11)
+    for d in (2, 3, 5):
+        x = rng.standard_normal((4, d, d)) * 10.0 ** rng.uniform(-100, 100, (4, 1, 1))
+        assert symmetrize(x).tobytes() == ((x + x.swapaxes(-1, -2)) / 2).tobytes()
+        assert symmetrize(x[0]).tobytes() == ((x[0] + x[0].T) / 2).tobytes()
+    big = np.full((2, 2), 1e308)
+    np.testing.assert_array_equal(symmetrize(big), big)
+
+
+def test_frobenius_overflow_and_underflow_safe():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert frobenius(1e200 * np.eye(2)) == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+        assert frobenius(1e200j * np.eye(3)) == pytest.approx(np.sqrt(3.0) * 1e200, rel=1e-15)
+        assert frobenius(1e-300 * np.eye(2)) == pytest.approx(np.sqrt(2.0) * 1e-300,
+                                                              rel=1e-15)
+        assert frobenius(np.full((2, 2), 1e308)) == np.inf  # the norm itself overflows
+        assert frobenius(np.zeros((2, 2))) == 0.0
+        assert np.isnan(frobenius(np.diag([np.nan, 1e300])))
+    # away from over- and underflow the plain norm keeps its bits
+    x = np.random.default_rng(12).standard_normal((3, 3))
+    assert frobenius(x) == float(np.linalg.norm(x))
+
+
+# ---------------------------------------------------------------------------
+# batched cone kernels (property tests)
+# ---------------------------------------------------------------------------
+
+_SHAPES = st.sampled_from([(1,), (3,), (2, 3)])
+_ENTRY = st.floats(-10.0, 10.0, allow_subnormal=False)
+
+
+@st.composite
+def _sym_stacks(draw, dims=(2, 5)):
+    """Exactly symmetric stacks (k, d, d) or (j, k, d, d) with entries in [-10, 10]."""
+    d = draw(st.integers(*dims))
+    a = draw(hnp.arrays(np.float64, draw(_SHAPES) + (d, d), elements=_ENTRY))
+    return np.where(np.triu(np.ones((d, d), dtype=bool)), a, a.swapaxes(-1, -2))
+
+
+@st.composite
+def _psd_stacks(draw, dims=(2, 5), floor=0.0):
+    """Stacks g g^T / d + floor I: PSD, with every eigenvalue at least floor."""
+    d = draw(st.integers(*dims))
+    g = draw(hnp.arrays(np.float64, draw(_SHAPES) + (d, d), elements=_ENTRY))
+    return symmetrize(g @ g.swapaxes(-1, -2) / d + floor * np.eye(d))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sym_stacks(), st.booleans())
+def test_stacked_spectral_kernel_equals_per_matrix(x, root):
+    d = x.shape[-1]
+    flat = x.reshape(-1, d, d)
+    per = np.stack([_spectral(m, root) for m in flat])
+    assert _spectral(x, root).tobytes() == per.tobytes()
+    per_w = np.stack([eigenvalues(m) for m in flat])
+    assert eigenvalues(x).tobytes() == per_w.tobytes()
+    if d > 2:  # stacks of larger matrices take the spectral kernel itself
+        assert cone_project(x).tobytes() == _spectral(x, False).tobytes()
+        assert cone_sqrt(x).tobytes() == _spectral(x, True).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sym_stacks(dims=(2, 2)), _psd_stacks(dims=(2, 2), floor=1e-3))
+def test_2x2_fast_path_agrees_with_spectral_kernel(x, p):
+    np.testing.assert_allclose(cone_project(x), _spectral(x, False), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(cone_sqrt(p), _spectral(p, True), rtol=0, atol=1e-10)
+    y = x[::-1].copy()
+    np.testing.assert_allclose(mat_mul(x, y), x @ y, rtol=0, atol=1e-10)
+    # a single matrix always takes the spectral kernel
+    one = p.reshape(-1, 2, 2)[0]
+    assert cone_sqrt(one).tobytes() == _spectral(one, True).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sym_stacks())
+def test_projection_is_psd_and_idempotent(x):
+    p = cone_project(x)
+    scale = 1.0 + np.abs(x).max()
+    assert (eigenvalues(p)[..., 0] >= -1e-12 * scale).all()
+    np.testing.assert_allclose(cone_project(p), p, rtol=0, atol=1e-10 * scale)
+    # the checked entry point gives the same matrices
+    d = x.shape[-1]
+    for m, pm in zip(x.reshape(-1, d, d), p.reshape(-1, d, d)):
+        np.testing.assert_allclose(psd_project(m), pm, rtol=0, atol=1e-10 * scale)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_psd_stacks())
+def test_sqrt_squares_back(x):
+    r = cone_sqrt(x)
+    assert (r == r.swapaxes(-1, -2)).all()
+    np.testing.assert_allclose(r @ r, x, rtol=0, atol=1e-10 * (1.0 + np.abs(x).max()))
 
 
 # ---------------------------------------------------------------------------
