@@ -2,6 +2,7 @@
 sets, generalized Riccati transforms, closed-form MBAJD/Wishart formulas and
 Monte Carlo cross-checks."""
 
+from ._dopri5 import StepBudgetError
 from .closedform import (
     MBAJDSpec,
     flow_omega,
@@ -48,8 +49,11 @@ from .riccati import (
     rhs_phi,
     rhs_psi,
     solve,
+    solve_batches,
     solve_boundary,
+    solve_grid,
     transform,
+    transform_grid,
 )
 from .symcore import (
     DomainError,

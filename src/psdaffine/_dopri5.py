@@ -1,10 +1,13 @@
 """Embedded Dormand-Prince 5(4) integrator with PI step control and quartic
-dense output.
+dense output, over a batch of independent rows.
 
-Kept self-contained so the caller can monitor every accepted step (norm
-growth, cone distance) and stop the integration early; the per-step hook and
-the rejected-step count are the reason this is not delegated to a library
-solver.
+Each row keeps its own time, step size, controller memory, accept or reject
+decision and status, so it takes exactly the steps it would take alone; only
+the right-hand side is evaluated on every running row at once, one call per
+Runge-Kutta stage. Kept self-contained so the caller can monitor every
+accepted step and stop a row early; the per-step hook, the per-row step
+control and the rejected-step count are the reason this is not delegated to
+a library solver.
 """
 
 from __future__ import annotations
@@ -44,14 +47,18 @@ MAX_FACTOR = 5.0
 # PI controller exponents for an order-5 error estimate
 PI_ALPHA = 0.7 / 5.0
 PI_BETA = 0.4 / 5.0
-# step budget (accepted plus rejected) of one integration
+# step budget (accepted plus rejected) of each row
 MAX_STEPS = 1_000_000
+
+
+class StepBudgetError(RuntimeError):
+    """A row used up its step budget before reaching the end time."""
 
 
 @dataclass
 class IntegrationResult:
-    """Accepted-step grid with quartic dense output: step k starts at
-    (ts[k], ys[k]) with size hs[k] and interpolant coefficients qs[k] (N, 4)."""
+    """Accepted-step grid of one row with quartic dense output: step k starts
+    at (ts[k], ys[k]) with size hs[k] and interpolant coefficients qs[k] (N, 4)."""
 
     status: str  # "finished" | "stopped" | "underflow"
     ts: np.ndarray
@@ -76,101 +83,186 @@ class IntegrationResult:
         return self.ys[k] + h * (self.qs[k] @ p)
 
 
-def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray,
-                rtol: float, atol: float) -> float:
+@dataclass
+class BatchResult:
+    """One IntegrationResult per row; the step counts are totals over the rows."""
+
+    rows: list[IntegrationResult]
+
+    @property
+    def n_accepted(self) -> int:
+        return sum(r.n_accepted for r in self.rows)
+
+    @property
+    def n_rejected(self) -> int:
+        return sum(r.n_rejected for r in self.rows)
+
+
+def row_norms(y: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of y (m, N), with the bits of
+    np.linalg.norm on that row alone: one dot product per contiguous row
+    (np.linalg.norm(y, axis=1), or a dot product over strided rows, rounds
+    differently)."""
+    y = np.ascontiguousarray(y)
+    return np.sqrt((y[:, None, :] @ y[:, :, None])[:, 0, 0])
+
+
+class _Row:
+    """Step-control state and accepted-step record of one row."""
+
+    __slots__ = ("t", "h", "err_prev", "status", "ts", "ys", "hs", "qs", "n_rej")
+
+    def __init__(self, t: float, y: np.ndarray):
+        self.t = t
+        self.h = 0.0
+        self.err_prev = 1.0
+        self.status = None
+        self.ts = [t]
+        self.ys = [y]
+        self.hs: list[float] = []
+        self.qs: list[np.ndarray] = []
+        self.n_rej = 0
+
+    def result(self) -> IntegrationResult:
+        n = len(self.hs)
+        return IntegrationResult(self.status, np.array(self.ts), np.array(self.ys),
+                                 np.array(self.hs),
+                                 np.array(self.qs).reshape(n, self.ys[0].size, 4),
+                                 n, self.n_rej)
+
+
+def _error_norms(err: np.ndarray, y0: np.ndarray, y1: np.ndarray,
+                 rtol: float, atol: float) -> np.ndarray:
+    """Scaled max-norm of each row's error estimate; inf where the step or
+    its error is not finite."""
     scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
     with np.errstate(invalid="ignore"):
         ratio = np.abs(err) / scale
-    if not np.all(np.isfinite(ratio)):
-        return np.inf
-    return float(ratio.max()) if ratio.size else 0.0
+    finite = np.isfinite(ratio).all(axis=1) & np.isfinite(y1).all(axis=1)
+    return np.where(finite, ratio.max(axis=1), np.inf)
 
 
-def _initial_step(f, t0, y0, f0, t_end, rtol, atol):
-    # Hairer-Norsett-Wanner starting step heuristic
+def _initial_steps(f, t0, y0, f0, t_end, rtol, atol) -> list[float]:
+    """Hairer-Norsett-Wanner starting step of each row of y0 (n, N)."""
     scale = atol + rtol * np.abs(y0)
-    d0 = float(np.linalg.norm(y0 / scale)) / max(1, y0.size) ** 0.5
-    d1 = float(np.linalg.norm(f0 / scale)) / max(1, y0.size) ** 0.5
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, t_end - t0)
-    if not h0 > 0.0:  # f0 / scale overflowed; integrate reports the underflow
-        return 0.0
-    y1 = y0 + h0 * f0
-    f1 = f(t0 + h0, y1)
-    d2 = float(np.linalg.norm((f1 - f0) / scale)) / max(1, y0.size) ** 0.5 / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, t_end - t0)
+    root_n = max(1, y0.shape[1]) ** 0.5
+    d0s = row_norms(y0 / scale) / root_n
+    d1s = row_norms(f0 / scale) / root_n
+    h0s = []
+    for d0, d1 in zip(d0s.tolist(), d1s.tolist()):
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0s.append(min(h0, t_end - t0))
+    # a row whose f0 / scale overflowed keeps h = 0 and reports the underflow
+    go = [i for i, h0 in enumerate(h0s) if h0 > 0.0]
+    hs = [0.0] * len(h0s)
+    if not go:
+        return hs
+    h0 = np.array([h0s[i] for i in go])
+    y1 = y0[go] + h0[:, None] * f0[go]
+    f1 = np.asarray(f(t0 + h0, y1.T), dtype=float).T
+    d2s = row_norms((f1 - f0[go]) / scale[go]) / root_n / h0
+    for i, d1, d2 in zip(go, d1s[go].tolist(), d2s.tolist()):
+        if max(d1, d2) <= 1e-15:
+            h1 = max(1e-6, h0s[i] * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** 0.2
+        hs[i] = min(100 * h0s[i], h1, t_end - t0)
+    return hs
 
 
 def integrate(f, t0: float, y0: np.ndarray, t_end: float, rtol: float, atol: float,
-              monitor=None) -> IntegrationResult:
-    """Integrate y' = f(t, y) from t0 to t_end.
+              monitor=None) -> BatchResult:
+    """Integrate y' = f(t, y) from t0 to t_end for every column of y0 (N, n).
 
-    ``monitor(t, y)``, if given, runs after every accepted step and returns
-    False to stop the integration (status "stopped") with the step kept.
+    As in scipy's ``solve_ivp(vectorized=True)``, states are columns:
+    ``f(t, Y)`` takes the times t (m,) and states Y (N, m) of the running
+    rows and returns their rates (N, m). ``monitor(t, Y)``, if given, runs
+    on the rows that accepted a step and returns one bool per row; False
+    stops that row (status "stopped") with the step kept. Each row has its
+    own budget of MAX_STEPS steps; a row that exceeds it raises
+    StepBudgetError.
     """
-    y = np.asarray(y0, dtype=float).copy()
-    t = float(t0)
-    f0 = np.asarray(f(t, y), dtype=float)
+    y = np.asarray(y0, dtype=float).T.copy(order="C")  # rows (n, N)
+    n, size = y.shape
+    f0 = np.asarray(f(np.full(n, float(t0)), y.T), dtype=float).T
     if not np.all(np.isfinite(f0)):
         raise FloatingPointError("right-hand side not finite at the initial state")
-    h = _initial_step(f, t, y, f0, t_end, rtol, atol)
+    rows = [_Row(float(t0), y[i].copy()) for i in range(n)]
+    for row, h in zip(rows, _initial_steps(f, float(t0), y, f0, t_end, rtol, atol)):
+        row.h = h
 
-    ts = [t]
-    ys = [y]
-    hs: list[float] = []
-    qs: list[np.ndarray] = []
-    n_accepted = 0
-    n_rejected = 0
-    err_prev = 1.0
-    k = np.empty((7, y.size))
-    k[0] = f0
+    live = list(range(n))  # rows still stepping, in the order of y and k
+    k = np.empty((n, 7, size))
+    k[:, 0] = f0
+    while True:
+        keep = []
+        for pos, i in enumerate(live):
+            row = rows[i]
+            if row.status is not None:
+                continue
+            if not row.t < t_end:
+                row.status = "finished"
+                continue
+            if len(row.hs) + row.n_rej > MAX_STEPS:
+                raise StepBudgetError(
+                    f"step budget of {MAX_STEPS} steps exhausted at t = {row.t:.6g}")
+            row.h = min(row.h, t_end - row.t)
+            if row.h < 1e-14 * max(1.0, abs(row.t)):
+                row.status = "underflow"
+                continue
+            keep.append(pos)
+        if len(keep) < len(live):
+            live = [live[pos] for pos in keep]
+            y, k = y[keep], k[keep]
+        if not live:
+            break
 
-    def result(status: str) -> IntegrationResult:
-        return IntegrationResult(status, np.array(ts), np.array(ys), np.array(hs),
-                                 np.array(qs).reshape(len(hs), y.size, 4),
-                                 n_accepted, n_rejected)
-
-    while t < t_end:
-        if n_accepted + n_rejected > MAX_STEPS:
-            raise RuntimeError("step budget exhausted")
-        h = min(h, t_end - t)
-        if h < 1e-14 * max(1.0, abs(t)):
-            return result("underflow")
+        h = np.array([rows[i].h for i in live])
+        t = np.array([rows[i].t for i in live])
+        hc = h[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
             for s in range(1, 7):
-                k[s] = f(t + C[s] * h, y + h * (A[s] @ k[:s]))
-            y_new = y + h * (B @ k)
-            err_vec = h * (E @ k)
-        if not np.all(np.isfinite(y_new)):
-            err = np.inf
-        else:
-            err = _error_norm(err_vec, y, y_new, rtol, atol)
+                k[:, s] = np.asarray(f(t + C[s] * h, (y + hc * (A[s] @ k[:, :s])).T)).T
+            y_new = y + hc * (B @ k)
+            err_vec = hc * (E @ k)
+        errs = _error_norms(err_vec, y, y_new, rtol, atol).tolist()
+        q = k.transpose(0, 2, 1) @ P
 
-        if err > 1.0:
-            n_rejected += 1
-            factor = max(MIN_FACTOR, SAFETY * err ** (-0.2)) if np.isfinite(err) else MIN_FACTOR
-            h *= factor
+        accepted = []
+        for pos, (i, err) in enumerate(zip(live, errs)):
+            row = rows[i]
+            if err > 1.0:
+                row.n_rej += 1
+                factor = max(MIN_FACTOR, SAFETY * err ** (-0.2)) if np.isfinite(err) else MIN_FACTOR
+                row.h *= factor
+                continue
+            # copies: a row's record must not keep the whole batch's arrays alive
+            row.hs.append(row.h)
+            row.qs.append(q[pos].copy())
+            row.t = row.t + row.h
+            row.ts.append(row.t)
+            row.ys.append(y_new[pos].copy())
+            accepted.append(pos)
+        if not accepted:
             continue
+        y[accepted] = y_new[accepted]
+        k[accepted, 0] = k[accepted, 6]  # FSAL
 
-        hs.append(h)
-        qs.append(k.T @ P)
-        t = t + h
-        y = y_new
-        ts.append(t)
-        ys.append(y)
-        n_accepted += 1
-        k[0] = k[6]  # FSAL
+        going = [True] * len(accepted)
+        if monitor is not None:
+            t_acc = np.array([rows[live[pos]].t for pos in accepted])
+            going = np.asarray(monitor(t_acc, y_new[accepted].T), dtype=bool).tolist()
+        for pos, go in zip(accepted, going):
+            row = rows[live[pos]]
+            if not go:
+                row.status = "stopped"
+                continue
+            err = max(errs[pos], 1e-10)  # keep the controller bounded
+            factor = SAFETY * err ** (-PI_ALPHA) * row.err_prev ** PI_BETA
+            row.h = row.h * min(MAX_FACTOR, max(MIN_FACTOR, factor))
+            row.err_prev = err
 
-        if monitor is not None and not monitor(t, y):
-            return result("stopped")
-
-        err = max(err, 1e-10)  # keep the controller bounded
-        factor = SAFETY * err ** (-PI_ALPHA) * err_prev ** PI_BETA
-        h = h * min(MAX_FACTOR, max(MIN_FACTOR, factor))
-        err_prev = err
-
-    return result("finished")
+    results = []
+    while rows:  # each row's step lists go as soon as its arrays exist
+        results.append(rows.pop(0).result())
+    return BatchResult(results)

@@ -18,6 +18,7 @@ import warnings
 import numpy as np
 
 from . import closedform, montecarlo, riccati
+from ._dopri5 import StepBudgetError
 from .model import (
     AffineParams,
     AtomicMeasure,
@@ -301,22 +302,31 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_FAILURE
 
 
-def _transform_rows_ode(params, us, times, x):
+def _ode_rows(k, u, sol, times, x):
     rows = []
-    t_max = max(times) if times else 0.0
-    for k, u in enumerate(us):
-        sol = riccati.solve_auto(params, u, t_max) if t_max > 0 else None
-        for t in times:
-            if t == 0.0:
-                phi, psi = 0.0 + 0.0j, u
-            elif sol is not None and (sol.completed or t <= sol.t_end):
-                phi, psi = sol.eval(t)
-            else:
-                rows.append({"u_index": k, "t": float(t), "method": "ode",
-                             "status": "blowup", "t_plus": float(sol.diagnostics.t_plus)})
-                continue
-            rows.append(_transform_row(k, t, "ode", phi, psi, x))
+    for t in times:
+        if t == 0.0:
+            phi, psi = 0.0 + 0.0j, u
+        elif sol is not None and (sol.completed or t <= sol.t_end):
+            phi, psi = sol.eval(t)
+        else:
+            rows.append({"u_index": k, "t": float(t), "method": "ode",
+                         "status": "blowup", "t_plus": float(sol.diagnostics.t_plus)})
+            continue
+        rows.append(_transform_row(k, t, "ode", phi, psi, x))
     return rows
+
+
+def _transform_rows_ode(params, us, times, x):
+    t_max = max(times) if times else 0.0
+    per_u = [[] for _ in us]
+    batches = (riccati.solve_batches(params, us, t_max) if t_max > 0
+               else [(range(len(us)), [None] * len(us))])
+    for idx, sols in batches:
+        for k, sol in zip(idx, sols):
+            per_u[k] = _ode_rows(k, us[k], sol, times, x)
+        del sols  # keep the dense output of one batch at a time
+    return [row for rows in per_u for row in rows]
 
 
 _TRANSFORM_BASE_COLS = ["u_index", "t", "method", "status", "phi_re", "phi_im"]
@@ -381,9 +391,9 @@ def cmd_compare(args) -> int:
     spec = closedform.MBAJDSpec.from_params(params)
     # every exact value before the one simulation, so that an ODE error ends
     # the command before any path is drawn
-    exact = [(riccati.transform(params, u, x, args.T),
-              closedform.mbajd_transform(spec, u, x, args.T) if spec is not None else None)
-             for u in us]
+    exact = zip(riccati.transform_grid(params, us, x, args.T),
+                [closedform.mbajd_transform(spec, u, x, args.T) if spec is not None else None
+                 for u in us])
     estimates = montecarlo.estimate_transforms(params, us, x, args.T, cfg)
     rows = []
     failures = []
@@ -523,8 +533,9 @@ def main(argv=None) -> int:
         except ParamFileError as exc:
             print(f"input error: {exc}", file=sys.stderr)
             return EXIT_INPUT
-        except (DomainError, riccati.BlowUpError, closedform.BranchTrackingError,
-                closedform.QuadratureError, FloatingPointError, ValueError) as exc:
+        except (DomainError, riccati.BlowUpError, StepBudgetError,
+                closedform.BranchTrackingError, closedform.QuadratureError,
+                FloatingPointError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_FAILURE
 

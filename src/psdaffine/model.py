@@ -103,7 +103,8 @@ class LyapunovDrift:
         return bx + np.swapaxes(bx, -1, -2)
 
     def adjoint(self, u: np.ndarray) -> np.ndarray:
-        """B^T(u), the adjoint for the trace pairing; u may be complex symmetric."""
+        """B^T(u), the adjoint for the trace pairing, of one matrix (d, d) or a
+        stack (..., d, d); u may be complex symmetric."""
         return self.beta.T @ u + u @ self.beta
 
     def as_matrix(self) -> np.ndarray:
@@ -134,8 +135,10 @@ class GeneralDrift:
         return vec_to_sym(sym_to_vec(x) @ self.matrix.T, self.d)
 
     def adjoint(self, u: np.ndarray) -> np.ndarray:
-        # transpose in an orthonormal basis is the trace-pairing adjoint
-        return vec_to_sym(self.matrix.T @ sym_to_vec(u), self.d)
+        """B^T(u) for one matrix (d, d) or a stack (..., d, d): the transpose in
+        an orthonormal basis is the trace-pairing adjoint. One matrix-vector
+        product per matrix, so a stacked matrix has the bits it has alone."""
+        return vec_to_sym((self.matrix.T @ sym_to_vec(u)[..., None])[..., 0], self.d)
 
     def as_matrix(self) -> np.ndarray:
         return self.matrix

@@ -33,14 +33,17 @@ from .model import (
 )
 from .symcore import (
     DomainError,
+    _spectral,
     check_psd,
+    eigenvalues,
     frobenius,
     is_psd,
-    min_eig,
-    psd_project,
     riccati_quadratic_real,
+    symmetrize,
     trace_inner,
 )
+# the per-layer benchmark hooks these two kernels in this module by name
+from .symcore import min_eig, psd_project  # noqa: F401
 
 
 class BlowUpError(RuntimeError):
@@ -99,7 +102,8 @@ class RiccatiRHS:
         self._m_weights = np.array([w for _, w in m_atoms]) if m_atoms else None
         mu_atoms = params.mu.atoms
         self._mu_sites = np.stack([xi for xi, _ in mu_atoms]) if mu_atoms else None
-        self._mu_weights = np.stack([wm for _, wm in mu_atoms]) if mu_atoms else None
+        self._mu_weights_flat = (np.stack([wm.ravel() for _, wm in mu_atoms])
+                                 if mu_atoms else None)
         if self.truncated and mu_atoms:
             self._mu_chi = np.stack([truncation(xi) for xi, _ in mu_atoms])
         else:
@@ -110,51 +114,67 @@ class RiccatiRHS:
     def _jump_exponent_base(self, psi: np.ndarray) -> np.ndarray:
         if not self.projected:
             return psi
-        return psd_project(psi.real) + 1j * psi.imag
+        re = psi.real
+        if not np.isfinite(re).all():
+            raise DomainError("eigendecomposition failed: non-finite entries")
+        # the spectral kernel on every stack: the 2 x 2 fast path rounds differently
+        return _spectral(symmetrize(re), root=False) + 1j * psi.imag
 
-    def psi_rate(self, psi: np.ndarray) -> np.ndarray:
+    def rates(self, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rates of phi (n,) and of psi (n, d, d) at a stack psi (n, d, d).
+        Every row has the bits it has alone: each weighted jump sum is one
+        product per row."""
+        has_jumps = self._m_sites is not None or self._mu_sites is not None
+        e = self._jump_exponent_base(psi) if has_jumps else None
         rate = self.drift.adjoint(psi) + self.gamma
         if not self._alpha_zero:
             # psi alpha psi is symmetric for symmetric psi, alpha; no re-symmetrization
             rate = rate - 2.0 * (psi @ self.alpha @ psi)
         if self._mu_sites is not None:
-            e = self._jump_exponent_base(psi)
-            ew = np.exp(-np.einsum("ij,kji->k", e, self._mu_sites)) - 1.0
-            rate = rate - np.tensordot(ew, self._mu_weights, axes=(0, 0))
+            ew = np.exp(-np.einsum("nij,kji->nk", e, self._mu_sites)) - 1.0
+            rate = rate - self._mu_sum(ew)
             if self._mu_chi is not None:
                 # truncated form keeps the chi compensator inside the integral:
                 # the integrand is (exp(..) - 1 + tr(chi_k psi)) M_k
-                inner = np.einsum("ij,kji->k", psi, self._mu_chi)
-                rate = rate - np.tensordot(inner, self._mu_weights, axes=(0, 0))
-        return rate
+                rate = rate - self._mu_sum(np.einsum("nij,kji->nk", psi, self._mu_chi))
+        phi_rate = np.einsum("ij,nji->n", self.b, psi) + self.c
+        if self._m_sites is not None:
+            ew = np.exp(-np.einsum("nij,kji->nk", e, self._m_sites)) - 1.0
+            phi_rate = phi_rate - (ew[:, None, :] @ self._m_weights)[:, 0]
+        return phi_rate, rate
+
+    def _mu_sum(self, coef: np.ndarray) -> np.ndarray:
+        """sum_k coef[:, k] M_k for coefficients (n, K)."""
+        return (coef[:, None, :] @ self._mu_weights_flat)[:, 0].reshape(-1, self.d, self.d)
+
+    def psi_rate(self, psi: np.ndarray) -> np.ndarray:
+        return self.rates(psi[None])[1][0]
 
     def phi_rate(self, psi: np.ndarray) -> complex:
-        rate = trace_inner(self.b, psi) + self.c
-        if self._m_sites is not None:
-            e = self._jump_exponent_base(psi)
-            ew = np.exp(-np.einsum("ij,kji->k", e, self._m_sites)) - 1.0
-            rate = rate - np.dot(ew, self._m_weights)
-        return complex(rate)
+        return complex(self.rates(psi[None])[0][0])
 
     # -- packed real state --------------------------------------------------
 
-    def pack(self, phi: complex, psi: np.ndarray) -> np.ndarray:
+    def pack(self, phi, psi: np.ndarray) -> np.ndarray:
+        """Packed state (N,) of one pair, or (n, N) of phi (n,) and psi (n, d, d)."""
         v = sym_to_vec(psi)
-        return np.concatenate([v.real, v.imag, [phi.real, phi.imag]])
+        phi = np.asarray(phi, dtype=complex)
+        return np.concatenate([v.real, v.imag, phi.real[..., None], phi.imag[..., None]],
+                              axis=-1)
 
     def unpack_psi(self, y: np.ndarray) -> np.ndarray:
-        """psi of one packed state (n,) or of a stack (..., n)."""
+        """psi of one packed state (N,) or of a stack (..., N)."""
         dd = self.D
         return vec_to_sym(y[..., :dd] + 1j * y[..., dd:2 * dd], self.d)
 
     def unpack_phi(self, y: np.ndarray) -> complex:
         return complex(y[-2], y[-1])
 
-    def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
-        psi = self.unpack_psi(y)
-        dpsi = self.psi_rate(psi)
-        dphi = self.phi_rate(psi)
-        return self.pack(dphi, dpsi)
+    def __call__(self, t, y: np.ndarray) -> np.ndarray:
+        """Rates of one packed state (N,) or of the columns of (N, m)."""
+        y = np.asarray(y)
+        dphi, dpsi = self.rates(self.unpack_psi(y.T.reshape(-1, y.shape[0])))
+        return self.pack(dphi, dpsi).T.reshape(y.shape)
 
 
 def rhs_psi(params: AffineParams | TruncatedParams, u: np.ndarray,
@@ -182,17 +202,29 @@ class RiccatiSolution:
 
     ``t_plus`` is the estimated maximal existence time: +inf when the
     requested horizon was reached, otherwise the last accepted time before
-    norm blow-up or controller underflow.
+    norm blow-up or controller underflow. ``times``, ``phi`` and ``psi`` are
+    read off the packed states on access, so a grid of solutions holds only
+    the integrator's arrays.
     """
 
     u0: np.ndarray
-    times: np.ndarray
-    phi: np.ndarray
-    psi: np.ndarray
     diagnostics: SolverDiagnostics
     completed: bool
     _rhs: RiccatiRHS = field(repr=False)
     _result: _dopri5.IntegrationResult = field(repr=False)
+
+    @property
+    def times(self) -> np.ndarray:
+        return self._result.ts
+
+    @property
+    def phi(self) -> np.ndarray:
+        ys = self._result.ys
+        return ys[:, -2] + 1j * ys[:, -1]
+
+    @property
+    def psi(self) -> np.ndarray:
+        return self._rhs.unpack_psi(self._result.ys)
 
     @property
     def t_end(self) -> float:
@@ -222,48 +254,51 @@ def _warn_if_degenerate(params) -> bool:
     return degenerate
 
 
-def _solve_impl(params, u0: np.ndarray, T: float, projected: bool) -> RiccatiSolution:
-    if T <= 0:
-        raise ValueError("T must be positive")
-    u0 = np.asarray(u0, dtype=complex)
-    check_psd(u0.real, "initial data must have PSD real part")
-    degenerate = _warn_if_degenerate(params)
-
-    rhs = RiccatiRHS(params, projected=projected)
-    diag = SolverDiagnostics()
-    track_floor = not projected and min_eig(u0.real) > 0
-
-    def monitor(t, y):
-        psi_norm = float(np.linalg.norm(y[:2 * rhs.D]))  # isometric coordinates
-        diag.max_psi_norm = max(diag.max_psi_norm, psi_norm)
-        psi = rhs.unpack_psi(y)
-        lam = min_eig(psi.real)
-        diag.min_re_psi_eig = min(diag.min_re_psi_eig, lam)
-        if track_floor and lam <= _BOUNDARY_FLOOR:
-            diag.boundary_floor_hit = True
+def _solution(rhs: RiccatiRHS, u0: np.ndarray, res: _dopri5.IntegrationResult,
+              track_floor: bool, degenerate: bool) -> RiccatiSolution:
+    """One row's solution, with the diagnostics of its accepted states."""
+    diag = SolverDiagnostics(n_accepted=res.n_accepted, n_rejected=res.n_rejected)
+    if res.n_accepted:
+        steps = rhs.unpack_psi(res.ys[1:])
+        diag.max_psi_norm = float(_dopri5.row_norms(res.ys[1:, :2 * rhs.D]).max())
+        lam = eigenvalues(steps.real)[:, 0]
+        diag.min_re_psi_eig = float(lam.min())
+        diag.boundary_floor_hit = track_floor and bool((lam <= _BOUNDARY_FLOOR).any())
         if degenerate:
-            q = riccati_quadratic_real(psi, params.alpha)
-            diag.quadratic_monitor_min = min(diag.quadratic_monitor_min, q)
-        if psi_norm >= _BLOWUP_NORM:
-            diag.t_plus = t
-            return False
-        return True
-
-    y0 = rhs.pack(0.0 + 0.0j, u0)
-    res = _dopri5.integrate(rhs, 0.0, y0, T, rtol=_REL_TOL, atol=_ABS_TOL, monitor=monitor)
-    diag.n_accepted = res.n_accepted
-    diag.n_rejected = res.n_rejected
-    completed = res.status == "finished"
-    if res.status == "underflow":
+            diag.quadratic_monitor_min = min(
+                riccati_quadratic_real(p, rhs.alpha) for p in steps)
+    if res.status != "finished":
         diag.t_plus = res.t_end
     if degenerate and diag.quadratic_monitor_min < -1e-8:
         warnings.warn(
             f"quadratic form monitor went negative ({diag.quadratic_monitor_min:.3e}): "
-            "run is outside the proved regime", DegenerateAlphaWarning, stacklevel=3)
+            "run is outside the proved regime", DegenerateAlphaWarning, stacklevel=4)
+    return RiccatiSolution(u0=u0, diagnostics=diag, completed=res.status == "finished",
+                           _rhs=rhs, _result=res)
 
-    phi = res.ys[:, -2] + 1j * res.ys[:, -1]
-    return RiccatiSolution(u0=u0, times=res.ts, phi=phi, psi=rhs.unpack_psi(res.ys),
-                           diagnostics=diag, completed=completed, _rhs=rhs, _result=res)
+
+def _solve_rows(params, us: list, T: float, projected: bool) -> list[RiccatiSolution]:
+    """One batched integration of the direct (or projected) system from every
+    u in us; each row takes the steps it takes alone."""
+    if T <= 0:
+        raise ValueError("T must be positive")
+    us = [np.asarray(u, dtype=complex) for u in us]
+    for u in us:
+        check_psd(u.real, "initial data must have PSD real part")
+    if not us:
+        return []
+    degenerate = _warn_if_degenerate(params)
+    rhs = RiccatiRHS(params, projected=projected)
+    n_psi = 2 * rhs.D  # isometric coordinates of psi
+
+    def monitor(t, y):
+        # a row stops once psi leaves the norm ball (a NaN norm does not stop it)
+        return ~(_dopri5.row_norms(y[:n_psi].T) >= _BLOWUP_NORM)
+
+    y0 = rhs.pack(np.zeros(len(us)), np.stack(us))
+    res = _dopri5.integrate(rhs, 0.0, y0.T, T, rtol=_REL_TOL, atol=_ABS_TOL, monitor=monitor)
+    return [_solution(rhs, u, r, not projected and min_eig(u.real) > 0, degenerate)
+            for u, r in zip(us, res.rows)]
 
 
 def solve(params: AffineParams | TruncatedParams, u0: np.ndarray,
@@ -273,13 +308,13 @@ def solve(params: AffineParams | TruncatedParams, u0: np.ndarray,
     Use :func:`solve_boundary` when Re(u0) is singular; there the jump
     exponents must be evaluated at the cone projection of Re(psi).
     """
-    return _solve_impl(params, u0, T, projected=False)
+    return _solve_rows(params, [u0], T, projected=False)[0]
 
 
 def solve_boundary(params: AffineParams | TruncatedParams, u0: np.ndarray,
                    T: float) -> RiccatiSolution:
     """Integrate the projected system; valid for any PSD Re(u0), including 0."""
-    return _solve_impl(params, u0, T, projected=True)
+    return _solve_rows(params, [u0], T, projected=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -341,16 +376,14 @@ def boundary_limit(params: AffineParams, u0: np.ndarray, T: float,
         n *= 2
     phis: list[complex] = []
     psis: list[np.ndarray] = []
-    last_solution = None
-    for n in ns:
-        sol = solve(params, u0 + (1.0 / n) * eye, T)
+    sols = _solve_rows(params, [u0 + (1.0 / n) * eye for n in ns], T, projected=False)
+    for n, sol in zip(ns, sols):
         if not sol.completed:
             raise BlowUpError(sol.diagnostics.t_plus,
                               f"shifted solve (n = {n}) terminated early")
         phi_t, psi_t = sol.eval(T)
         phis.append(phi_t)
         psis.append(psi_t)
-        last_solution = sol
 
     tail = [frobenius(psis[i + 1] - psis[i]) for i in range(len(ns) - 1)]
     # differences along a 1/n sequence must decrease until they sit in noise
@@ -368,7 +401,7 @@ def boundary_limit(params: AffineParams, u0: np.ndarray, T: float,
         phi_limit = None
     return BoundaryLimitResult(ns=ns, phi_values=phis, psi_values=psis, tail=tail,
                                converged=converged, phi_limit=phi_limit,
-                               psi_limit=psi_limit, solution=last_solution)
+                               psi_limit=psi_limit, solution=sols[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -378,32 +411,73 @@ def boundary_limit(params: AffineParams, u0: np.ndarray, T: float,
 _PD_TOL = 1e-10
 
 
+def _interior(u0: np.ndarray) -> bool:
+    """Whether Re(u0) is positive definite enough for the direct system; other
+    initial data take the projected one."""
+    return min_eig(u0.real) > _PD_TOL * max(1.0, frobenius(u0.real))
+
+
+def solve_batches(params: AffineParams, us, T: float):
+    """:func:`solve_grid` one batch at a time: yields (positions in us,
+    solutions) for the u with positive definite real part, on the direct
+    system, then for the rest, on the projected one. A caller that uses and
+    drops each batch holds the dense output of one batch at a time."""
+    us = [np.asarray(u, dtype=complex) for u in us]
+    interior = [_interior(u) for u in us]
+    for direct in (True, False):
+        idx = [i for i, inside in enumerate(interior) if inside == direct]
+        if idx:
+            yield idx, _solve_rows(params, [us[i] for i in idx], T, projected=not direct)
+
+
+def solve_grid(params: AffineParams, us, T: float) -> list[RiccatiSolution]:
+    """Solve from every u in us up to T, as :func:`solve_auto` would: one
+    batched integration per system. Each solution is bit for bit the one-row
+    solve."""
+    us = list(us)
+    out: list[RiccatiSolution | None] = [None] * len(us)
+    for idx, sols in solve_batches(params, us, T):
+        for i, sol in zip(idx, sols):
+            out[i] = sol
+    return out
+
+
 def solve_auto(params: AffineParams, u0: np.ndarray, T: float) -> RiccatiSolution:
     """Direct solver when Re(u0) is positive definite, projected solver
     otherwise."""
-    u0 = np.asarray(u0, dtype=complex)
-    if min_eig(u0.real) > _PD_TOL * max(1.0, frobenius(u0.real)):
-        return solve(params, u0, T)
-    return solve_boundary(params, u0, T)
+    return solve_grid(params, [u0], T)[0]
+
+
+def transform_grid(params: AffineParams, us, x: np.ndarray, T: float) -> list[complex]:
+    """Transform values exp(-phi(T, u) - tr(psi(T, u) x)) for every u in us,
+    through :func:`solve_batches`. A blow-up raises for the first such u."""
+    x = check_psd(np.asarray(x, dtype=float), "transform requires x PSD")
+    if T < 0:
+        raise ValueError("T must be nonnegative")
+    us = [np.asarray(u, dtype=complex) for u in us]
+    if T == 0:
+        return [complex(np.exp(-trace_inner(u, x))) for u in us]
+    values: list[complex | None] = [None] * len(us)
+    t_plus = {}
+    for idx, sols in solve_batches(params, us, T):
+        for i, sol in zip(idx, sols):
+            if sol.completed:
+                phi_t, psi_t = sol.eval(T)
+                values[i] = complex(np.exp(-phi_t - trace_inner(psi_t, x)))
+            else:
+                t_plus[i] = sol.diagnostics.t_plus
+    if t_plus:
+        raise BlowUpError(t_plus[min(t_plus)])
+    return values
 
 
 def transform(params: AffineParams, u0: np.ndarray, x: np.ndarray, T: float) -> complex:
     """Fourier-Laplace transform value exp(-phi(T, u0) - tr(psi(T, u0) x)).
 
-    Solves through :func:`solve_auto`. For conservative parameter sets the
-    modulus is at most 1.
+    The one-row call of :func:`transform_grid`. For conservative parameter
+    sets the modulus is at most 1.
     """
-    u0 = np.asarray(u0, dtype=complex)
-    x = check_psd(np.asarray(x, dtype=float), "transform requires x PSD")
-    if T < 0:
-        raise ValueError("T must be nonnegative")
-    if T == 0:
-        return complex(np.exp(-trace_inner(u0, x)))
-    sol = solve_auto(params, u0, T)
-    if not sol.completed:
-        raise BlowUpError(sol.diagnostics.t_plus)
-    phi_t, psi_t = sol.eval(T)
-    return complex(np.exp(-phi_t - trace_inner(psi_t, x)))
+    return transform_grid(params, [u0], x, T)[0]
 
 
 def characteristic_function(params: AffineParams, w: np.ndarray, x: np.ndarray,

@@ -8,11 +8,11 @@ pure and never mutate their inputs.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm as _scipy_expm
 
 # eigenvalues above -PSD_SLACK * max(1, ||x||) count as nonnegative; Euler and
 # Runge-Kutta steps routinely leave the cone at rounding level
@@ -73,13 +73,18 @@ def symmetrize(x: np.ndarray) -> np.ndarray:
     return h + h.swapaxes(-1, -2)
 
 
+# below this norm the sum of squares is subnormal and loses precision
+_SUBNORMAL_NORM = math.sqrt(np.finfo(float).tiny)
+
+
 def frobenius(x: np.ndarray) -> float:
     """Frobenius norm sqrt(tr(x xbar)). A sum of squares that overflows, or
-    underflows to 0, is taken again of x scaled by 2^-e (exact) to bring the
-    largest entry into [0.5, 1), or a subnormal one up by 2^1023."""
+    falls below the smallest normal float, is taken again of x scaled by 2^-e
+    (exact) to bring the largest entry into [0.5, 1), or a subnormal one up
+    by 2^1023."""
     with np.errstate(over="ignore"):
         n = float(np.linalg.norm(x))
-        if (n == np.inf or n == 0.0) and np.isfinite(x).all() and np.any(x):
+        if (n == np.inf or n < _SUBNORMAL_NORM) and np.isfinite(x).all() and np.any(x):
             x = np.asarray(x)
             e = max(int(np.frexp(max(np.abs(x.real).max(), np.abs(x.imag).max()))[1]), -1023)
             n = float(np.ldexp(np.linalg.norm(x * np.ldexp(1.0, -e)), e))
@@ -239,10 +244,14 @@ def sqrt_psd(x: np.ndarray) -> np.ndarray:
 
 def mat_exp(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of a general square matrix (scaling and squaring)."""
+    # imported here: only the closed form takes exponentials, and loading
+    # scipy.linalg costs every other command about 0.3 s and 28 MB
+    from scipy.linalg import expm
+
     a = check_square(np.asarray(a, dtype=float), "a")
     if not np.isfinite(a).all():
         raise DomainError("mat_exp: non-finite entries")
-    return _scipy_expm(a)
+    return expm(a)
 
 
 def riccati_quadratic_real(x: np.ndarray, alpha: np.ndarray) -> float:

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import signal
@@ -20,6 +21,7 @@ from psdaffine import (
     LyapunovDrift,
     MatrixAtomicMeasure,
     MBAJDSpec,
+    _dopri5,
     montecarlo,
 )
 from psdaffine.cli import (
@@ -29,6 +31,7 @@ from psdaffine.cli import (
     params_to_json,
     serialize_params,
 )
+from psdaffine.model import sym_to_vec
 
 
 @pytest.fixture
@@ -580,6 +583,25 @@ def test_transform_ode_non_finite_rate_exits_one(capsys, tmp_path, ugrid_file):
     assert err.endswith("error: right-hand side not finite at the initial state\n")
 
 
+@pytest.mark.parametrize("max_steps, code", [(10, 1), (58, 0)])
+def test_transform_ode_step_budget_is_per_row(capsys, monkeypatch, tmp_path, wishart_file,
+                                              max_steps, code):
+    # one batch of three rows taking 35, 45 and 58 steps to t = 0.5: a budget
+    # of 58 steps per row suffices, while the batch takes 138 in all
+    ufile = tmp_path / "u.json"
+    ufile.write_text(json.dumps({"u": [{"re": (c * np.eye(2)).tolist()} for c in (1, 0.5, 2)],
+                                 "times": [0.5]}))
+    monkeypatch.setattr(_dopri5, "MAX_STEPS", max_steps)
+    got, out, err = run_cli(capsys, "transform", wishart_file, str(ufile),
+                            "--method", "ode", "--out", "json")
+    assert_clean_exit(got, out, err, code)
+    if code:
+        assert out == ""
+        assert err.startswith("error: step budget of 10 steps exhausted at t = ")
+    else:
+        assert [r["status"] for r in json.loads(out)] == ["ok"] * 3
+
+
 def test_validate_json_is_strict_for_non_finite_values(capsys, tmp_path):
     code, out, err = run_cli(capsys, "validate", huge_drift_file(tmp_path), "--out", "json")
     assert_clean_exit(code, out, err, 1)
@@ -675,3 +697,63 @@ def test_degenerate_alpha_transform_still_warns(capsys, tmp_path, ugrid_file):
     assert_clean_exit(code, out, err, 0)
     assert "DegenerateAlphaWarning: alpha is degenerate and nonzero" in err
     assert "RuntimeWarning" not in err
+
+
+# ---------------------------------------------------------------------------
+# golden output bits of the ODE route
+# ---------------------------------------------------------------------------
+
+
+def golden_cli_files(tmp_path, d, general, gamma):
+    ones, eye = np.ones((d, d)), np.eye(d)
+    alpha = 0.5 * eye + 0.1 * ones
+    drift = LyapunovDrift(beta=-0.6 * eye + 0.2 * np.triu(ones, 1))
+    if general:
+        a = sym_to_vec(eye + 0.1 * ones)
+        drift = GeneralDrift(matrix=drift.as_matrix() + 0.3 * np.outer(a, a), d=d)
+    params = AffineParams(
+        d=d, alpha=alpha, b=d * alpha, drift=drift, gamma=0.2 * eye if gamma else None,
+        m=AtomicMeasure(atoms=((0.3 * eye + 0.05 * ones, 0.8), (0.1 * ones, 0.5))),
+        mu=MatrixAtomicMeasure(atoms=((0.2 * np.diag(np.arange(1.0, d + 1)), 0.4 * eye),)))
+    im = 0.3 * eye - 0.1 * ones
+    us = [0.7 * eye + 0.1 * ones + 1j * im,  # direct
+          1j * im,  # projected
+          np.diag(np.arange(d) % 2 * 1.0) + 1j * im,  # projected, rank-deficient
+          1.2 * eye,  # direct, real
+          np.zeros((d, d))]  # projected, a fixed point
+    ufile = tmp_path / "golden_u.json"
+    ufile.write_text(json.dumps({"u": [{"re": u.real.tolist(), "im": np.imag(u).tolist()}
+                                       for u in us],
+                                 "times": [0.0, 0.3, 0.75, 1.5]}))
+    xfile = tmp_path / "golden_x.json"
+    xfile.write_text(json.dumps({"x": (0.5 * eye + 0.1 * ones).tolist()}))
+    return write_params(tmp_path, "golden.json", params), str(ufile), str(xfile)
+
+
+# SHA-256 of stdout (recorded with NumPy 2.4 and OpenBLAS on x86-64, as the
+# Riccati golden digests): a change moves every ODE value the CLI prints
+GOLDEN_CLI = {
+    "transform-d2-lyapunov":
+        "05b8a8dcfdd4e53a734a17c9783931f98faf2312bbac498a91f3159b9b0c11d1",
+    "transform-d3-general":
+        "6009a47eeba8deb37ce231a351556573e6093a8abd6ea420d9b2c52500e873a7",
+    "compare-d2-lyapunov":
+        "18171b7d5c61a580784848ea18956df9c89bcd30b0da08b5b7eced87919c084c",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CLI))
+def test_cli_golden_bits(capsys, tmp_path, case):
+    command, dim, drift = case.split("-")
+    d = int(dim[1:])
+    pfile, ufile, xfile = golden_cli_files(tmp_path, d, drift == "general",
+                                           gamma=command == "transform")
+    if command == "transform":
+        argv = ("transform", pfile, ufile, "--x", xfile, "--method", "ode",
+                "--out", "json" if d == 2 else "csv")
+    else:
+        argv = ("compare", pfile, "--u", ufile, "--x", xfile, "-T", "0.75",
+                "--paths", "256", "--dt", "0.0625", "--seed", "7", "--out", "json")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_CLI[case]

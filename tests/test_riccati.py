@@ -1,7 +1,11 @@
+import dataclasses
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from psdaffine import (
     AffineParams,
@@ -29,11 +33,12 @@ from psdaffine import (
     rhs_psi,
     solve,
     solve_boundary,
+    solve_grid,
     trace_inner,
     transform,
 )
 from psdaffine.model import sym_to_vec
-from psdaffine.riccati import RiccatiRHS
+from psdaffine.riccati import RiccatiRHS, solve_auto
 from conftest import random_admissible, random_interior_u, random_psd, random_spd, random_sym
 
 
@@ -491,3 +496,58 @@ def golden_solve_digest(route, d, general):
 @pytest.mark.parametrize("general", [False, True], ids=["lyapunov", "general"])
 def test_solve_golden_bits(route, d, general):
     assert golden_solve_digest(route, d, general) == GOLDEN_SOLVE[route, d, general]
+
+
+# ---------------------------------------------------------------------------
+# a grid solve is the one-row solves, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def assert_same_solution(grid_sol, row_sol):
+    def bits(*arrays):
+        return b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+
+    assert bits(grid_sol.times, grid_sol.phi, grid_sol.psi) == bits(
+        row_sol.times, row_sol.phi, row_sol.psi)
+    assert grid_sol.completed == row_sol.completed
+    assert dataclasses.astuple(grid_sol.diagnostics) == dataclasses.astuple(row_sol.diagnostics)
+    for frac in (0.13, 0.5, 0.77):
+        t = frac * row_sol.t_end
+        assert bits(*grid_sol.eval(t)) == bits(*row_sol.eval(t))
+
+
+@settings(max_examples=15, deadline=None)
+@given(d=st.sampled_from([2, 3, 5]), general=st.booleans(), zero_alpha=st.booleans(),
+       n_interior=st.integers(0, 3), n_imaginary=st.integers(0, 3),
+       T=st.floats(0.2, 1.5), seed=st.integers(0, 2**32 - 1))
+def test_grid_solve_equals_one_row_solves(d, general, zero_alpha, n_interior, n_imaginary,
+                                          T, seed):
+    assume(n_interior + n_imaginary > 0)  # a single u is a one-row grid
+    rng = np.random.default_rng(seed)
+    params = random_admissible(rng, d, alpha_class="zero" if zero_alpha else "invertible",
+                               with_gamma=True, general_drift=general)
+    us = [random_interior_u(rng, d) for _ in range(n_interior)]
+    us += [1j * random_sym(rng, d, 0.5) for _ in range(n_imaginary)]
+    order = rng.permutation(len(us))  # interleave the direct and projected rows
+    us = [us[i] for i in order]
+    for grid_sol, u in zip(solve_grid(params, us, T), us):
+        assert_same_solution(grid_sol, solve_auto(params, u, T))
+
+
+@settings(max_examples=10, deadline=None)
+@given(d=st.sampled_from([2, 3]), cs=st.lists(st.floats(0.2, 4.0), min_size=1, max_size=5))
+def test_grid_rows_that_stop_early_equal_one_row_solves(d, cs):
+    # alpha = -I: psi(t, c I) = c I / (1 - 2 c t) blows up at t = 1/(2c), so
+    # every c > 1/2 leaves the batch at its own time
+    params = AffineParams(d=d, alpha=-np.eye(d), b=np.zeros((d, d)),
+                          drift=LyapunovDrift(beta=np.zeros((d, d))))
+    us = [c * np.eye(d) + 0j for c in cs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateAlphaWarning)
+        grid = solve_grid(params, us, 1.0)
+        rows = [solve_auto(params, u, 1.0) for u in us]
+    for c, grid_sol, row_sol in zip(cs, grid, rows):
+        assert_same_solution(grid_sol, row_sol)
+        if c > 0.55:
+            assert not grid_sol.completed
+            assert grid_sol.diagnostics.t_plus == pytest.approx(0.5 / c, rel=1e-2)

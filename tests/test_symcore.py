@@ -287,6 +287,14 @@ def test_frobenius_overflow_and_underflow_safe():
     assert frobenius(x) == float(np.linalg.norm(x))
 
 
+def test_frobenius_exact_where_the_sum_of_squares_is_subnormal():
+    # sum of squares 2e-320 is subnormal, not 0: the plain norm is off by 5.6e-6
+    for x, expected in ((1e-160 * np.eye(2), np.sqrt(2.0) * 1e-160),
+                        (3e-157j * np.eye(3), np.sqrt(3.0) * 3e-157),
+                        (np.diag([1e-155, 0.0]), 1e-155)):
+        assert abs(frobenius(x) - expected) <= 1e-15 * expected
+
+
 # ---------------------------------------------------------------------------
 # batched cone kernels (property tests)
 # ---------------------------------------------------------------------------
