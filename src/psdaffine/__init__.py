@@ -49,7 +49,6 @@ from .riccati import (
     rhs_phi,
     rhs_psi,
     solve,
-    solve_batches,
     solve_boundary,
     solve_grid,
     transform,

@@ -3,11 +3,13 @@ dense output, over a batch of independent rows.
 
 Each row keeps its own time, step size, controller memory, accept or reject
 decision and status, so it takes exactly the steps it would take alone; only
-the right-hand side is evaluated on every running row at once, one call per
-Runge-Kutta stage. Kept self-contained so the caller can monitor every
-accepted step and stop a row early; the per-step hook, the per-row step
-control and the rejected-step count are the reason this is not delegated to
-a library solver.
+the right-hand side is evaluated on every row at once, one call per
+Runge-Kutta stage, always on all rows in column order. A row that finishes,
+stops or underflows holds still: it steps with h = 0 at its last accepted
+state until the batch ends. Kept self-contained so the caller can monitor
+every accepted step and stop a row early; the per-step hook, the per-row
+step control and the rejected-step count are the reason this is not
+delegated to a library solver.
 """
 
 from __future__ import annotations
@@ -152,21 +154,21 @@ def _initial_steps(f, t0, y0, f0, t_end, rtol, atol) -> list[float]:
     for d0, d1 in zip(d0s.tolist(), d1s.tolist()):
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0s.append(min(h0, t_end - t0))
-    # a row whose f0 / scale overflowed keeps h = 0 and reports the underflow
-    go = [i for i, h0 in enumerate(h0s) if h0 > 0.0]
-    hs = [0.0] * len(h0s)
-    if not go:
-        return hs
-    h0 = np.array([h0s[i] for i in go])
-    y1 = y0[go] + h0[:, None] * f0[go]
-    f1 = np.asarray(f(t0 + h0, y1.T), dtype=float).T
-    d2s = row_norms((f1 - f0[go]) / scale[go]) / root_n / h0
-    for i, d1, d2 in zip(go, d1s[go].tolist(), d2s.tolist()):
-        if max(d1, d2) <= 1e-15:
-            h1 = max(1e-6, h0s[i] * 1e-3)
+    # a row whose f0 / scale overflowed probes at h = 0, keeps h = 0 and
+    # reports the underflow
+    h0 = np.array([h0 if h0 > 0.0 else 0.0 for h0 in h0s])
+    f1 = np.asarray(f(t0 + h0, (y0 + h0[:, None] * f0).T), dtype=float).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d2s = row_norms((f1 - f0) / scale) / root_n / h0
+    hs = []
+    for h0, d1, d2 in zip(h0.tolist(), d1s.tolist(), d2s.tolist()):
+        if h0 == 0.0:
+            h1 = 0.0
+        elif max(d1, d2) <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
         else:
             h1 = (0.01 / max(d1, d2)) ** 0.2
-        hs[i] = min(100 * h0s[i], h1, t_end - t0)
+        hs.append(min(100 * h0, h1, t_end - t0))
     return hs
 
 
@@ -175,11 +177,12 @@ def integrate(f, t0: float, y0: np.ndarray, t_end: float, rtol: float, atol: flo
     """Integrate y' = f(t, y) from t0 to t_end for every column of y0 (N, n).
 
     As in scipy's ``solve_ivp(vectorized=True)``, states are columns:
-    ``f(t, Y)`` takes the times t (m,) and states Y (N, m) of the running
-    rows and returns their rates (N, m). ``monitor(t, Y)``, if given, runs
-    on the rows that accepted a step and returns one bool per row; False
-    stops that row (status "stopped") with the step kept. Each row has its
-    own budget of MAX_STEPS steps; a row that exceeds it raises
+    ``f(t, Y)`` takes the times t (n,) and states Y (N, n) of all n rows,
+    in the order of y0, and returns their rates (N, n); a row that has
+    ended is passed at its last accepted state. ``monitor(t, Y)``, if
+    given, runs on the rows that accepted a step and returns one bool per
+    row; False stops that row (status "stopped") with the step kept. Each
+    row has its own budget of MAX_STEPS steps; a row that exceeds it raises
     StepBudgetError.
     """
     y = np.asarray(y0, dtype=float).T.copy(order="C")  # rows (n, N)
@@ -191,34 +194,30 @@ def integrate(f, t0: float, y0: np.ndarray, t_end: float, rtol: float, atol: flo
     for row, h in zip(rows, _initial_steps(f, float(t0), y, f0, t_end, rtol, atol)):
         row.h = h
 
-    live = list(range(n))  # rows still stepping, in the order of y and k
     k = np.empty((n, 7, size))
     k[:, 0] = f0
     while True:
-        keep = []
-        for pos, i in enumerate(live):
-            row = rows[i]
-            if row.status is not None:
-                continue
-            if not row.t < t_end:
-                row.status = "finished"
-                continue
-            if len(row.hs) + row.n_rej > MAX_STEPS:
-                raise StepBudgetError(
-                    f"step budget of {MAX_STEPS} steps exhausted at t = {row.t:.6g}")
-            row.h = min(row.h, t_end - row.t)
-            if row.h < 1e-14 * max(1.0, abs(row.t)):
-                row.status = "underflow"
-                continue
-            keep.append(pos)
-        if len(keep) < len(live):
-            live = [live[pos] for pos in keep]
-            y, k = y[keep], k[keep]
+        live = []  # rows still stepping; the others hold still with h = 0
+        for i, row in enumerate(rows):
+            if row.status is None:
+                if not row.t < t_end:
+                    row.status = "finished"
+                elif len(row.hs) + row.n_rej > MAX_STEPS:
+                    raise StepBudgetError(
+                        f"step budget of {MAX_STEPS} steps exhausted at t = {row.t:.6g}")
+                else:
+                    row.h = min(row.h, t_end - row.t)
+                    if row.h < 1e-14 * max(1.0, abs(row.t)):
+                        row.status = "underflow"
+            if row.status is None:
+                live.append(i)
+            else:
+                row.h = 0.0
         if not live:
             break
 
-        h = np.array([rows[i].h for i in live])
-        t = np.array([rows[i].t for i in live])
+        h = np.array([row.h for row in rows])
+        t = np.array([row.t for row in rows])
         hc = h[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
             for s in range(1, 7):
@@ -229,8 +228,8 @@ def integrate(f, t0: float, y0: np.ndarray, t_end: float, rtol: float, atol: flo
         q = k.transpose(0, 2, 1) @ P
 
         accepted = []
-        for pos, (i, err) in enumerate(zip(live, errs)):
-            row = rows[i]
+        for i in live:
+            row, err = rows[i], errs[i]
             if err > 1.0:
                 row.n_rej += 1
                 factor = max(MIN_FACTOR, SAFETY * err ** (-0.2)) if np.isfinite(err) else MIN_FACTOR
@@ -238,11 +237,11 @@ def integrate(f, t0: float, y0: np.ndarray, t_end: float, rtol: float, atol: flo
                 continue
             # copies: a row's record must not keep the whole batch's arrays alive
             row.hs.append(row.h)
-            row.qs.append(q[pos].copy())
+            row.qs.append(q[i].copy())
             row.t = row.t + row.h
             row.ts.append(row.t)
-            row.ys.append(y_new[pos].copy())
-            accepted.append(pos)
+            row.ys.append(y_new[i].copy())
+            accepted.append(i)
         if not accepted:
             continue
         y[accepted] = y_new[accepted]
@@ -250,14 +249,14 @@ def integrate(f, t0: float, y0: np.ndarray, t_end: float, rtol: float, atol: flo
 
         going = [True] * len(accepted)
         if monitor is not None:
-            t_acc = np.array([rows[live[pos]].t for pos in accepted])
+            t_acc = np.array([rows[i].t for i in accepted])
             going = np.asarray(monitor(t_acc, y_new[accepted].T), dtype=bool).tolist()
-        for pos, go in zip(accepted, going):
-            row = rows[live[pos]]
+        for i, go in zip(accepted, going):
+            row = rows[i]
             if not go:
                 row.status = "stopped"
                 continue
-            err = max(errs[pos], 1e-10)  # keep the controller bounded
+            err = max(errs[i], 1e-10)  # keep the controller bounded
             factor = SAFETY * err ** (-PI_ALPHA) * row.err_prev ** PI_BETA
             row.h = row.h * min(MAX_FACTOR, max(MIN_FACTOR, factor))
             row.err_prev = err

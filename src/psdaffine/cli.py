@@ -319,14 +319,9 @@ def _ode_rows(k, u, sol, times, x):
 
 def _transform_rows_ode(params, us, times, x):
     t_max = max(times) if times else 0.0
-    per_u = [[] for _ in us]
-    batches = (riccati.solve_batches(params, us, t_max) if t_max > 0
-               else [(range(len(us)), [None] * len(us))])
-    for idx, sols in batches:
-        for k, sol in zip(idx, sols):
-            per_u[k] = _ode_rows(k, us[k], sol, times, x)
-        del sols  # keep the dense output of one batch at a time
-    return [row for rows in per_u for row in rows]
+    sols = riccati.solve_grid(params, us, t_max) if t_max > 0 else [None] * len(us)
+    return [row for k, (u, sol) in enumerate(zip(us, sols))
+            for row in _ode_rows(k, u, sol, times, x)]
 
 
 _TRANSFORM_BASE_COLS = ["u_index", "t", "method", "status", "phi_re", "phi_im"]

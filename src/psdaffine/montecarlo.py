@@ -135,22 +135,17 @@ def _stream(seed: int, tag: int) -> np.random.Generator:
 def _gauss_streams(paths: range, antithetic: bool) -> list[tuple[int, int]]:
     """(row, stream tag) of each Gaussian stream a block draws. A plain path
     p owns stream 2p. The pair (2k, 2k + 1) of antithetic sampling shares
-    stream 2k, drawn once into the even path's row (see _negate_pairs); a
-    block that starts at an odd path draws that pair's stream into row 0."""
+    stream 2k, drawn once into the even path's row (see _negate_pairs);
+    blocks start at an even path, so they hold whole pairs."""
     if not antithetic:
         return [(i, 2 * p) for i, p in enumerate(paths)]
-    return [(i, p - p % 2) for i, p in enumerate(paths) if p % 2 == 0 or i == 0]
+    return [(i, p) for i, p in enumerate(paths) if p % 2 == 0]
 
 
-def _negate_pairs(normals: np.ndarray, paths: range) -> None:
-    """Give each odd path of an antithetic block the negated draws of its
-    pair, in place: from the even path's row before it or, for a block that
-    starts at an odd path, from its own row 0."""
-    n = len(paths)
-    first = 1 + paths.start % 2  # first odd-path row whose even path is in the block
-    np.negative(normals[:, first - 1:n - 1:2], out=normals[:, first::2])
-    if paths.start % 2:
-        np.negative(normals[:, 0], out=normals[:, 0])
+def _negate_pairs(normals: np.ndarray) -> None:
+    """Give each odd path of an antithetic block the negated draws of the
+    even path before it, in place."""
+    np.negative(normals[:, 0::2], out=normals[:, 1::2])
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +267,7 @@ def _simulate_block(params: AffineParams, x0: np.ndarray, dt: float, n_steps: in
         for i, tag in gauss:
             normals[:steps, i] = stream(tag).standard_normal((steps, d, d))
         if antithetic:
-            _negate_pairs(normals[:steps], paths)
+            _negate_pairs(normals[:steps])
         if n_atoms:
             for i, p in enumerate(paths):
                 uniforms[:steps, i] = stream(2 * p + 1).random((steps, n_atoms))
@@ -306,8 +301,8 @@ def simulate_paths(params: AffineParams, x0: np.ndarray, T: float,
     n_steps = max(1, int(np.ceil(T / cfg.dt - 1e-12)))
     dt = T / n_steps
 
-    blocks = [range(lo, min(lo + _BLOCK_PATHS, cfg.n_paths))
-              for lo in range(0, cfg.n_paths, _BLOCK_PATHS)]
+    size = _BLOCK_PATHS + _BLOCK_PATHS % 2  # whole antithetic pairs in every block
+    blocks = [range(lo, min(lo + size, cfg.n_paths)) for lo in range(0, cfg.n_paths, size)]
     workers = min(_max_workers(), len(blocks))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -82,11 +82,13 @@ class SolverDiagnostics:
 class RiccatiRHS:
     """Right-hand side evaluator; accepts truncation-free or truncated
     parameter sets. ``projected`` switches the jump exponents to the
-    cone-projected real part and is required whenever Re(u0) is singular."""
+    cone-projected real part and is required whenever Re(u0) is singular:
+    one flag for every row, or one flag per row of the stacks evaluated."""
 
-    def __init__(self, params: AffineParams | TruncatedParams, projected: bool = False):
+    def __init__(self, params: AffineParams | TruncatedParams,
+                 projected: bool | list[bool] = False):
         self.params = params
-        self.projected = bool(projected)
+        self.projected = np.asarray(projected, dtype=bool)
         self.truncated = isinstance(params, TruncatedParams)
         self.d = params.d
         self.D = sym_dim(params.d)
@@ -112,13 +114,17 @@ class RiccatiRHS:
     # -- matrix-level rates -------------------------------------------------
 
     def _jump_exponent_base(self, psi: np.ndarray) -> np.ndarray:
-        if not self.projected:
+        """psi, with pi(Re psi) + i Im psi in the projected rows."""
+        flags = np.broadcast_to(self.projected, psi.shape[:1])
+        if not flags.any():
             return psi
-        re = psi.real
+        re = psi.real[flags]
         if not np.isfinite(re).all():
             raise DomainError("eigendecomposition failed: non-finite entries")
+        e = psi.copy()
         # the spectral kernel on every stack: the 2 x 2 fast path rounds differently
-        return _spectral(symmetrize(re), root=False) + 1j * psi.imag
+        e[flags] = _spectral(symmetrize(re), root=False) + 1j * psi.imag[flags]
+        return e
 
     def rates(self, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rates of phi (n,) and of psi (n, d, d) at a stack psi (n, d, d).
@@ -277,9 +283,10 @@ def _solution(rhs: RiccatiRHS, u0: np.ndarray, res: _dopri5.IntegrationResult,
                            _rhs=rhs, _result=res)
 
 
-def _solve_rows(params, us: list, T: float, projected: bool) -> list[RiccatiSolution]:
-    """One batched integration of the direct (or projected) system from every
-    u in us; each row takes the steps it takes alone."""
+def _solve_rows(params, us: list, T: float, projected: list[bool]) -> list[RiccatiSolution]:
+    """One batched integration from every u in us, of the projected system
+    where its flag in projected is set and of the direct one elsewhere; each
+    row takes the steps it takes alone."""
     if T <= 0:
         raise ValueError("T must be positive")
     us = [np.asarray(u, dtype=complex) for u in us]
@@ -297,8 +304,8 @@ def _solve_rows(params, us: list, T: float, projected: bool) -> list[RiccatiSolu
 
     y0 = rhs.pack(np.zeros(len(us)), np.stack(us))
     res = _dopri5.integrate(rhs, 0.0, y0.T, T, rtol=_REL_TOL, atol=_ABS_TOL, monitor=monitor)
-    return [_solution(rhs, u, r, not projected and min_eig(u.real) > 0, degenerate)
-            for u, r in zip(us, res.rows)]
+    return [_solution(rhs, u, r, not p and min_eig(u.real) > 0, degenerate)
+            for u, p, r in zip(us, projected, res.rows)]
 
 
 def solve(params: AffineParams | TruncatedParams, u0: np.ndarray,
@@ -308,13 +315,13 @@ def solve(params: AffineParams | TruncatedParams, u0: np.ndarray,
     Use :func:`solve_boundary` when Re(u0) is singular; there the jump
     exponents must be evaluated at the cone projection of Re(psi).
     """
-    return _solve_rows(params, [u0], T, projected=False)[0]
+    return _solve_rows(params, [u0], T, [False])[0]
 
 
 def solve_boundary(params: AffineParams | TruncatedParams, u0: np.ndarray,
                    T: float) -> RiccatiSolution:
     """Integrate the projected system; valid for any PSD Re(u0), including 0."""
-    return _solve_rows(params, [u0], T, projected=True)[0]
+    return _solve_rows(params, [u0], T, [True])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +372,8 @@ def boundary_limit(params: AffineParams, u0: np.ndarray, T: float,
     Cauchy property (decreasing consecutive differences) and extrapolated to
     1/n -> 0. Non-convergence is reported, in which case no limit is claimed.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     u0 = np.asarray(u0, dtype=complex)
     check_psd(u0.real, "boundary_limit requires Re(u0) PSD")
     eye = np.eye(params.d)
@@ -376,7 +385,7 @@ def boundary_limit(params: AffineParams, u0: np.ndarray, T: float,
         n *= 2
     phis: list[complex] = []
     psis: list[np.ndarray] = []
-    sols = _solve_rows(params, [u0 + (1.0 / n) * eye for n in ns], T, projected=False)
+    sols = _solve_rows(params, [u0 + (1.0 / n) * eye for n in ns], T, [False] * len(ns))
     for n, sol in zip(ns, sols):
         if not sol.completed:
             raise BlowUpError(sol.diagnostics.t_plus,
@@ -417,29 +426,13 @@ def _interior(u0: np.ndarray) -> bool:
     return min_eig(u0.real) > _PD_TOL * max(1.0, frobenius(u0.real))
 
 
-def solve_batches(params: AffineParams, us, T: float):
-    """:func:`solve_grid` one batch at a time: yields (positions in us,
-    solutions) for the u with positive definite real part, on the direct
-    system, then for the rest, on the projected one. A caller that uses and
-    drops each batch holds the dense output of one batch at a time."""
-    us = [np.asarray(u, dtype=complex) for u in us]
-    interior = [_interior(u) for u in us]
-    for direct in (True, False):
-        idx = [i for i, inside in enumerate(interior) if inside == direct]
-        if idx:
-            yield idx, _solve_rows(params, [us[i] for i in idx], T, projected=not direct)
-
-
 def solve_grid(params: AffineParams, us, T: float) -> list[RiccatiSolution]:
-    """Solve from every u in us up to T, as :func:`solve_auto` would: one
-    batched integration per system. Each solution is bit for bit the one-row
-    solve."""
-    us = list(us)
-    out: list[RiccatiSolution | None] = [None] * len(us)
-    for idx, sols in solve_batches(params, us, T):
-        for i, sol in zip(idx, sols):
-            out[i] = sol
-    return out
+    """Solve from every u in us up to T, as :func:`solve_auto` would, in one
+    batched integration: each u is routed by :func:`_interior` to a row of
+    the direct or of the projected system. Each solution is bit for bit the
+    one-row solve."""
+    us = [np.asarray(u, dtype=complex) for u in us]
+    return _solve_rows(params, us, T, [not _interior(u) for u in us])
 
 
 def solve_auto(params: AffineParams, u0: np.ndarray, T: float) -> RiccatiSolution:
@@ -450,24 +443,21 @@ def solve_auto(params: AffineParams, u0: np.ndarray, T: float) -> RiccatiSolutio
 
 def transform_grid(params: AffineParams, us, x: np.ndarray, T: float) -> list[complex]:
     """Transform values exp(-phi(T, u) - tr(psi(T, u) x)) for every u in us,
-    through :func:`solve_batches`. A blow-up raises for the first such u."""
+    through :func:`solve_grid`. A blow-up raises for the first such u."""
     x = check_psd(np.asarray(x, dtype=float), "transform requires x PSD")
     if T < 0:
         raise ValueError("T must be nonnegative")
     us = [np.asarray(u, dtype=complex) for u in us]
+    for u in us:
+        check_psd(u.real, "initial data must have PSD real part")
     if T == 0:
         return [complex(np.exp(-trace_inner(u, x))) for u in us]
-    values: list[complex | None] = [None] * len(us)
-    t_plus = {}
-    for idx, sols in solve_batches(params, us, T):
-        for i, sol in zip(idx, sols):
-            if sol.completed:
-                phi_t, psi_t = sol.eval(T)
-                values[i] = complex(np.exp(-phi_t - trace_inner(psi_t, x)))
-            else:
-                t_plus[i] = sol.diagnostics.t_plus
-    if t_plus:
-        raise BlowUpError(t_plus[min(t_plus)])
+    values = []
+    for sol in solve_grid(params, us, T):
+        if not sol.completed:
+            raise BlowUpError(sol.diagnostics.t_plus)
+        phi_t, psi_t = sol.eval(T)
+        values.append(complex(np.exp(-phi_t - trace_inner(psi_t, x))))
     return values
 
 

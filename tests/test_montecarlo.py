@@ -255,8 +255,8 @@ def test_estimate_independent_of_block_partition():
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("antithetic", [False, True])
 def test_estimate_transforms_equals_one_u_estimates(monkeypatch, antithetic, threads):
-    # 600 steps: two full draw chunks and a partial one; 101-path blocks
-    # start the second block in the middle of an antithetic pair
+    # 600 steps: two full draw chunks and a partial one; 101-path blocks,
+    # rounded up to whole antithetic pairs (102 + 102 + 46 paths)
     import psdaffine.montecarlo as mc
     monkeypatch.setenv("PSDAFFINE_THREADS", threads)
     monkeypatch.setattr(mc, "_BLOCK_PATHS", 101)
@@ -382,8 +382,8 @@ def test_simulate_paths_golden_bits(monkeypatch, d):
 
 
 # The same digest over 600 steps: two full draw chunks and a partial one, in
-# 25-path blocks, so that blocks start and end in the middle of an antithetic
-# pair. They equal the digests of drawing each path's whole stream at once.
+# 25-path blocks, rounded up to whole antithetic pairs. They equal the
+# digests of drawing each path's whole stream at once.
 GOLDEN_CHUNKED = {
     (2, False): "fa15bb6122a9b931b4b0b49f3e4f0d757e31f96ccfab88bbff387820668ec985",
     (2, True): "e7b3ad840dc87e09c1c5cde206f35c24f35ee1bae8a1456e379b1916fc089b09",
@@ -396,7 +396,7 @@ GOLDEN_CHUNKED = {
 @pytest.mark.parametrize("d", [2, 3])
 def test_simulate_paths_golden_bits_chunked(monkeypatch, d, antithetic):
     import psdaffine.montecarlo as mc
-    monkeypatch.setattr(mc, "_BLOCK_PATHS", 25)  # 25 + 25 + 12 paths
+    monkeypatch.setattr(mc, "_BLOCK_PATHS", 25)  # 26 + 26 + 10 paths
     stats = simulate_paths(golden_params(d), 0.5 * np.eye(d), 0.6,
                            SimConfig(n_paths=62, dt=0.001, seed=2024, antithetic=antithetic))
     assert stats.n_steps == 600

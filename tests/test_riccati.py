@@ -286,6 +286,11 @@ def test_boundary_limit_interior_data_order_one_over_n():
     assert lim.converged
 
 
+def test_boundary_limit_needs_one_shift():
+    with pytest.raises(ValueError, match="n_max"):
+        boundary_limit(wishart_params(), np.eye(2) + 0j, 1.0, n_max=0)
+
+
 def test_boundary_limit_table_and_modulus():
     params = jumpy_params()
     w = random_sym(np.random.default_rng(19), 2)
@@ -322,6 +327,13 @@ def test_transform_total_mass_and_initial_condition():
     u0 = random_interior_u(np.random.default_rng(21), 2)
     assert transform(params, u0, x, 0.0) == pytest.approx(
         np.exp(-trace_inner(u0, x)), abs=1e-14)
+
+
+def test_transform_checks_the_domain_at_every_horizon():
+    params = wishart_params()
+    for T in (0.0, 0.5):
+        with pytest.raises(DomainError):
+            transform(params, -np.eye(2) + 0j, np.eye(2), T)
 
 
 def test_transform_modulus_bound_conservative():
@@ -535,13 +547,21 @@ def test_grid_solve_equals_one_row_solves(d, general, zero_alpha, n_interior, n_
 
 
 @settings(max_examples=10, deadline=None)
-@given(d=st.sampled_from([2, 3]), cs=st.lists(st.floats(0.2, 4.0), min_size=1, max_size=5))
-def test_grid_rows_that_stop_early_equal_one_row_solves(d, cs):
-    # alpha = -I: psi(t, c I) = c I / (1 - 2 c t) blows up at t = 1/(2c), so
-    # every c > 1/2 leaves the batch at its own time
+@given(d=st.sampled_from([2, 3]), cs=st.lists(st.floats(0.2, 4.0), min_size=1, max_size=5),
+       cs_boundary=st.lists(st.floats(0.2, 4.0), max_size=3), seed=st.integers(0, 2**32 - 1))
+def test_grid_rows_that_stop_early_equal_one_row_solves(d, cs, cs_boundary, seed):
+    # alpha = -I: psi(t, c P) = c P / (1 - 2 c t) for P = I (direct rows) and
+    # P = diag(1, 0, ..) (projected rows) blows up at t = 1/(2c), so every
+    # c > 1/2 stops at its own time while the other rows keep stepping; the
+    # jumps of phi make the projected rows take the projection
     params = AffineParams(d=d, alpha=-np.eye(d), b=np.zeros((d, d)),
-                          drift=LyapunovDrift(beta=np.zeros((d, d))))
-    us = [c * np.eye(d) + 0j for c in cs]
+                          drift=LyapunovDrift(beta=np.zeros((d, d))),
+                          m=AtomicMeasure(atoms=((0.5 * np.eye(d), 0.4),)))
+    e1 = np.diag(np.eye(d)[0]) + 0j
+    us = [c * np.eye(d) + 0j for c in cs] + [c * e1 for c in cs_boundary]
+    order = np.random.default_rng(seed).permutation(len(us))  # interleave the routes
+    cs = [(cs + cs_boundary)[i] for i in order]
+    us = [us[i] for i in order]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateAlphaWarning)
         grid = solve_grid(params, us, 1.0)
@@ -551,3 +571,54 @@ def test_grid_rows_that_stop_early_equal_one_row_solves(d, cs):
         if c > 0.55:
             assert not grid_sol.completed
             assert grid_sol.diagnostics.t_plus == pytest.approx(0.5 / c, rel=1e-2)
+
+
+def test_mixed_grid_is_one_integration(monkeypatch):
+    from psdaffine import _dopri5
+    calls = []
+    original = _dopri5.integrate
+
+    def counted(f, t0, y0, *args, **kwargs):
+        calls.append(y0.shape[1])
+        return original(f, t0, y0, *args, **kwargs)
+
+    monkeypatch.setattr(_dopri5, "integrate", counted)
+    params = jumpy_params()
+    us = [np.eye(2) + 0j, 0.5j * np.eye(2), csym(np.diag([1.0, 0.0]), np.eye(2)),
+          0.3 * np.eye(2) + 0.2j * np.eye(2)]
+    solve_grid(params, us, 0.5)
+    assert calls == [4]
+
+
+TRACED_GRID = """
+import sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+import tracing
+from psdaffine import AffineParams, AtomicMeasure, LyapunovDrift, solve_grid
+tracer = tracing.Tracer()
+tracing.install(tracer)
+assert tracer.missing == [], tracer.missing
+params = AffineParams(d=2, alpha=np.eye(2), b=2 * np.eye(2),
+                      drift=LyapunovDrift(beta=-0.5 * np.eye(2)),
+                      m=AtomicMeasure(atoms=((0.5 * np.eye(2), 0.4),)))
+solve_grid(params, [np.eye(2) + 0j, 0.5j * np.eye(2)], 0.5)
+calls = {name: st.count for name, st in tracer.stats.items()
+         if name.startswith("dopri5.integrate.")}
+assert calls == {"dopri5.integrate.d2": 1}, calls
+"""
+
+
+def test_perfbench_tracer_hooks_every_layer_and_sees_one_integration(tmp_path):
+    # the benchmark tracer patches the package by name, so it runs in its own
+    # interpreter; every hook target must exist and a mixed grid is one call
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", TRACED_GRID, str(root / "perfbench")],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300)
+    assert proc.returncode == 0, proc.stderr
