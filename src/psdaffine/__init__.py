@@ -6,6 +6,7 @@ from ._dopri5 import StepBudgetError
 from .closedform import (
     MBAJDSpec,
     flow_omega,
+    mbajd_grid,
     mbajd_phi,
     mbajd_psi,
     mbajd_transform,

@@ -273,10 +273,11 @@ def _transform_row(k: int, t: float, method: str, phi: complex, psi: np.ndarray,
 
 
 def _closed_exponents(spec, us, times):
-    """(u index, t, phi, psi) of the closed form over the whole u-grid."""
-    for k, u in enumerate(us):
-        for t in times:
-            yield k, t, closedform.mbajd_phi(spec, u, t), closedform.mbajd_psi(spec, u, t)
+    """(u index, t, phi, psi) of the closed form over the whole u-grid, from one grid call."""
+    phi, psi = closedform.mbajd_grid(spec, us, times)
+    for k in range(len(us)):
+        for j, t in enumerate(times):
+            yield k, t, phi[k, j], psi[k, j]
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +387,12 @@ def cmd_compare(args) -> int:
     spec = closedform.MBAJDSpec.from_params(params)
     # every exact value before the one simulation, so that an ODE error ends
     # the command before any path is drawn
-    exact = zip(riccati.transform_grid(params, us, x, args.T),
-                [closedform.mbajd_transform(spec, u, x, args.T) if spec is not None else None
-                 for u in us])
+    ode = riccati.transform_grid(params, us, x, args.T)
+    closed = [None] * len(us)
+    if spec is not None:
+        closed = [complex(np.exp(-phi - trace_inner(psi, x)))
+                  for _, _, phi, psi in _closed_exponents(spec, us, [args.T])]
+    exact = zip(ode, closed)
     estimates = montecarlo.estimate_transforms(params, us, x, args.T, cfg)
     rows = []
     failures = []

@@ -10,12 +10,17 @@ sigma_t(x) = 2 int_0^t omega_s(x) ds, the exponents are
                 - int_0^t sum_k w_k (exp(-tr(psi(s, u) xi_k)) - 1) ds
 
 The psi expression is the singular-safe form of
-exp(beta^T t)(u^{-1} + sigma)^{-1} exp(beta t): both agree whenever u is
-invertible, but the former also covers u on the boundary of the tube. The
-log-determinant is evaluated on a continuous branch followed from t = 0
-(where the determinant is 1), never on the principal branch, and the jump
-term is a time integral even though the phi rate only shows the instantaneous
-sum. No invertibility of alpha is needed anywhere in this module.
+exp(beta^T t)(u^{-1} + sigma)^{-1} exp(beta t), which also covers u on the
+boundary of the tube; no invertibility of alpha is needed anywhere.
+
+:func:`mbajd_grid` evaluates a u-grid at a list of times on one uniform
+s-grid of [0, t] per time, shared by every u. Each halving of its step h
+takes one block exponential and steps every node by the recurrence
+E_{s+h} = E_h E_s, sigma_{s+h} = sigma_h + E_h sigma_s E_h^T, which must
+land on the direct block exponential at t. Per u, batched determinants
+follow log det(I + u sigma_s) on a continuous branch from s = 0 (never the
+principal branch), and batched solves give the jump integrand for
+composite Simpson with a Richardson check.
 """
 
 from __future__ import annotations
@@ -24,13 +29,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import AtomicMeasure, AffineParams, LyapunovDrift, jump_transform_m
+from .model import AtomicMeasure, AffineParams, LyapunovDrift
 from .symcore import (
+    PSD_SLACK,
     DomainError,
     canonical_sym,
     check_psd,
     check_square,
     check_sym,
+    eigenvalues,
     frobenius,
     mat_exp,
     symmetrize,
@@ -43,11 +50,15 @@ class BranchTrackingError(RuntimeError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed, or disagreed with the block exponential
-    it witnesses."""
+    """A quadrature failed, or disagreed with the block exponential it
+    witnesses, or the sigma grid drifted from it."""
 
 
-_MAX_DEPTH = 30  # bisection levels of the adaptive quadrature
+_MAX_DEPTH = 30  # bisection levels of the witness's adaptive quadrature
+_BASE_STEPS = 16  # intervals of the coarsest s-grid level
+_MAX_STEPS = 2 ** 14  # intervals of the finest s-grid level
+_QUAD_TOL = 1e-10  # Richardson error bound of the jump integral
+_DRIFT_TOL = 1e-10  # relative gap between the grid recurrence and exp at t
 
 
 @dataclass(frozen=True)
@@ -117,11 +128,11 @@ def flow_omega(beta: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
 
 
 def _adaptive_simpson(f, a: float, b: float, tol: float):
-    """Adaptive Simpson quadrature for scalar/array, real/complex integrands.
+    """Adaptive Simpson quadrature of an array-valued integrand (the witness).
 
     Error control is the standard |S_fine - S_coarse| / 15 estimate, taken
-    as a max over components for array-valued integrands. A non-finite
-    estimate raises at once: bisecting it further cannot make it finite.
+    as a max over components. A non-finite estimate raises at once:
+    bisecting it further cannot make it finite.
     """
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
@@ -196,91 +207,141 @@ def sigma_integral(beta: np.ndarray, alpha: np.ndarray, t: float) -> np.ndarray:
     return sig
 
 
-def _flow_sigma(spec: MBAJDSpec, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """exp(beta t) and sigma_t(alpha), witnessed only past the
-    largest horizon this spec has passed (the block construction has no
-    t-dependent failure modes beyond what one horizon exposes)."""
-    if not t >= 0:
-        raise DomainError(f"the closed form requires t >= 0, got {t}")
-    e, sig = _vanloan(spec.beta, spec.alpha, t)
-    if t > spec._witnessed:
-        _witness(spec.beta, spec.alpha, t, sig)
-        object.__setattr__(spec, "_witnessed", t)
-    return e, sig
+class _SigmaGrid:
+    """exp(beta s) and sigma_s(alpha) at s = k t / n: level n is a stride of
+    the finest level built so far, whose last node is the direct value at t.
+    The witness runs once per spec and new largest horizon."""
+
+    def __init__(self, spec: MBAJDSpec, t: float):
+        self.spec, self.t = spec, t
+        e_t, sig_t = _vanloan(spec.beta, spec.alpha, t)
+        if t > spec._witnessed:  # no t-dependent failure beyond what one horizon shows
+            _witness(spec.beta, spec.alpha, t, sig_t)
+            object.__setattr__(spec, "_witnessed", t)
+        self.e, self.sig = np.stack([np.eye(spec.d), e_t]), np.stack([np.zeros_like(sig_t), sig_t])
+
+    def level(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        while len(self.e) <= n:  # halve the step: one new node per interval
+            e_h, sig_h = _vanloan(self.spec.beta, self.spec.alpha, self.t / (2 * len(self.e) - 2))
+            e, sig = e_h @ self.e[:-1], symmetrize(sig_h + e_h @ self.sig[:-1] @ e_h.T)
+            gap = frobenius(symmetrize(sig_h + e_h @ sig[-1] @ e_h.T) - self.sig[-1])
+            if not gap <= _DRIFT_TOL * max(1.0, frobenius(self.sig[-1])):
+                raise QuadratureError(f"sigma grid drifted from the block exponential "
+                                      f"at t = {self.t} by {gap:.3e}")
+            self.e, self.sig = _interleave(self.e, e), _interleave(self.sig, sig)
+        stride = (len(self.e) - 1) // n
+        return self.e[::stride], self.sig[::stride]
 
 
-def mbajd_psi(spec: MBAJDSpec, u: np.ndarray, t: float) -> np.ndarray:
-    """psi(t, u) in the singular-safe form exp(beta^T t)(I + u sigma)^{-1} u exp(beta t)."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (spec.d, spec.d):
-        raise DomainError("u must be d x d")
-    if t == 0:
-        return u.copy()
-    e, sig = _flow_sigma(spec, t)
-    a = np.eye(spec.d) + u @ sig
-    if np.linalg.cond(a) > 1e12:
-        raise DomainError(f"I + u sigma_t(alpha) is near singular at t = {t}")
-    psi = e.T @ np.linalg.solve(a, u) @ e
-    return symmetrize(psi)  # symmetric in exact arithmetic
+def _interleave(old: np.ndarray, mid: np.ndarray) -> np.ndarray:
+    """old[0], mid[0], old[1], ..., mid[-1], old[-1] along the first axis."""
+    out = np.empty((len(old) + len(mid),) + old.shape[1:], dtype=old.dtype)
+    out[::2], out[1::2] = old, mid
+    return out
 
 
-def _logdet_continuous(spec: MBAJDSpec, u: np.ndarray, t: float) -> complex:
-    """log det(I + u sigma_s(alpha)) at s = t on the branch that is 0 at s = 0.
+def _psi(u: np.ndarray, e: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """exp(beta^T s)(I + u sigma_s)^{-1} u exp(beta s) of one node or a stack."""
+    return symmetrize(e.swapaxes(-1, -2) @ np.linalg.solve(np.eye(len(u)) + u @ sig, u) @ e)
 
-    The argument of the determinant is unwrapped along a refining s-grid;
-    refinement stops once consecutive argument increments are small, and a
-    persistent jump of pi or more between refinement levels is an error.
-    """
-    eye = np.eye(spec.d)
 
-    def dets(grid):
-        vals = np.empty(len(grid), dtype=complex)
-        vals[0] = 1.0
-        # from the horizon down, so a new horizon is witnessed once, at t
-        for i in range(len(grid) - 1, 0, -1):
-            vals[i] = np.linalg.det(eye + u @ _flow_sigma(spec, float(grid[i]))[1])
-        return vals
-
-    n = 16
-    prev_total = None
-    while n <= 2 ** 14:
-        grid = np.linspace(0.0, t, n + 1)
-        z = dets(grid)
+def _logdet_continuous(grid: _SigmaGrid, u: np.ndarray) -> complex:
+    """log det(I + u sigma_t(alpha)) on the branch that is 0 at s = 0: the
+    argument is unwrapped on grid levels until its increments are small and
+    its total is stable; a persistent jump of pi or more is an error."""
+    n, prev_total = _BASE_STEPS, None
+    while n <= _MAX_STEPS:
+        z = np.linalg.det(np.eye(len(u)) + u @ grid.level(n)[1])
         if np.min(np.abs(z)) < 1e-300:
             raise BranchTrackingError("determinant vanished along the trajectory")
         args = np.unwrap(np.angle(z))
-        max_jump = np.max(np.abs(np.diff(args))) if n > 0 else 0.0
         total = args[-1] - args[0]  # angle(z[0]) = 0 since det = 1 at s = 0
-        if max_jump < np.pi / 4 and prev_total is not None and \
+        if np.max(np.abs(np.diff(args))) < np.pi / 4 and prev_total is not None and \
                 abs(total - prev_total) < 1e-9 * (1.0 + abs(total)):
             return complex(np.log(abs(z[-1])), total)
-        prev_total = total
-        n *= 2
+        n, prev_total = 2 * n, total
     raise BranchTrackingError(
         "argument increments above pi persisted under grid refinement")
 
 
+def _jump_rate(m: AtomicMeasure, u: np.ndarray, e: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """sum_k w_k (exp(-tr(psi(s, u) xi_k)) - 1) at every node."""
+    psi = _psi(u, e, sig)  # I + u sigma_s is invertible: Re(u) and sigma_s are PSD
+    if not np.isfinite(psi).all():
+        raise QuadratureError("composite quadrature met a non-finite integrand")
+    floor = -PSD_SLACK * np.maximum(1.0, np.linalg.norm(psi.real, axis=(-2, -1)))
+    if not (eigenvalues(psi.real)[:, 0] >= floor).all():
+        raise DomainError("jump transform requires Re(psi) PSD (bounded integrand)")
+    return sum(w * (np.exp(-np.einsum("nij,ji->n", psi, xi)) - 1.0) for xi, w in m.atoms)
+
+
+def _jump_integral(grid: _SigmaGrid, u: np.ndarray) -> complex:
+    """Integral of the jump rate over [0, t]: composite Simpson S_n, n doubled
+    until |S_n - S_{n/2}| / 15 <= _QUAD_TOL, then S_n + (S_n - S_{n/2}) / 15."""
+    def simpson(f):
+        return grid.t / (3 * len(f) - 3) * (f[0] + 4 * f[1::2].sum() + 2 * f[2:-1:2].sum() + f[-1])
+
+    n = _BASE_STEPS
+    f = _jump_rate(grid.spec.m, u, *grid.level(n))
+    while abs(simpson(f) - simpson(f[::2])) / 15.0 > _QUAD_TOL:
+        n *= 2
+        if n > _MAX_STEPS:
+            raise QuadratureError("composite quadrature failed to converge")
+        e, sig = grid.level(n)
+        f = _interleave(f, _jump_rate(grid.spec.m, u, e[1::2], sig[1::2]))
+    fine, coarse = simpson(f), simpson(f[::2])
+    return fine + (fine - coarse) / 15.0
+
+
+def mbajd_grid(spec: MBAJDSpec, us, times) -> tuple[np.ndarray, np.ndarray]:
+    """phi(t, u) and psi(t, u) for every u of a grid at every time, as arrays
+    of shape (len(us), len(times)) and (len(us), len(times), d, d).
+
+    Every u must be d x d with Re(u) PSD. The quadrature witness runs once,
+    at the largest time; each time builds one sigma grid for every u.
+    """
+    us = [np.asarray(u, dtype=complex) for u in us]
+    for u in us:
+        if u.shape != (spec.d, spec.d):
+            raise DomainError("u must be d x d")
+        check_psd(u.real, "the closed form requires Re(u) PSD")
+    for t in times:
+        if not t >= 0:
+            raise DomainError(f"the closed form requires t >= 0, got {t}")
+    phi = np.zeros((len(us), len(times)), dtype=complex)
+    psi = np.empty((len(us), len(times), spec.d, spec.d), dtype=complex)
+    for j in sorted(range(len(times)), key=lambda j: -times[j]) if us else ():
+        if times[j] == 0:
+            psi[:, j] = us
+            continue
+        grid = _SigmaGrid(spec, float(times[j]))
+        e, sig = grid.e[-1], grid.sig[-1]
+        for k, u in enumerate(us):
+            phi[k, j] = spec.p * _logdet_continuous(grid, u)
+            if not spec.m.is_empty:
+                phi[k, j] -= _jump_integral(grid, u)
+            if np.linalg.cond(np.eye(spec.d) + u @ sig) > 1e12:
+                raise DomainError(f"I + u sigma_t(alpha) is near singular at t = {times[j]}")
+            psi[k, j] = _psi(u, e, sig)
+    return phi, psi
+
+
+def mbajd_psi(spec: MBAJDSpec, u: np.ndarray, t: float) -> np.ndarray:
+    """psi(t, u) in the singular-safe form exp(beta^T t)(I + u sigma)^{-1} u exp(beta t)."""
+    return mbajd_grid(spec, [u], [t])[1][0, 0]
+
+
 def mbajd_phi(spec: MBAJDSpec, u: np.ndarray, t: float) -> complex:
-    """phi(t, u) = p log det(I + u sigma_t(alpha)) plus the time-integrated
+    """phi(t, u) = p log det(I + u sigma_t(alpha)) minus the time-integrated
     jump contribution."""
-    u = np.asarray(u, dtype=complex)
-    if t == 0:
-        return 0.0 + 0.0j
-    val = spec.p * _logdet_continuous(spec, u, t)
-    if not spec.m.is_empty:
-        val = val + _adaptive_simpson(
-            lambda s: -jump_transform_m(spec.m, mbajd_psi(spec, u, s)), 0.0, t, tol=1e-10)
-    return complex(val)
+    return complex(mbajd_grid(spec, [u], [t])[0][0, 0])
 
 
 def mbajd_transform(spec: MBAJDSpec, u: np.ndarray, x: np.ndarray, t: float) -> complex:
     """exp(-phi(t, u) - tr(psi(t, u) x)) for the jump-diffusion of ``spec``."""
     x = check_psd(np.asarray(x, dtype=float), "transform requires x PSD")
-    if t == 0:
-        return complex(np.exp(-trace_inner(np.asarray(u, dtype=complex), x)))
-    phi = mbajd_phi(spec, u, t)
-    psi = mbajd_psi(spec, u, t)
-    return complex(np.exp(-phi - trace_inner(psi, x)))
+    phi, psi = mbajd_grid(spec, [u], [t])
+    return complex(np.exp(-phi[0, 0] - trace_inner(psi[0, 0], x)))
 
 
 def wishart_transform(spec: MBAJDSpec, u: np.ndarray, x: np.ndarray, t: float) -> complex:

@@ -543,6 +543,33 @@ def test_mbajd_rejects_non_mbajd(capsys, tmp_path, ugrid_file):
     assert "MBAJD" in err
 
 
+def test_closed_transform_takes_few_exponentials_per_row(capsys, monkeypatch, tmp_path):
+    # one sigma grid per time, shared by the 16 u, and one quadrature witness
+    # per command: at most 5 block or flow exponentials per row
+    import psdaffine.closedform as cf
+    rng = np.random.default_rng(23)
+    q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    spec = MBAJDSpec(d=3, alpha=0.7 * np.eye(3), beta=q @ np.diag([-1.0, -0.6, -0.3]) @ q.T,
+                     p=1.5, m=AtomicMeasure(atoms=((np.diag([0.4, 0.3, 0.2]), 0.5),)))
+    us = []
+    for _ in range(16):
+        a = rng.standard_normal((3, 3))
+        b = rng.standard_normal((3, 3))
+        us.append({"re": (a @ a.T / 3 + 0.3 * np.eye(3)).tolist(),
+                   "im": (0.25 * (b + b.T)).tolist()})
+    ufile = tmp_path / "u.json"
+    ufile.write_text(json.dumps({"u": us, "times": [0.25, 0.5, 1.0, 2.0]}))
+    calls = []
+    correct = cf.mat_exp
+    monkeypatch.setattr(cf, "mat_exp", lambda a: calls.append(a.shape) or correct(a))
+    code, out, err = run_cli(capsys, "transform", write_params(tmp_path, "p.json",
+                                                               spec.to_affine_params()),
+                             str(ufile), "--method", "closed", "--out", "json")
+    assert_clean_exit(code, out, err, 0)
+    assert len(json.loads(out)) == 64
+    assert 0 < len(calls) <= 5 * 64
+
+
 def test_missing_file_exit_two(capsys):
     code, _, err = run_cli(capsys, "validate", "/nonexistent/params.json")
     assert code == 2

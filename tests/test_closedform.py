@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psdaffine import (
     AtomicMeasure,
@@ -9,6 +11,7 @@ from psdaffine import (
     flow_omega,
     frobenius,
     is_psd,
+    mbajd_grid,
     mbajd_phi,
     mbajd_psi,
     mbajd_transform,
@@ -19,6 +22,7 @@ from psdaffine import (
     transform,
     wishart_transform,
 )
+from psdaffine.symcore import symmetrize
 from conftest import random_interior_u, random_psd, random_stable_beta, random_sym
 
 
@@ -349,3 +353,104 @@ def test_witness_runs_once_per_new_horizon(monkeypatch):
             mbajd_phi(spec, u, t)
             mbajd_psi(spec, u, t)
     assert len(calls) == sum(per_witness)
+
+
+# ---------------------------------------------------------------------------
+# the grid call: one sigma grid per time, shared by every u
+# ---------------------------------------------------------------------------
+
+
+def test_closed_form_checks_the_domain_of_u():
+    spec = basic_spec()
+    for t in (0.0, 1.0):
+        for f in (mbajd_phi, mbajd_psi):
+            with pytest.raises(DomainError, match="u must be d x d"):
+                f(spec, np.eye(3) + 0j, t)
+            # Re(u) = -I is outside the domain (riccati.transform rejects it too)
+            with pytest.raises(DomainError, match="Re\\(u\\) PSD"):
+                f(spec, -np.eye(2) + 0j, t)
+        with pytest.raises(DomainError, match="Re\\(u\\) PSD"):
+            mbajd_transform(spec, -np.eye(2) + 0j, np.eye(2), t)
+        with pytest.raises(DomainError, match="Re\\(u\\) PSD"):
+            mbajd_grid(spec, [np.eye(2) + 0j, -np.eye(2) + 0j], [t])
+
+
+def _direct_psi(spec, u, t):
+    """The direct psi formula: one block exponential at t, one solve."""
+    import psdaffine.closedform as cf
+    e, sig = cf._vanloan(spec.beta, spec.alpha, t)
+    return symmetrize(e.T @ np.linalg.solve(np.eye(spec.d) + u @ sig, u) @ e)
+
+
+@settings(max_examples=12, deadline=None)
+@given(d=st.sampled_from([2, 3]), n_atoms=st.integers(0, 2), n_u=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_grid_call_equals_one_row_calls(d, n_atoms, n_u, seed):
+    rng = np.random.default_rng(seed)
+    atoms = tuple((random_psd(rng, d) + 0.1 * np.eye(d), rng.uniform(0.1, 0.6))
+                  for _ in range(n_atoms))
+    spec = MBAJDSpec(d=d, alpha=random_psd(rng, d) + 0.1 * np.eye(d),
+                     beta=random_stable_beta(rng, d), p=(d - 1) / 2 + 0.5,
+                     m=AtomicMeasure(atoms=atoms))
+    us = [random_interior_u(rng, d) for _ in range(n_u)]
+    times = [0.0, 0.4, 1.3]
+    phi, psi = mbajd_grid(spec, us, times)
+    assert phi.shape == (n_u, 3) and psi.shape == (n_u, 3, d, d)
+    for k, u in enumerate(us):
+        for j, t in enumerate(times):
+            assert phi[k, j].tobytes() == np.complex128(mbajd_phi(spec, u, t)).tobytes()
+            assert psi[k, j].tobytes() == mbajd_psi(spec, u, t).tobytes()
+            want = u if t == 0 else _direct_psi(spec, u, t)
+            assert psi[k, j].tobytes() == want.tobytes()
+
+
+def test_unstable_beta_matches_a_refined_grid_or_raises(monkeypatch):
+    import psdaffine.closedform as cf
+    rng = np.random.default_rng(17)
+    q = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+    beta = q @ np.diag([0.8, -0.4]) @ q.T
+    atoms = ((random_psd(rng, 2) + 0.1 * np.eye(2), 0.5),)
+    us = [random_interior_u(rng, 2) for _ in range(3)]
+
+    def phi_psi():
+        spec = basic_spec(beta=beta, atoms=atoms)
+        return mbajd_grid(spec, us, [2.0])
+
+    named = (cf.BranchTrackingError, cf.QuadratureError, DomainError)
+    try:
+        phi, psi = phi_psi()
+    except named:
+        return
+    # Simpson's error is O(h^4): a 4x finer grid meets a 4^4 x smaller bound
+    monkeypatch.setattr(cf, "_BASE_STEPS", 4 * cf._BASE_STEPS)
+    monkeypatch.setattr(cf, "_QUAD_TOL", cf._QUAD_TOL / 4 ** 4)
+    fine_phi, fine_psi = phi_psi()
+    assert np.max(np.abs(phi - fine_phi) / np.maximum(1.0, np.abs(fine_phi))) <= 1e-10
+    assert psi.tobytes() == fine_psi.tobytes()
+
+
+def test_richardson_cap_raises_quadrature_error(monkeypatch):
+    import psdaffine.closedform as cf
+    spec = basic_spec(beta=NON_NORMAL_BETA, atoms=((np.eye(2), 0.5),))
+    u = np.eye(2) + 0.5j * np.eye(2)
+    mbajd_phi(spec, u, 2.0)  # converges under the default cap
+    monkeypatch.setattr(cf, "_MAX_STEPS", 32)
+    with pytest.raises(cf.QuadratureError, match="failed to converge"):
+        mbajd_phi(spec, u, 2.0)
+
+
+def test_grid_drift_from_the_block_exponential_raises(monkeypatch):
+    # a block exponential that is off at the half steps (but right at t)
+    # must end in a named error, not in a value from a drifted grid
+    import psdaffine.closedform as cf
+    correct = cf._vanloan
+
+    def off_below_one(beta, alpha, t):
+        e, sig = correct(beta, alpha, t)
+        return (e, sig) if t >= 1.0 else (e, sig * (1.0 + 1e-7))
+
+    spec = basic_spec(beta=NON_NORMAL_BETA)
+    mbajd_phi(spec, np.eye(2) + 0j, 1.0)
+    monkeypatch.setattr(cf, "_vanloan", off_below_one)
+    with pytest.raises(cf.QuadratureError, match="sigma grid drifted"):
+        mbajd_phi(spec, np.eye(2) + 0j, 1.0)
