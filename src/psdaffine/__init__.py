@@ -11,7 +11,6 @@ from .closedform import (
     mbajd_psi,
     mbajd_transform,
     sigma_integral,
-    wishart_transform,
 )
 from .model import (
     AffineParams,
@@ -33,11 +32,9 @@ from .montecarlo import (
     MCEstimate,
     SimConfig,
     diffusion_factor,
-    estimate_char_function,
     estimate_transform,
     estimate_transforms,
     simulate_paths,
-    step,
 )
 from .riccati import (
     BlowUpError,
@@ -45,10 +42,7 @@ from .riccati import (
     DegenerateAlphaWarning,
     RiccatiSolution,
     boundary_limit,
-    characteristic_function,
     generator_exp,
-    rhs_phi,
-    rhs_psi,
     solve,
     solve_boundary,
     solve_grid,
@@ -57,7 +51,6 @@ from .riccati import (
 )
 from .symcore import (
     DomainError,
-    Spectrum,
     boundary_pairs,
     csym,
     frobenius,

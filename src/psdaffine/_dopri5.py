@@ -91,6 +91,7 @@ class BatchResult:
 
     rows: list[IntegrationResult]
 
+    # the per-layer benchmark reads these totals as a solve's step counts
     @property
     def n_accepted(self) -> int:
         return sum(r.n_accepted for r in self.rows)

@@ -176,10 +176,6 @@ def _vanloan(beta: np.ndarray, alpha: np.ndarray, t: float) -> tuple[np.ndarray,
     return e[:d, :d], symmetrize(e[:d, d:] @ e[:d, :d].T)
 
 
-def _sigma_vanloan(beta: np.ndarray, alpha: np.ndarray, t: float) -> np.ndarray:
-    return _vanloan(beta, alpha, t)[1]
-
-
 def _witness(beta: np.ndarray, alpha: np.ndarray, t: float, sig: np.ndarray) -> None:
     """Raise unless adaptive quadrature of 2 omega_s(alpha) over [0, t]
     agrees with sig to 1e-8 relative."""
@@ -202,7 +198,7 @@ def sigma_integral(beta: np.ndarray, alpha: np.ndarray, t: float) -> np.ndarray:
         raise DomainError("sigma_integral requires t >= 0")
     if t == 0:
         return np.zeros_like(alpha)
-    sig = _sigma_vanloan(beta, alpha, t)
+    sig = _vanloan(beta, alpha, t)[1]
     _witness(beta, alpha, t, sig)
     return sig
 
@@ -231,6 +227,12 @@ class _SigmaGrid:
             self.e, self.sig = _interleave(self.e, e), _interleave(self.sig, sig)
         stride = (len(self.e) - 1) // n
         return self.e[::stride], self.sig[::stride]
+
+    def psi(self, u: np.ndarray) -> np.ndarray:
+        """psi(t, u) from the last node; raises when I + u sigma_t is near singular."""
+        if np.linalg.cond(np.eye(self.spec.d) + u @ self.sig[-1]) > 1e12:
+            raise DomainError(f"I + u sigma_t(alpha) is near singular at t = {self.t}")
+        return _psi(u, self.e[-1], self.sig[-1])
 
 
 def _interleave(old: np.ndarray, mid: np.ndarray) -> np.ndarray:
@@ -293,13 +295,9 @@ def _jump_integral(grid: _SigmaGrid, u: np.ndarray) -> complex:
     return fine + (fine - coarse) / 15.0
 
 
-def mbajd_grid(spec: MBAJDSpec, us, times) -> tuple[np.ndarray, np.ndarray]:
-    """phi(t, u) and psi(t, u) for every u of a grid at every time, as arrays
-    of shape (len(us), len(times)) and (len(us), len(times), d, d).
-
-    Every u must be d x d with Re(u) PSD. The quadrature witness runs once,
-    at the largest time; each time builds one sigma grid for every u.
-    """
+def _checked(spec: MBAJDSpec, us, times) -> list[np.ndarray]:
+    """Every u as a complex array, once each u is d x d with Re(u) PSD and
+    each time is t >= 0."""
     us = [np.asarray(u, dtype=complex) for u in us]
     for u in us:
         if u.shape != (spec.d, spec.d):
@@ -308,6 +306,17 @@ def mbajd_grid(spec: MBAJDSpec, us, times) -> tuple[np.ndarray, np.ndarray]:
     for t in times:
         if not t >= 0:
             raise DomainError(f"the closed form requires t >= 0, got {t}")
+    return us
+
+
+def mbajd_grid(spec: MBAJDSpec, us, times) -> tuple[np.ndarray, np.ndarray]:
+    """phi(t, u) and psi(t, u) for every u of a grid at every time, as arrays
+    of shape (len(us), len(times)) and (len(us), len(times), d, d).
+
+    Every u must be d x d with Re(u) PSD. The quadrature witness runs once,
+    at the largest time; each time builds one sigma grid for every u.
+    """
+    us = _checked(spec, us, times)
     phi = np.zeros((len(us), len(times)), dtype=complex)
     psi = np.empty((len(us), len(times), spec.d, spec.d), dtype=complex)
     for j in sorted(range(len(times)), key=lambda j: -times[j]) if us else ():
@@ -315,20 +324,20 @@ def mbajd_grid(spec: MBAJDSpec, us, times) -> tuple[np.ndarray, np.ndarray]:
             psi[:, j] = us
             continue
         grid = _SigmaGrid(spec, float(times[j]))
-        e, sig = grid.e[-1], grid.sig[-1]
         for k, u in enumerate(us):
             phi[k, j] = spec.p * _logdet_continuous(grid, u)
             if not spec.m.is_empty:
                 phi[k, j] -= _jump_integral(grid, u)
-            if np.linalg.cond(np.eye(spec.d) + u @ sig) > 1e12:
-                raise DomainError(f"I + u sigma_t(alpha) is near singular at t = {times[j]}")
-            psi[k, j] = _psi(u, e, sig)
+            psi[k, j] = grid.psi(u)
     return phi, psi
 
 
 def mbajd_psi(spec: MBAJDSpec, u: np.ndarray, t: float) -> np.ndarray:
-    """psi(t, u) in the singular-safe form exp(beta^T t)(I + u sigma)^{-1} u exp(beta t)."""
-    return mbajd_grid(spec, [u], [t])[1][0, 0]
+    """psi(t, u) in the singular-safe form exp(beta^T t)(I + u sigma)^{-1} u exp(beta t):
+    the psi of :func:`mbajd_grid` from one block exponential at t (plus the
+    witness at a new largest horizon), with no log-det or jump integral."""
+    (u,) = _checked(spec, [u], [t])
+    return u.copy() if t == 0 else _SigmaGrid(spec, float(t)).psi(u)
 
 
 def mbajd_phi(spec: MBAJDSpec, u: np.ndarray, t: float) -> complex:
@@ -342,10 +351,3 @@ def mbajd_transform(spec: MBAJDSpec, u: np.ndarray, x: np.ndarray, t: float) -> 
     x = check_psd(np.asarray(x, dtype=float), "transform requires x PSD")
     phi, psi = mbajd_grid(spec, [u], [t])
     return complex(np.exp(-phi[0, 0] - trace_inner(psi[0, 0], x)))
-
-
-def wishart_transform(spec: MBAJDSpec, u: np.ndarray, x: np.ndarray, t: float) -> complex:
-    """Transform of the jump-free process; requires an empty jump measure."""
-    if not spec.m.is_empty:
-        raise DomainError("wishart_transform requires an empty jump measure")
-    return mbajd_transform(spec, u, x, t)

@@ -79,8 +79,8 @@ class DiffusionFactor:
 def diffusion_factor(alpha: np.ndarray) -> DiffusionFactor:
     """Factor Sigma = diag(sqrt(lambda)) Q^T from alpha = Q diag(lambda) Q^T."""
     check_psd(alpha, "diffusion factor requires alpha PSD")
-    s = spectrum(alpha)
-    sigma = np.sqrt(np.maximum(s.eigenvalues, 0.0))[:, None] * s.eigenvectors.T
+    w, q = spectrum(alpha)
+    sigma = np.sqrt(np.maximum(w, 0.0))[:, None] * q.T
     return DiffusionFactor(sigma=sigma)
 
 
@@ -88,8 +88,12 @@ class PoissonOverflowError(DomainError):
     """A jump intensity per step is too large for exact CDF inversion."""
 
     def __init__(self, lam: float):
+        self.lam = lam
         super().__init__(f"Poisson intensity {lam:.6g} per step is too large for exact "
                          f"CDF inversion; use a smaller dt")
+
+    def __reduce__(self):  # rebuilt from lam, not from the message
+        return type(self), (self.lam,)
 
 
 class NonFiniteStateError(DomainError):
@@ -211,19 +215,6 @@ def _advance(x: np.ndarray, normals: np.ndarray, uniforms: np.ndarray, dt: float
         raise NonFiniteStateError(f"simulated states overflow the float range in an "
                                   f"Euler step of size {dt:.6g}")
     return _project_psd_batch(x_new), counts, lam
-
-
-def step(params: AffineParams, x: np.ndarray, dt: float,
-         rng: np.random.Generator) -> np.ndarray:
-    """One Euler step from a single PSD state; the result is projected back
-    onto the cone. Draw order per step: d*d normals, then one uniform per
-    m atom, then one uniform per mu atom."""
-    _check_conservative(params)
-    x = check_psd(np.asarray(x, dtype=float), "state must be PSD")
-    scheme = _Scheme.of(params)
-    g = rng.standard_normal((params.d, params.d))
-    u = rng.random(scheme.n_atoms)
-    return _advance(x[None], g[None], u[None], dt, scheme)[0][0]
 
 
 @dataclass
@@ -355,10 +346,3 @@ def estimate_transform(params: AffineParams, u0: np.ndarray, x: np.ndarray,
                        T: float, cfg: SimConfig) -> MCEstimate:
     """Monte Carlo estimate of E[exp(-tr(u0 X_T))] started from x."""
     return estimate_transforms(params, [u0], x, T, cfg)[0]
-
-
-def estimate_char_function(params: AffineParams, w: np.ndarray, x: np.ndarray,
-                           T: float, cfg: SimConfig) -> MCEstimate:
-    """Characteristic-function estimate: transform at u0 = i w."""
-    w = np.asarray(w, dtype=float)
-    return estimate_transform(params, 1j * w, x, T, cfg)

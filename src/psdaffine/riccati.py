@@ -37,13 +37,13 @@ from .symcore import (
     check_psd,
     eigenvalues,
     frobenius,
-    is_psd,
+    min_eig,
     riccati_quadratic_real,
     symmetrize,
     trace_inner,
 )
-# the per-layer benchmark hooks these two kernels in this module by name
-from .symcore import min_eig, psd_project  # noqa: F401
+# the per-layer benchmark hooks this kernel in this module by name
+from .symcore import psd_project  # noqa: F401
 
 
 class BlowUpError(RuntimeError):
@@ -52,6 +52,9 @@ class BlowUpError(RuntimeError):
     def __init__(self, t_plus: float, message: str | None = None):
         self.t_plus = t_plus
         super().__init__(message or f"Riccati solution blew up near t = {t_plus:.6g}")
+
+    def __reduce__(self):  # rebuilt from t_plus and the message
+        return type(self), (self.t_plus, str(self))
 
 
 class DegenerateAlphaWarning(UserWarning):
@@ -153,12 +156,6 @@ class RiccatiRHS:
         """sum_k coef[:, k] M_k for coefficients (n, K)."""
         return (coef[:, None, :] @ self._mu_weights_flat)[:, 0].reshape(-1, self.d, self.d)
 
-    def psi_rate(self, psi: np.ndarray) -> np.ndarray:
-        return self.rates(psi[None])[1][0]
-
-    def phi_rate(self, psi: np.ndarray) -> complex:
-        return complex(self.rates(psi[None])[0][0])
-
     # -- packed real state --------------------------------------------------
 
     def pack(self, phi, psi: np.ndarray) -> np.ndarray:
@@ -181,25 +178,6 @@ class RiccatiRHS:
         y = np.asarray(y)
         dphi, dpsi = self.rates(self.unpack_psi(y.T.reshape(-1, y.shape[0])))
         return self.pack(dphi, dpsi).T.reshape(y.shape)
-
-
-def rhs_psi(params: AffineParams | TruncatedParams, u: np.ndarray,
-            projected: bool = False) -> np.ndarray:
-    """Instantaneous rate of psi at state u. Unprojected form requires
-    Re(u) PSD."""
-    u = np.asarray(u, dtype=complex)
-    if not projected and not is_psd(u.real):
-        raise DomainError("rhs_psi requires Re(u) PSD unless projected=True")
-    return RiccatiRHS(params, projected=projected).psi_rate(u)
-
-
-def rhs_phi(params: AffineParams | TruncatedParams, u: np.ndarray,
-            projected: bool = False) -> complex:
-    """Instantaneous rate of phi at state u."""
-    u = np.asarray(u, dtype=complex)
-    if not projected and not is_psd(u.real):
-        raise DomainError("rhs_phi requires Re(u) PSD unless projected=True")
-    return RiccatiRHS(params, projected=projected).phi_rate(u)
 
 
 @dataclass
@@ -427,18 +405,12 @@ def _interior(u0: np.ndarray) -> bool:
 
 
 def solve_grid(params: AffineParams, us, T: float) -> list[RiccatiSolution]:
-    """Solve from every u in us up to T, as :func:`solve_auto` would, in one
-    batched integration: each u is routed by :func:`_interior` to a row of
-    the direct or of the projected system. Each solution is bit for bit the
-    one-row solve."""
+    """Solve from every u in us up to T in one batched integration: each u is
+    routed by :func:`_interior` to a row of the direct system when Re(u) is
+    positive definite and of the projected one otherwise. Each solution is
+    bit for bit the one-row solve."""
     us = [np.asarray(u, dtype=complex) for u in us]
     return _solve_rows(params, us, T, [not _interior(u) for u in us])
-
-
-def solve_auto(params: AffineParams, u0: np.ndarray, T: float) -> RiccatiSolution:
-    """Direct solver when Re(u0) is positive definite, projected solver
-    otherwise."""
-    return solve_grid(params, [u0], T)[0]
 
 
 def transform_grid(params: AffineParams, us, x: np.ndarray, T: float) -> list[complex]:
@@ -470,13 +442,6 @@ def transform(params: AffineParams, u0: np.ndarray, x: np.ndarray, T: float) -> 
     return transform_grid(params, [u0], x, T)[0]
 
 
-def characteristic_function(params: AffineParams, w: np.ndarray, x: np.ndarray,
-                            T: float) -> complex:
-    """Transform at purely imaginary initial data i w; modulus at most 1.
-    Re(i w) = 0 is singular, so :func:`transform` takes the projected solver."""
-    return transform(params, 1j * np.asarray(w, dtype=float), x, T)
-
-
 def generator_exp(params: AffineParams, u: np.ndarray, x: np.ndarray) -> complex:
     """Generator applied to x -> exp(-tr(u x)): equals the time derivative of
     the transform at T = 0,
@@ -488,6 +453,6 @@ def generator_exp(params: AffineParams, u: np.ndarray, x: np.ndarray) -> complex
     x = np.asarray(x, dtype=float)
     check_psd(u.real, "generator_exp requires Re(u) PSD")
     check_psd(x, "generator_exp requires x PSD")
-    rhs = RiccatiRHS(params, projected=False)
-    val = (-rhs.phi_rate(u) - trace_inner(rhs.psi_rate(u), x)) * np.exp(-trace_inner(u, x))
+    phi_rate, psi_rate = RiccatiRHS(params, projected=False).rates(u[None])
+    val = (-complex(phi_rate[0]) - trace_inner(psi_rate[0], x)) * np.exp(-trace_inner(u, x))
     return complex(val)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -197,20 +196,10 @@ def _checked_sym(x) -> np.ndarray:
     return symmetrize(x)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition x = Q diag(w) Q^T with w ascending and Q orthogonal."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return _rebuild(self.eigenvalues, self.eigenvectors)
-
-
-def spectrum(x: np.ndarray) -> Spectrum:
-    """Spectral decomposition of a real symmetric matrix."""
-    return Spectrum(*np.linalg.eigh(_checked_sym(x)))
+def spectrum(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues w (ascending) and orthogonal eigenvectors q of a real
+    symmetric matrix x = q diag(w) q^T."""
+    return np.linalg.eigh(_checked_sym(x))
 
 
 def min_eig(x: np.ndarray) -> float:

@@ -20,7 +20,6 @@ from psdaffine import (
     solve_boundary,
     trace_inner,
     transform,
-    wishart_transform,
 )
 from psdaffine.symcore import symmetrize
 from conftest import random_interior_u, random_psd, random_stable_beta, random_sym
@@ -153,6 +152,43 @@ def test_mbajd_psi_re_part_stays_psd():
         assert is_psd(mbajd_psi(spec, u, t).real)
 
 
+def test_witnessed_psi_takes_one_block_exponential(monkeypatch):
+    # psi needs the block exponential at t only: no log-det levels, no jump
+    # quadrature, and no second witness of a horizon already witnessed
+    import psdaffine.closedform as cf
+    rng = np.random.default_rng(18)
+    spec = basic_spec(beta=random_stable_beta(rng, 2),
+                      atoms=((random_psd(rng, 2) + 0.1 * np.eye(2), 0.5),))
+    u = random_interior_u(rng, 2)
+    mbajd_psi(spec, u, 1.0)
+    calls = []
+    correct = cf.mat_exp
+    monkeypatch.setattr(cf, "mat_exp", lambda a: calls.append(a) or correct(a))
+    for t in (1.0, 0.5):
+        calls.clear()
+        mbajd_psi(spec, u, t)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("w", [17.0, 100.0])
+def test_mbajd_psi_at_high_frequency_matches_the_ode(w):
+    spec = basic_spec(beta=-0.5 * np.eye(2), atoms=((np.eye(2), 1.0),))
+    u = 1j * w * np.eye(2)
+    want = solve_boundary(spec.to_affine_params(), u, 1.0).psi_at(1.0)
+    assert frobenius(mbajd_psi(spec, u, 1.0) - want) <= 1e-9 * frobenius(want)
+
+
+def test_psi_and_grid_share_the_near_singular_check():
+    # rank-1 alpha, beta = 0: sigma_t = 2t diag(1, 0), and I + u sigma_t has
+    # the off-diagonal entry 2t i a, so its condition number grows like a^2
+    spec = MBAJDSpec(d=2, alpha=np.diag([1.0, 0.0]), beta=np.zeros((2, 2)), p=0.5)
+    u = 1e7j * np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(DomainError, match="near singular"):
+        mbajd_psi(spec, u, 0.5)
+    with pytest.raises(DomainError, match="near singular"):
+        mbajd_grid(spec, [u], [0.5])
+
+
 # ---------------------------------------------------------------------------
 # phi (log-det branch and jump quadrature)
 # ---------------------------------------------------------------------------
@@ -215,18 +251,10 @@ def test_wishart_transform_trivial_cases():
     spec = basic_spec(beta=-0.3 * np.eye(2))
     x = random_psd(np.random.default_rng(11), 2)
     u = random_interior_u(np.random.default_rng(12), 2)
-    assert wishart_transform(spec, u, x, 0.0) == pytest.approx(
+    assert mbajd_transform(spec, u, x, 0.0) == pytest.approx(
         np.exp(-trace_inner(u, x)))
-    assert wishart_transform(spec, np.zeros((2, 2), dtype=complex), x, 1.0) == \
+    assert mbajd_transform(spec, np.zeros((2, 2), dtype=complex), x, 1.0) == \
         pytest.approx(1.0, abs=1e-12)
-
-
-def test_wishart_transform_requires_empty_jumps():
-    spec = basic_spec(atoms=((np.eye(2), 0.5),))
-    with pytest.raises(DomainError):
-        wishart_transform(spec, np.eye(2) + 0j, np.eye(2), 1.0)
-    # the jump-aware variant accepts it
-    assert abs(mbajd_transform(spec, np.eye(2) + 0j, np.eye(2), 1.0)) <= 1.0
 
 
 def test_wishart_transform_d3_matches_ode():
@@ -236,7 +264,7 @@ def test_wishart_transform_d3_matches_ode():
     x = random_psd(rng, 3)
     for _ in range(3):
         u = random_interior_u(rng, 3)
-        closed = wishart_transform(spec, u, x, 1.0)
+        closed = mbajd_transform(spec, u, x, 1.0)
         ode = transform(params, u, x, 1.0)
         assert abs(closed - ode) <= 1e-6 * abs(ode)
 
@@ -270,10 +298,10 @@ def test_sigma_cross_check_catches_corruption(monkeypatch):
     import psdaffine.closedform as cf
     beta = np.array([[-0.5, 0.3], [0.0, -0.2]])
     alpha = np.eye(2)
-    good = cf._sigma_vanloan(beta, alpha, 1.0)
+    good = cf._vanloan(beta, alpha, 1.0)[1]
     np.testing.assert_allclose(sigma_integral(beta, alpha, 1.0), good, atol=1e-9)
-    correct = cf._sigma_vanloan
-    monkeypatch.setattr(cf, "_sigma_vanloan", lambda b, a, t: correct(b.T, a, t))
+    correct = cf._vanloan
+    monkeypatch.setattr(cf, "_vanloan", lambda b, a, t: correct(b.T, a, t))
     with pytest.raises(RuntimeError, match="cross-check failed"):
         sigma_integral(beta, alpha, 1.0)
 

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import time
 import tracemalloc
 
@@ -14,12 +15,10 @@ from psdaffine import (
     MatrixAtomicMeasure,
     SimConfig,
     diffusion_factor,
-    estimate_char_function,
     estimate_transform,
     estimate_transforms,
     is_psd,
     simulate_paths,
-    step,
     trace_inner,
     transform,
 )
@@ -104,6 +103,13 @@ def test_poisson_overflow_is_a_named_domain_error(lam, u):
     assert f"intensity {lam:g} per step" in str(info.value)
 
 
+def test_poisson_overflow_survives_pickling():
+    # an error raised in a worker process reaches the parent pickled
+    err = pickle.loads(pickle.dumps(PoissonOverflowError(800.0)))
+    assert type(err) is PoissonOverflowError and err.lam == 800.0
+    assert str(err) == str(PoissonOverflowError(800.0))
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_batched_drift_matches_per_matrix(d):
     rng = np.random.default_rng(40 + d)
@@ -123,17 +129,13 @@ def test_batched_drift_matches_per_matrix(d):
 # ---------------------------------------------------------------------------
 
 
-def test_step_draw_order_feeds_the_kernel():
-    # d*d normals, then one uniform per m atom and one per mu atom
-    params = conservative_params(m_atoms=((0.3 * np.eye(2), 0.7),),
-                                 mu_atoms=((0.2 * np.eye(2), 0.5 * np.eye(2)),))
-    x = random_psd(np.random.default_rng(7), 2)
-    got = step(params, x, 0.1, np.random.default_rng(13))
-    rng = np.random.default_rng(13)
-    g = rng.standard_normal((2, 2))
-    u = rng.random(2)
-    want = _advance(x[None], g[None], u[None], 0.1, _Scheme.of(params))[0][0]
-    assert np.array_equal(got, want)
+def step(params, x, dt, rng):
+    """One Euler step of the batched kernel from a single state, fed d*d
+    normals, then one uniform per m atom and one per mu atom, from rng."""
+    scheme = _Scheme.of(params)
+    g = rng.standard_normal((params.d, params.d))
+    u = rng.random(scheme.n_atoms)
+    return _advance(x[None], g[None], u[None], dt, scheme)[0][0]
 
 
 def test_step_all_zero_params_is_identity():
@@ -151,13 +153,6 @@ def test_step_pure_constant_drift_exact():
     x = random_psd(np.random.default_rng(4), 2)
     got = step(params, x, 0.25, np.random.default_rng(0))
     np.testing.assert_allclose(got, x + 0.25 * b, atol=1e-14)
-
-
-def test_step_requires_conservative():
-    params = AffineParams(d=2, alpha=np.eye(2), b=np.eye(2),
-                          drift=LyapunovDrift(beta=np.zeros((2, 2))), c=1.0)
-    with pytest.raises(DomainError):
-        step(params, np.eye(2), 0.01, np.random.default_rng(0))
 
 
 def test_step_result_stays_on_cone():
@@ -303,8 +298,8 @@ def test_char_function_conjugate_symmetry_same_seed():
     params = conservative_params(m_atoms=((0.3 * np.eye(2), 0.5),))
     cfg = SimConfig(n_paths=2000, dt=2.0**-6, seed=21)
     w = np.array([[0.6, 0.2], [0.2, 0.9]])
-    plus = estimate_char_function(params, w, np.eye(2), 0.5, cfg)
-    minus = estimate_char_function(params, -w, np.eye(2), 0.5, cfg)
+    plus = estimate_transform(params, 1j * w, np.eye(2), 0.5, cfg)
+    minus = estimate_transform(params, 1j * -w, np.eye(2), 0.5, cfg)
     # same seed means identical paths, so the estimates are exact conjugates
     assert minus.mean == pytest.approx(np.conj(plus.mean), abs=0)
     assert abs(plus.mean) <= 1.0 + 3 * plus.stderr
@@ -323,6 +318,13 @@ def test_antithetic_pairing_and_stderr_units():
     assert est.stderr < plain.stderr
     with pytest.raises(ValueError):
         SimConfig(n_paths=4001, dt=0.1, seed=0, antithetic=True)
+
+
+def test_step_requires_conservative():
+    params = AffineParams(d=2, alpha=np.eye(2), b=np.eye(2),
+                          drift=LyapunovDrift(beta=np.zeros((2, 2))), c=1.0)
+    with pytest.raises(DomainError):
+        simulate_paths(params, np.eye(2), 0.01, SimConfig(n_paths=1, dt=0.01, seed=0))
 
 
 def test_simulation_rejects_killing():

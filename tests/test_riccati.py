@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import pickle
 import warnings
 
 import numpy as np
@@ -19,7 +20,6 @@ from psdaffine import (
     MBAJDSpec,
     TruncatedParams,
     boundary_limit,
-    characteristic_function,
     csym,
     detruncate,
     frobenius,
@@ -29,8 +29,6 @@ from psdaffine import (
     jump_transform_mu,
     mbajd_phi,
     mbajd_psi,
-    rhs_phi,
-    rhs_psi,
     solve,
     solve_boundary,
     solve_grid,
@@ -38,7 +36,7 @@ from psdaffine import (
     transform,
 )
 from psdaffine.model import sym_to_vec
-from psdaffine.riccati import RiccatiRHS, solve_auto
+from psdaffine.riccati import RiccatiRHS
 from conftest import random_admissible, random_interior_u, random_psd, random_spd, random_sym
 
 
@@ -61,16 +59,22 @@ def jumpy_params(rng=None, d=2):
 # ---------------------------------------------------------------------------
 
 
+def rates(params, u):
+    """The phi rate and the psi rate of the direct system at one state u."""
+    phi_rate, psi_rate = RiccatiRHS(params).rates(np.asarray(u, dtype=complex)[None])
+    return complex(phi_rate[0]), psi_rate[0]
+
+
 def test_rhs_equilibrium_at_zero():
     params = wishart_params()  # gamma = 0, c = 0, no jumps
     zero = np.zeros((2, 2), dtype=complex)
-    np.testing.assert_allclose(rhs_psi(params, zero), np.zeros((2, 2)), atol=1e-15)
-    assert rhs_phi(params, zero) == 0.0
+    np.testing.assert_allclose(rates(params, zero)[1], np.zeros((2, 2)), atol=1e-15)
+    assert rates(params, zero)[0] == 0.0
 
 
 def test_rhs_psi_wishart_identity():
     params = wishart_params()
-    got = rhs_psi(params, np.eye(2, dtype=complex))
+    got = rates(params, np.eye(2, dtype=complex))[1]
     np.testing.assert_allclose(got, -2.0 * np.eye(2), atol=1e-14)
 
 
@@ -78,12 +82,12 @@ def test_rhs_phi_examples():
     # b = I, c = 0, empty m, u = I: tr(I) = 2
     params = AffineParams(d=2, alpha=np.eye(2), b=np.eye(2),
                           drift=LyapunovDrift(beta=np.zeros((2, 2))))
-    assert rhs_phi(params, np.eye(2, dtype=complex)) == pytest.approx(2.0)
+    assert rates(params, np.eye(2, dtype=complex))[0] == pytest.approx(2.0)
     # b = 0, c = 1, one atom (xi = I, w = 1): 1 - (exp(-2) - 1)
     params2 = AffineParams(d=2, alpha=np.eye(2), b=np.zeros((2, 2)),
                            drift=LyapunovDrift(beta=np.zeros((2, 2))), c=1.0,
                            m=AtomicMeasure(atoms=((np.eye(2), 1.0),)))
-    assert rhs_phi(params2, np.eye(2, dtype=complex)) == pytest.approx(
+    assert rates(params2, np.eye(2, dtype=complex))[0] == pytest.approx(
         1.0 - (np.exp(-2.0) - 1.0))
 
 
@@ -91,29 +95,21 @@ def test_rhs_psi_term_by_term_oracle():
     rng = np.random.default_rng(12)
     params = jumpy_params(rng)
     u = random_interior_u(rng, 2)
-    got = rhs_psi(params, u)
+    got = rates(params, u)[1]
     quadratic = -2.0 * u @ params.alpha @ u
     linear = params.drift.adjoint(u) + params.gamma
     jump = -jump_transform_mu(params.mu, u)
     np.testing.assert_allclose(got, quadratic + linear + jump, atol=1e-13)
     # phi rate assembled the same way
     expected_phi = trace_inner(params.b, u) + params.c - jump_transform_m(params.m, u)
-    assert rhs_phi(params, u) == pytest.approx(expected_phi, abs=1e-13)
-
-
-def test_rhs_requires_cone_membership():
-    params = wishart_params()
-    with pytest.raises(DomainError):
-        rhs_psi(params, -np.eye(2) + 0j)
-    # projected form accepts it
-    rhs_psi(params, -np.eye(2) + 0j, projected=True)
+    assert rates(params, u)[0] == pytest.approx(expected_phi, abs=1e-13)
 
 
 def test_rhs_psi_output_symmetric():
     rng = np.random.default_rng(13)
     params = jumpy_params(rng)
     u = random_interior_u(rng, 2)
-    r = rhs_psi(params, u)
+    r = rates(params, u)[1]
     # symmetric in exact arithmetic; matmul rounding is all that remains
     assert frobenius(r - r.T) <= 1e-14 * (1.0 + frobenius(r))
 
@@ -211,6 +207,13 @@ def test_blowup_detected_and_reported():
     with pytest.warns(DegenerateAlphaWarning):
         with pytest.raises(BlowUpError):
             transform(params, np.eye(2) + 0j, np.eye(2), 1.0)
+
+
+@pytest.mark.parametrize("message", [None, "shifted solve (n = 4) terminated early"])
+def test_blowup_error_survives_pickling(message):
+    err = BlowUpError(0.5, message)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is BlowUpError and back.t_plus == 0.5 and str(back) == str(err)
 
 
 def test_gronwall_bound_smoke():
@@ -348,10 +351,11 @@ def test_transform_modulus_bound_conservative():
 def test_characteristic_function_basics():
     params = jumpy_params()
     x = np.eye(2)
-    assert characteristic_function(params, np.zeros((2, 2)), x, 1.0) == pytest.approx(
+    # the characteristic function is the transform at purely imaginary u = i w
+    assert transform(params, 1j * np.zeros((2, 2)), x, 1.0) == pytest.approx(
         1.0, abs=1e-10)
     w = random_sym(np.random.default_rng(23), 2)
-    val = characteristic_function(params, w, x, 1.0)
+    val = transform(params, 1j * w, x, 1.0)
     assert abs(val) <= 1.0 + 1e-10
 
 
@@ -543,7 +547,7 @@ def test_grid_solve_equals_one_row_solves(d, general, zero_alpha, n_interior, n_
     order = rng.permutation(len(us))  # interleave the direct and projected rows
     us = [us[i] for i in order]
     for grid_sol, u in zip(solve_grid(params, us, T), us):
-        assert_same_solution(grid_sol, solve_auto(params, u, T))
+        assert_same_solution(grid_sol, solve_grid(params, [u], T)[0])
 
 
 @settings(max_examples=10, deadline=None)
@@ -565,7 +569,7 @@ def test_grid_rows_that_stop_early_equal_one_row_solves(d, cs, cs_boundary, seed
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateAlphaWarning)
         grid = solve_grid(params, us, 1.0)
-        rows = [solve_auto(params, u, 1.0) for u in us]
+        rows = [solve_grid(params, [u], 1.0)[0] for u in us]
     for c, grid_sol, row_sol in zip(cs, grid, rows):
         assert_same_solution(grid_sol, row_sol)
         if c > 0.55:
