@@ -10,16 +10,21 @@ after every step,
 where G is a d x d matrix of standard normals, Sigma^T Sigma = alpha, and
 the jump count of each atom is Poisson with the intensity frozen at the
 step's start (w_k dt for constant atoms, tr(M_k X) dt for state-dependent
-ones). Killing is out of scope: simulation requires c = 0, gamma = 0.
+ones). Killing is out of scope: simulation requires c = 0, gamma = 0. At
+d = 2 a block of paths is stepped as component rows, one contiguous array
+per matrix entry, with the analytic 2 x 2 square root and projection
+(_advance2); at d >= 3 as a stack (n, d, d) with one eigh per state
+(_advance).
 
 Randomness is Philox counter streams keyed by (seed, stream tag), one
 Gaussian stream and one jump stream per path, so results are bit-identical
 for a fixed (seed, config, params) no matter how paths are partitioned
 across workers. Poisson counts are inverted from a single uniform per
 (step, atom), which keeps the draw layout independent of the realized
-counts. Each stream is drawn in chunks of _CHUNK_STEPS steps into buffers
-reused across chunks, so the memory of a path block is fixed by the chunk,
-not by T/dt; chunked draws give the same numbers as one draw of all steps.
+counts. Each stream is drawn in chunks of _CHUNK_STEPS steps, through a
+staging buffer of _STAGE_PATHS paths, into step-major buffers reused across
+chunks, so the memory of a path block is fixed by the chunk, not by T/dt;
+chunked draws give the same numbers as one draw of all steps.
 
 estimate_transforms evaluates every u on the same simulated paths (common
 random numbers), so the estimates of one call have correlated errors.
@@ -34,13 +39,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AffineParams, LinearDrift
-from .symcore import DomainError, check_psd, frobenius, mat_mul, spectrum, symmetrize
-# the per-layer benchmark hooks the step's cone kernels under these two names
+from .model import AffineParams, LinearDrift, LyapunovDrift
+from .symcore import DomainError, _project2, _sqrt2, check_psd, frobenius, spectrum, symmetrize
+# the per-layer benchmark hooks the cone kernels of the d >= 3 step under these two names
 from .symcore import cone_project as _project_psd_batch, cone_sqrt as _sqrt_psd_batch
 
 _BLOCK_PATHS = 4096  # fixed blocking: memory bound, never affects results
 _CHUNK_STEPS = 256   # steps drawn per stream refill: memory bound, never affects results
+_STAGE_PATHS = 256   # paths drawn per staging refill: memory bound, never affects results
 
 
 @dataclass(frozen=True)
@@ -53,8 +59,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
         if self.antithetic and self.n_paths % 2:
             raise ValueError("antithetic sampling needs an even number of paths")
 
@@ -136,20 +142,14 @@ def _stream(seed: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _gauss_streams(paths: range, antithetic: bool) -> list[tuple[int, int]]:
-    """(row, stream tag) of each Gaussian stream a block draws. A plain path
-    p owns stream 2p. The pair (2k, 2k + 1) of antithetic sampling shares
-    stream 2k, drawn once into the even path's row (see _negate_pairs);
-    blocks start at an even path, so they hold whole pairs."""
+def _gauss_tag(p: int, antithetic: bool) -> int | None:
+    """Stream tag of path p's Gaussian draws. A plain path p owns stream 2p.
+    The pair (2k, 2k + 1) of antithetic sampling shares stream 2k, drawn once
+    for the even path and negated for the odd one, which has no stream of
+    its own; blocks start at an even path, so they hold whole pairs."""
     if not antithetic:
-        return [(i, 2 * p) for i, p in enumerate(paths)]
-    return [(i, p) for i, p in enumerate(paths) if p % 2 == 0]
-
-
-def _negate_pairs(normals: np.ndarray) -> None:
-    """Give each odd path of an antithetic block the negated draws of the
-    even path before it, in place."""
-    np.negative(normals[:, 0::2], out=normals[:, 1::2])
+        return 2 * p
+    return None if p % 2 else p
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +199,7 @@ def _advance(x: np.ndarray, normals: np.ndarray, uniforms: np.ndarray, dt: float
     NonFiniteStateError when a new state is not finite."""
     n = len(x)
     n_m = len(scheme.m_sites)
-    noise = np.einsum("pij,jk->pik", mat_mul(_sqrt_psd_batch(x), normals), scheme.sigma,
+    noise = np.einsum("pij,jk->pik", _sqrt_psd_batch(x) @ normals, scheme.sigma,
                       optimize=True) * np.sqrt(dt)
     x_new = x + (scheme.b + scheme.drift.apply(x)) * dt + noise + noise.transpose(0, 2, 1)
     lam = np.concatenate(
@@ -215,6 +215,57 @@ def _advance(x: np.ndarray, normals: np.ndarray, uniforms: np.ndarray, dt: float
         raise NonFiniteStateError(f"simulated states overflow the float range in an "
                                   f"Euler step of size {dt:.6g}")
     return _project_psd_batch(x_new), counts, lam
+
+
+def _advance2(x: np.ndarray, normals: np.ndarray, uniforms: np.ndarray, dt: float,
+              scheme: _Scheme) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_advance at d = 2 on component rows: x and normals are (2, 2, n), row
+    (i, j) holding entry (i, j) of every path; uniforms, counts and
+    intensities are (n_atoms, n). The square root and projection are the
+    analytic _sqrt2 and _project2, and the products by Sigma and a Lyapunov
+    beta are one BLAS product each over all paths (fused multiply-adds
+    included), so every sum rounds as in the stacked 2 x 2 step."""
+    n = x.shape[-1]
+    n_m = len(scheme.m_sites)
+    r = np.stack(_sqrt2(x[0, 0], x[0, 1], x[1, 1]))  # sqrt(X) = [[r0, r1], [r1, r2]]
+    # y[j, i] = (sqrt(X) G)[i, j], so that z[k, i] = (sqrt(X) G Sigma)[i, k]
+    y = r[:2] * normals[0, :, None] + r[1:] * normals[1, :, None]
+    z = (scheme.sigma.T @ y.reshape(2, -1)).reshape(2, 2, n) * np.sqrt(dt)
+    if isinstance(scheme.drift, LyapunovDrift):
+        bx = (scheme.drift.beta @ x.reshape(2, -1)).reshape(2, 2, n)
+        drift = bx + bx.swapaxes(0, 1)
+    else:
+        drift = scheme.drift.apply(np.ascontiguousarray(x.transpose(2, 0, 1))).transpose(1, 2, 0)
+    x_new = x + (scheme.b[..., None] + drift) * dt + z.swapaxes(0, 1) + z
+    lam = np.empty((scheme.n_atoms, n))
+    lam[:n_m] = (scheme.m_rates * dt)[:, None]
+    if len(scheme.mu_sites):  # tr(W X), summed as the einsum of _advance sums it
+        w = scheme.mu_weights[..., None]
+        half = w[:, :, 0] * x[0] + w[:, :, 1] * x[1]
+        lam[n_m:] = np.maximum(half[:, 0] + half[:, 1], 0.0) * dt
+    counts = _poisson_from_uniform(lam, uniforms)
+    for block, sites in ((counts[:n_m], scheme.m_sites), (counts[n_m:], scheme.mu_sites)):
+        if len(sites):  # sum_k counts_k xi_k, from 0 in the order of the einsum of _advance
+            jumps = np.zeros_like(x_new)
+            for count, xi in zip(block, sites):
+                jumps += count * xi[..., None]
+            x_new += jumps
+    h = 0.5 * x_new
+    x_new = h + h.swapaxes(0, 1)
+    if not np.isfinite(x_new).all():
+        raise NonFiniteStateError(f"simulated states overflow the float range in an "
+                                  f"Euler step of size {dt:.6g}")
+    a, b, c = _project2(x_new[0, 0], x_new[0, 1], x_new[1, 1])
+    x_new[0, 0], x_new[0, 1], x_new[1, 0], x_new[1, 1] = a, b, b, c
+    return x_new, counts, lam
+
+
+def _advance_stacked(x: np.ndarray, normals: np.ndarray, uniforms: np.ndarray, dt: float,
+                     scheme: _Scheme) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_advance on the draw layout of _advance2; counts and intensities (n_atoms, n)."""
+    x, counts, lam = _advance(x, np.ascontiguousarray(normals.transpose(2, 0, 1)),
+                              uniforms.T, dt, scheme)
+    return x, counts.T, lam.T
 
 
 @dataclass
@@ -235,9 +286,12 @@ def _simulate_block(params: AffineParams, x0: np.ndarray, dt: float, n_steps: in
     scheme = _Scheme.of(params)
     n_atoms = scheme.n_atoms
     chunk = min(n_steps, _CHUNK_STEPS)
-    normals = np.empty((chunk, n, d, d))
-    uniforms = np.empty((chunk, n, n_atoms))
-    gauss = _gauss_streams(paths, antithetic)
+    # step-major draws with the path axis last; each stream is drawn into a
+    # path-major stage of up to _STAGE_PATHS paths and copied over from there
+    normals = np.empty((chunk, d, d, n))
+    uniforms = np.empty((chunk, n_atoms, n))
+    stage_n = np.empty((min(n, _STAGE_PATHS), chunk, d, d))
+    stage_u = np.empty((len(stage_n), chunk, n_atoms))
     # a run of one chunk creates, draws and drops each generator, so no
     # generator outlives its draw; longer runs keep them (thousands per
     # block, a few MB) so that each chunk continues its streams
@@ -250,24 +304,38 @@ def _simulate_block(params: AffineParams, x0: np.ndarray, dt: float, n_steps: in
             kept[tag] = _stream(seed, tag)
         return kept[tag]
 
-    x = np.broadcast_to(x0, (n, d, d)).copy()
-    counts = np.zeros((n, n_atoms))
-    intens = np.zeros((n, n_atoms))
+    if d == 2:
+        x = np.repeat(x0[:, :, None], n, axis=2)
+        step = _advance2
+    else:
+        x = np.broadcast_to(x0, (n, d, d)).copy()
+        step = _advance_stacked
+    counts = np.zeros((n_atoms, n))
+    intens = np.zeros((n_atoms, n))
     for start in range(0, n_steps, chunk):
         steps = min(chunk, n_steps - start)
-        for i, tag in gauss:
-            normals[:steps, i] = stream(tag).standard_normal((steps, d, d))
-        if antithetic:
-            _negate_pairs(normals[:steps])
-        if n_atoms:
-            for i, p in enumerate(paths):
-                uniforms[:steps, i] = stream(2 * p + 1).random((steps, n_atoms))
+        for lo in range(0, n, len(stage_n)):
+            hi = min(lo + len(stage_n), n)
+            for i in range(lo, hi):
+                tag = _gauss_tag(paths[i], antithetic)
+                if tag is not None:
+                    stream(tag).standard_normal(out=stage_n[i - lo, :steps])
+            normals[:steps, ..., lo:hi] = np.moveaxis(stage_n[:hi - lo, :steps], 0, -1)
+            if n_atoms:
+                for i in range(lo, hi):
+                    stream(2 * paths[i] + 1).random(out=stage_u[i - lo, :steps])
+                uniforms[:steps, ..., lo:hi] = np.moveaxis(stage_u[:hi - lo, :steps], 0, -1)
+        if antithetic:  # each odd path takes the negated draws of the even one before it
+            np.negative(normals[:steps, ..., 0::2], out=normals[:steps, ..., 1::2])
         for k in range(steps):
-            x, step_counts, step_intens = _advance(x, normals[k], uniforms[k], dt, scheme)
+            x, step_counts, step_intens = step(x, normals[k], uniforms[k], dt, scheme)
             counts += step_counts
             intens += step_intens
 
-    return PathStats(x_final=x, jump_counts=counts, intensity_integrals=intens,
+    if d == 2:
+        x = np.ascontiguousarray(x.transpose(2, 0, 1))
+    return PathStats(x_final=x, jump_counts=np.ascontiguousarray(counts.T),
+                     intensity_integrals=np.ascontiguousarray(intens.T),
                      dt=dt, n_steps=n_steps)
 
 
@@ -287,8 +355,8 @@ def simulate_paths(params: AffineParams, x0: np.ndarray, T: float,
     make the result independent of the partition."""
     _check_conservative(params)
     x0 = check_psd(np.asarray(x0, dtype=float), "initial state must be PSD")
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not 0.0 < T < np.inf:
+        raise ValueError("T must be positive and finite")
     n_steps = max(1, int(np.ceil(T / cfg.dt - 1e-12)))
     dt = T / n_steps
 

@@ -106,9 +106,10 @@ def trace_inner(x: np.ndarray, y: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Cone kernels: one matrix (d, d) or a stack (..., d, d), unchecked. One eigh
-# per matrix, or analytic formulas on stacks of 2 x 2 matrices; the checked
-# sqrt_psd, psd_project and min_eig below take outside input.
+# Cone kernels: one matrix (d, d) or a stack (..., d, d), unchecked, one eigh
+# per matrix; the checked sqrt_psd, psd_project and min_eig below take
+# outside input. The Monte Carlo step at d = 2 takes the analytic _sqrt2 and
+# _project2 on components instead.
 # ---------------------------------------------------------------------------
 
 
@@ -126,17 +127,12 @@ def _spectral(x: np.ndarray, root: bool) -> np.ndarray:
 
 def cone_sqrt(x: np.ndarray) -> np.ndarray:
     """Symmetric square root of symmetric x; negative eigenvalues count as 0."""
-    return _sqrt2(x) if x.ndim > 2 and x.shape[-1] == 2 else _spectral(x, root=True)
+    return _spectral(x, root=True)
 
 
 def cone_project(x: np.ndarray) -> np.ndarray:
     """Nearest (Frobenius) PSD matrix to symmetric x: clamp negative eigenvalues (Higham 1988)."""
-    return _project2(x) if x.ndim > 2 and x.shape[-1] == 2 else _spectral(x, root=False)
-
-
-def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b; on stacks of 2 x 2 matrices the analytic product, faster and never fused."""
-    return _mm2(a, b) if a.ndim > 2 and a.shape[-1] == 2 else a @ b
+    return _spectral(x, root=False)
 
 
 def eigenvalues(x: np.ndarray) -> np.ndarray:
@@ -144,48 +140,41 @@ def eigenvalues(x: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(symmetrize(np.asarray(x, dtype=float)))
 
 
-# the d = 2 fast path: analytic formulas on the entries of [[a, b], [b, c]]
+# the d = 2 kernels: analytic formulas on the components of [[a, b], [b, c]],
+# each an array over the matrices of a batch
 
 
-def _sym2(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return np.stack([a, b, b, c], axis=-1).reshape(a.shape + (2, 2))
-
-
-def _sqrt2(x: np.ndarray) -> np.ndarray:
-    a, bb, c = x[..., 0, 0], x[..., 0, 1], x[..., 1, 1]
-    s = np.sqrt(np.maximum(a * c - bb * bb, 0.0))
+def _sqrt2(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Components of the square root of PSD [[a, b], [b, c]]; a negative
+    determinant counts as 0."""
+    s = np.sqrt(np.maximum(a * c - b * b, 0.0))
     tt = a + c + 2.0 * s
-    inv = np.where(tt > 0.0, 1.0 / np.sqrt(np.where(tt > 0.0, tt, 1.0)), 0.0)
-    return _sym2((a + s) * inv, bb * inv, (c + s) * inv)
+    pos = tt > 0.0
+    inv = np.where(pos, 1.0 / np.sqrt(np.where(pos, tt, 1.0)), 0.0)
+    return (a + s) * inv, b * inv, (c + s) * inv
 
 
-def _project2(x: np.ndarray) -> np.ndarray:
-    """Matrices in the cone pass through; others keep their top eigenpair, clamped at 0."""
-    a, bb, c = x[..., 0, 0], x[..., 0, 1], x[..., 1, 1]
+def _project2(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Components of the projection of [[a, b], [b, c]] onto the cone: matrices
+    in the cone pass through (as the same arrays when all do); others keep
+    their top eigenpair, clamped at 0."""
     half_tr = 0.5 * (a + c)
-    gap = np.sqrt(np.maximum(0.25 * (a - c) ** 2 + bb * bb, 0.0))
+    gap = np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b * b, 0.0))
     bad = half_tr - gap < 0.0
     if not bad.any():
-        return x
-    a, bb, c, lam = a[bad], bb[bad], c[bad], (half_tr + gap)[bad]
+        return a, b, c
+    ab, bb, cb, lam = a[bad], b[bad], c[bad], (half_tr + gap)[bad]
     # eigenvector of the top eigenvalue, using the better-conditioned row
-    top = np.abs(lam - a) >= np.abs(lam - c)
-    v0, v1 = np.where(top, bb, lam - c), np.where(top, lam - a, bb)
+    top = np.abs(lam - ab) >= np.abs(lam - cb)
+    v0, v1 = np.where(top, bb, lam - cb), np.where(top, lam - ab, bb)
     nrm = np.sqrt(v0 * v0 + v1 * v1)
-    degenerate = nrm < 1e-300  # x is (numerically) a multiple of I
+    degenerate = nrm < 1e-300  # the matrix is (numerically) a multiple of I
     nrm = np.where(degenerate, 1.0, nrm)
     v0, v1 = np.where(degenerate, 1.0, v0 / nrm), np.where(degenerate, 0.0, v1 / nrm)
     lam = np.maximum(lam, 0.0)
-    out = x.copy()
-    out[bad] = _sym2(lam * v0 * v0, lam * v0 * v1, lam * v1 * v1)
-    return out
-
-
-def _mm2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
-    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
-    return np.stack([a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
-                     a10 * b00 + a11 * b10, a10 * b01 + a11 * b11], axis=-1).reshape(a.shape)
+    a, b, c = a.copy(), b.copy(), c.copy()
+    a[bad], b[bad], c[bad] = lam * v0 * v0, lam * v0 * v1, lam * v1 * v1
+    return a, b, c
 
 
 def _checked_sym(x) -> np.ndarray:

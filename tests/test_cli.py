@@ -654,11 +654,19 @@ class _LargestUniformStream:
     def __init__(self, seed, tag):
         pass
 
-    def standard_normal(self, shape):
-        return np.zeros(shape)
+    def standard_normal(self, size=None, out=None):
+        return self._fill(0.0, size, out)
 
-    def random(self, shape):
-        return np.full(shape, np.nextafter(1.0, 0.0))
+    def random(self, size=None, out=None):
+        return self._fill(np.nextafter(1.0, 0.0), size, out)
+
+    @staticmethod
+    def _fill(value, size, out):
+        """Generator's size/out contract: fill out when given, else a new array."""
+        if out is None:
+            return np.full(size, value)
+        out[...] = value
+        return out
 
 
 def test_simulate_survives_the_largest_uniform(capsys, monkeypatch, tmp_path, ugrid_file):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import pickle
 import time
@@ -5,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psdaffine import (
     AffineParams,
@@ -23,13 +26,22 @@ from psdaffine import (
     transform,
 )
 from psdaffine.model import sym_to_vec, vec_to_sym
+from psdaffine.symcore import symmetrize
 from psdaffine.montecarlo import (
     PoissonOverflowError,
-    _advance,
+    _advance2,
+    _advance_stacked,
     _poisson_from_uniform,
     _Scheme,
 )
-from conftest import random_psd, random_sym
+from conftest import (
+    random_admissible,
+    random_m_measure,
+    random_mu_measure,
+    random_psd,
+    random_spd,
+    random_sym,
+)
 
 
 def conservative_params(d=2, m_atoms=(), mu_atoms=()):
@@ -130,12 +142,13 @@ def test_batched_drift_matches_per_matrix(d):
 
 
 def step(params, x, dt, rng):
-    """One Euler step of the batched kernel from a single state, fed d*d
-    normals, then one uniform per m atom and one per mu atom, from rng."""
+    """One Euler step of the d = 2 kernel of the block loop from a single
+    state, fed 4 normals, then one uniform per m atom and one per mu atom,
+    from rng."""
     scheme = _Scheme.of(params)
-    g = rng.standard_normal((params.d, params.d))
+    g = rng.standard_normal((2, 2))
     u = rng.random(scheme.n_atoms)
-    return _advance(x[None], g[None], u[None], dt, scheme)[0][0]
+    return _advance2(x[..., None], g[..., None], u[:, None], dt, scheme)[0][..., 0]
 
 
 def test_step_all_zero_params_is_identity():
@@ -162,6 +175,53 @@ def test_step_result_stays_on_cone():
     for _ in range(200):
         x = step(params, x, 0.05, rng)
         assert is_psd(x)
+
+
+@st.composite
+def _d2_steps(draw):
+    """One d = 2 step: a model, states (2, 2, n), draws and dt. States are
+    drawn from five kinds: PSD with every eigenvalue at least 1e-3 of the
+    largest, rank-deficient diagonal ones, 0, and near-boundary ones that a
+    long step with strong noise pushes out of the cone. A singular state
+    off the axes is left out: there the spectral square root itself is only
+    accurate to about sqrt(eps) times the state, far above the 1e-10 rule."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([1, 2, 3, 7, 64]))
+    params = random_admissible(rng, 2, with_jumps=False, general_drift=draw(st.booleans()))
+    params = dataclasses.replace(params, alpha=params.alpha * draw(st.sampled_from([1.0, 9.0])),
+                                 b=params.b * draw(st.sampled_from([1.0, 9.0])) + params.alpha * 8,
+                                 m=random_m_measure(rng, 2, draw(st.integers(0, 2))),
+                                 mu=random_mu_measure(rng, 2, draw(st.integers(0, 2))))
+    scale = 10.0 ** rng.uniform(-2, 2, size=n)
+    kind = draw(st.sampled_from(["psd", "rank-deficient", "zero", "boundary"]))
+    if kind == "psd":
+        xs = [random_spd(rng, 2, 1e-3, 1.0) * s for s in scale]
+    elif kind == "rank-deficient":
+        xs = [np.diag(rng.permutation([s, 0.0])) for s in scale]
+    elif kind == "zero":
+        xs = [np.zeros((2, 2))] * n
+    else:
+        xs = [random_spd(rng, 2, 1e-3, 2e-3) * s for s in scale]
+    # exactly symmetric, as every state after the first step is
+    x = np.ascontiguousarray(symmetrize(np.stack(xs)).transpose(1, 2, 0))
+    dt = draw(st.sampled_from([2.0**-10, 0.1, 0.5]))
+    scheme = _Scheme.of(params)
+    return x, rng.standard_normal((2, 2, n)), rng.random((scheme.n_atoms, n)), dt, scheme
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_d2_steps())
+def test_d2_component_step_matches_the_spectral_step(case):
+    # the reference is the stacked step of d >= 3 (spectral square root and
+    # projection) on the same states and draws
+    x, g, u, dt, scheme = case
+    got, counts, lam = _advance2(x, g, u, dt, scheme)
+    ref, ref_counts, ref_lam = _advance_stacked(np.ascontiguousarray(x.transpose(2, 0, 1)),
+                                                g, u, dt, scheme)
+    ref = ref.transpose(1, 2, 0)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10 * max(1.0, np.abs(ref).max()))
+    assert (got == got.swapaxes(0, 1)).all()
+    assert np.array_equal(counts, ref_counts) and np.array_equal(lam, ref_lam)
 
 
 def test_pure_jump_frequency_poisson_oracle():
@@ -325,6 +385,18 @@ def test_step_requires_conservative():
                           drift=LyapunovDrift(beta=np.zeros((2, 2))), c=1.0)
     with pytest.raises(DomainError):
         simulate_paths(params, np.eye(2), 0.01, SimConfig(n_paths=1, dt=0.01, seed=0))
+
+
+@pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+def test_sim_config_rejects_non_finite_dt(dt):
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        SimConfig(n_paths=4, dt=dt, seed=0)
+
+
+@pytest.mark.parametrize("T", [float("nan"), float("inf")])
+def test_simulate_paths_rejects_non_finite_horizon(T):
+    with pytest.raises(ValueError, match="T must be positive and finite"):
+        simulate_paths(conservative_params(), np.eye(2), T, SimConfig(n_paths=4, dt=0.1, seed=0))
 
 
 def test_simulation_rejects_killing():

@@ -22,12 +22,13 @@ from psdaffine import (
     trace_inner,
 )
 from psdaffine.symcore import (
+    _project2,
     _rebuild,
     _spectral,
+    _sqrt2,
     cone_project,
     cone_sqrt,
     eigenvalues,
-    mat_mul,
     symmetrize,
 )
 from conftest import random_psd, random_sym
@@ -329,21 +330,26 @@ def test_stacked_spectral_kernel_equals_per_matrix(x, root):
     assert _spectral(x, root).tobytes() == per.tobytes()
     per_w = np.stack([eigenvalues(m) for m in flat])
     assert eigenvalues(x).tobytes() == per_w.tobytes()
-    if d > 2:  # stacks of larger matrices take the spectral kernel itself
-        assert cone_project(x).tobytes() == _spectral(x, False).tobytes()
-        assert cone_sqrt(x).tobytes() == _spectral(x, True).tobytes()
+    # the cone kernels are the spectral kernel itself, at every d
+    assert cone_project(x).tobytes() == _spectral(x, False).tobytes()
+    assert cone_sqrt(x).tobytes() == _spectral(x, True).tobytes()
+
+
+def _on_components(kernel, x):
+    """kernel on the components (a, b, c) of the 2 x 2 stack x, rebuilt as a stack."""
+    a, b, c = kernel(x[..., 0, 0], x[..., 0, 1], x[..., 1, 1])
+    return np.stack([a, b, b, c], axis=-1).reshape(x.shape)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_sym_stacks(dims=(2, 2)), _psd_stacks(dims=(2, 2), floor=1e-3))
 def test_2x2_fast_path_agrees_with_spectral_kernel(x, p):
-    np.testing.assert_allclose(cone_project(x), _spectral(x, False), rtol=0, atol=1e-10)
-    np.testing.assert_allclose(cone_sqrt(p), _spectral(p, True), rtol=0, atol=1e-10)
-    y = x[::-1].copy()
-    np.testing.assert_allclose(mat_mul(x, y), x @ y, rtol=0, atol=1e-10)
-    # a single matrix always takes the spectral kernel
-    one = p.reshape(-1, 2, 2)[0]
-    assert cone_sqrt(one).tobytes() == _spectral(one, True).tobytes()
+    np.testing.assert_allclose(_on_components(_project2, x), _spectral(x, False),
+                               rtol=0, atol=1e-10)
+    np.testing.assert_allclose(_on_components(_sqrt2, p), _spectral(p, True), rtol=0, atol=1e-10)
+    # matrices in the cone pass through as the same arrays
+    a, b, c = p[..., 0, 0], p[..., 0, 1], p[..., 1, 1]
+    assert all(out is arg for out, arg in zip(_project2(a, b, c), (a, b, c)))
 
 
 @settings(max_examples=150, deadline=None)
