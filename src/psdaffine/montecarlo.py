@@ -222,9 +222,10 @@ def _advance2(x: np.ndarray, normals: np.ndarray, uniforms: np.ndarray, dt: floa
     """_advance at d = 2 on component rows: x and normals are (2, 2, n), row
     (i, j) holding entry (i, j) of every path; uniforms, counts and
     intensities are (n_atoms, n). The square root and projection are the
-    analytic _sqrt2 and _project2, and the products by Sigma and a Lyapunov
-    beta are one BLAS product each over all paths (fused multiply-adds
-    included), so every sum rounds as in the stacked 2 x 2 step."""
+    analytic _sqrt2 and _project2. The products by Sigma and a Lyapunov beta
+    are one BLAS product each over all paths, rounded (fused multiply-adds
+    included) as the einsum products of _advance round them; every other
+    sum is taken in _advance's order."""
     n = x.shape[-1]
     n_m = len(scheme.m_sites)
     r = np.stack(_sqrt2(x[0, 0], x[0, 1], x[1, 1]))  # sqrt(X) = [[r0, r1], [r1, r2]]

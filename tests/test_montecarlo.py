@@ -180,7 +180,7 @@ def test_step_result_stays_on_cone():
 @st.composite
 def _d2_steps(draw):
     """One d = 2 step: a model, states (2, 2, n), draws and dt. States are
-    drawn from five kinds: PSD with every eigenvalue at least 1e-3 of the
+    drawn from four kinds: PSD with every eigenvalue at least 1e-3 of the
     largest, rank-deficient diagonal ones, 0, and near-boundary ones that a
     long step with strong noise pushes out of the cone. A singular state
     off the axes is left out: there the spectral square root itself is only
@@ -219,7 +219,7 @@ def test_d2_component_step_matches_the_spectral_step(case):
     ref, ref_counts, ref_lam = _advance_stacked(np.ascontiguousarray(x.transpose(2, 0, 1)),
                                                 g, u, dt, scheme)
     ref = ref.transpose(1, 2, 0)
-    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10 * max(1.0, np.abs(ref).max()))
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10 * np.abs(ref).max())
     assert (got == got.swapaxes(0, 1)).all()
     assert np.array_equal(counts, ref_counts) and np.array_equal(lam, ref_lam)
 
