@@ -28,7 +28,6 @@ from .model import (
     validate,
 )
 from .montecarlo import (
-    DiffusionFactor,
     MCEstimate,
     SimConfig,
     diffusion_factor,

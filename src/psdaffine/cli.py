@@ -454,15 +454,22 @@ def cmd_mbajd(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _finite_float(text: str) -> float:
-    """argparse type for float flags: inf and nan are malformed input."""
-    try:
-        val = float(text)
-    except ValueError:
-        val = math.nan
-    if not math.isfinite(val):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return val
+def _flag_type(parse, ok, expected: str):
+    """An argparse type: text that parse rejects, or whose value fails ok, is
+    malformed input."""
+    def convert(text: str):
+        try:
+            val = parse(text)
+        except ValueError:
+            val = None
+        if val is None or not ok(val):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return val
+    return convert
+
+
+_finite_float = _flag_type(float, math.isfinite, "a finite number")
+_non_negative_int = _flag_type(int, lambda n: n >= 0, "a non-negative integer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -474,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a parameter file for admissibility")
     p.add_argument("params")
-    p.add_argument("--pairs", type=int, default=64,
+    p.add_argument("--pairs", type=_non_negative_int, default=64,
                    help="random boundary pairs besides the canonical ones")
     p.add_argument("--tol", type=_finite_float, default=1e-9)
     p.add_argument("--out", choices=("text", "json"), default="text")

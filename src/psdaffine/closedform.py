@@ -13,18 +13,18 @@ The psi expression is the singular-safe form of
 exp(beta^T t)(u^{-1} + sigma)^{-1} exp(beta t), which also covers u on the
 boundary of the tube; no invertibility of alpha is needed anywhere.
 
-:func:`mbajd_grid` evaluates a u-grid at a list of times on one uniform
-s-grid of [0, t] per time, shared by every u. Each halving of its step h
-takes one block exponential and steps every node by the recurrence
-E_{s+h} = E_h E_s, sigma_{s+h} = sigma_h + E_h sigma_s E_h^T, which must
-land on the direct block exponential at t. Per u, batched determinants
-follow log det(I + u sigma_s) on a continuous branch from s = 0 (never the
-principal branch), and batched solves give the jump integrand for
-composite Simpson with a Richardson check.
+:func:`mbajd_grid` evaluates a u-grid at a list of times on one dyadic
+lattice of [0, t] per time, shared by every u: a node s = k t / 2^L is one
+step h = t / 2^L of E_{s+h} = E_h E_s, sigma_{s+h} = sigma_h + E_h sigma_s E_h^T
+from its left neighbour, and must land on its right one. Per u, batched
+determinants follow log det(I + u sigma_s) on a continuous branch from s = 0
+(never the principal branch), and one adaptive Simpson rule integrates the
+jump rate, bisecting only the panels that fail their Richardson test.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,11 +54,11 @@ class QuadratureError(RuntimeError):
     witnesses, or the sigma grid drifted from it."""
 
 
-_MAX_DEPTH = 30  # bisection levels of the witness's adaptive quadrature
-_BASE_STEPS = 16  # intervals of the coarsest s-grid level
-_MAX_STEPS = 2 ** 14  # intervals of the finest s-grid level
-_QUAD_TOL = 1e-10  # Richardson error bound of the jump integral
-_DRIFT_TOL = 1e-10  # relative gap between the grid recurrence and exp at t
+_MAX_DEPTH = 30  # finest Simpson panel: width t / 2^_MAX_DEPTH
+_BASE_LEVEL = 4  # 2^4 Simpson panels to start from; the log-det's first s-grid level
+_MAX_LEVEL = 14  # the log-det's finest s-grid level; most panels bisected in one round
+_QUAD_TOL = 1e-10  # Richardson error bound of each panel of the jump integral
+_DRIFT_TOL = 1e-10  # relative gap between a new grid node and its right neighbour
 
 
 @dataclass(frozen=True)
@@ -127,39 +127,36 @@ def flow_omega(beta: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
     return symmetrize(e @ np.asarray(x, dtype=float) @ e.T)
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float):
-    """Adaptive Simpson quadrature of an array-valued integrand (the witness).
-
-    Error control is the standard |S_fine - S_coarse| / 15 estimate, taken
-    as a max over components. A non-finite estimate raises at once:
-    bisecting it further cannot make it finite.
-    """
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-
-    def simpson(h6, f0, f1, f2):
-        return h6 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(a, b, fa, fm, fb, whole, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = simpson((m - a) / 6.0, fa, flm, fm)
-        right = simpson((b - m) / 6.0, fm, frm, fb)
-        err = np.max(np.abs(left + right - whole)) / 15.0
-        if err <= tol:
-            return left + right + (left + right - whole) / 15.0
-        if not np.isfinite(err):
-            raise QuadratureError(
-                f"adaptive quadrature met a non-finite integrand on [{a:.6g}, {b:.6g}]")
-        if depth >= _MAX_DEPTH:
+def _adaptive_simpson(f, t: float, tol: float):
+    """Adaptive Simpson quadrature over [0, t] of an array-valued integrand
+    f(ks, level), given stacked at the nodes k t / 2^level. From 2^_BASE_LEVEL
+    panels on, each round bisects every panel whose |S_fine - S_coarse| / 15,
+    a max over components, exceeds tol; the others add
+    S_fine + (S_fine - S_coarse) / 15. A non-finite estimate raises at once:
+    bisecting it further cannot make it finite."""
+    level, first = _BASE_LEVEL + 2, 4 * np.arange(2 ** _BASE_LEVEL)  # 4 intervals a panel
+    v = f(np.arange(2 ** level + 1), level)[first[:, None] + np.arange(5)]  # (panel, node, ...)
+    total = 0.0
+    while True:
+        h = t / 2 ** level
+        coarse = 2.0 * h / 3.0 * (v[:, 0] + 4.0 * v[:, 2] + v[:, 4])
+        fine = h / 3.0 * (v[:, 0] + 4.0 * (v[:, 1] + v[:, 3]) + 2.0 * v[:, 2] + v[:, 4])
+        err = np.abs(fine - coarse).reshape(len(v), -1).max(axis=1) / 15.0
+        if not np.isfinite(err).all():
+            k = first[~np.isfinite(err)][0]
+            raise QuadratureError(f"adaptive quadrature met a non-finite integrand "
+                                  f"on [{k * h:.6g}, {(k + 4) * h:.6g}]")
+        done = err <= tol
+        total = total + (fine + (fine - coarse) / 15.0)[done].sum(axis=0)
+        if done.all():
+            return total
+        if level - 2 >= _MAX_DEPTH or np.count_nonzero(~done) > 2 ** _MAX_LEVEL:
             raise QuadratureError("adaptive quadrature failed to converge")
-        return (recurse(a, m, fa, flm, fm, left, depth + 1)
-                + recurse(m, b, fm, frm, fb, right, depth + 1))
-
-    whole = simpson((b - a) / 6.0, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, 0)
+        v, first, level = v[~done], 2 * first[~done], level + 1
+        mid = f((first[:, None] + [1, 3, 5, 7]).ravel(), level).reshape((len(v), 4) + v.shape[2:])
+        # the halves' nodes: v0 m0 v1 m1 v2 | v2 m2 v3 m3 v4
+        v = np.concatenate([v, mid], axis=1)[:, [0, 5, 1, 6, 2, 2, 7, 3, 8, 4]]
+        v, first = v.reshape((2 * len(v), 5) + v.shape[2:]), (first[:, None] + [0, 4]).ravel()
 
 
 def _vanloan(beta: np.ndarray, alpha: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -179,8 +176,9 @@ def _vanloan(beta: np.ndarray, alpha: np.ndarray, t: float) -> tuple[np.ndarray,
 def _witness(beta: np.ndarray, alpha: np.ndarray, t: float, sig: np.ndarray) -> None:
     """Raise unless adaptive quadrature of 2 omega_s(alpha) over [0, t]
     agrees with sig to 1e-8 relative."""
-    quad = _adaptive_simpson(lambda s: 2.0 * flow_omega(beta, alpha, s), 0.0, t,
-                             tol=1e-11 * max(1.0, frobenius(alpha)))
+    quad = _adaptive_simpson(
+        lambda ks, lv: np.stack([2.0 * flow_omega(beta, alpha, k * t / 2 ** lv) for k in ks]),
+        t, tol=1e-11 * max(1.0, frobenius(alpha)))
     disc = frobenius(sig - quad)
     if disc > 1e-8 * max(1.0, frobenius(sig)):
         raise QuadratureError(
@@ -204,9 +202,10 @@ def sigma_integral(beta: np.ndarray, alpha: np.ndarray, t: float) -> np.ndarray:
 
 
 class _SigmaGrid:
-    """exp(beta s) and sigma_s(alpha) at s = k t / n: level n is a stride of
-    the finest level built so far, whose last node is the direct value at t.
-    The witness runs once per spec and new largest horizon."""
+    """exp(beta s) and sigma_s(alpha) at the nodes s = k t / 2^level, each
+    stored once under its key (odd k, level); (0, 0) is s = 0 and (1, 0) the
+    direct block exponential at t. The witness runs once per spec and new
+    largest horizon."""
 
     def __init__(self, spec: MBAJDSpec, t: float):
         self.spec, self.t = spec, t
@@ -214,32 +213,50 @@ class _SigmaGrid:
         if t > spec._witnessed:  # no t-dependent failure beyond what one horizon shows
             _witness(spec.beta, spec.alpha, t, sig_t)
             object.__setattr__(spec, "_witnessed", t)
-        self.e, self.sig = np.stack([np.eye(spec.d), e_t]), np.stack([np.zeros_like(sig_t), sig_t])
+        self.node = {(0, 0): (np.eye(spec.d), np.zeros_like(sig_t)), (1, 0): (e_t, sig_t)}
+        self.stacks = {}
+        self.step = functools.cache(lambda level: _vanloan(spec.beta, spec.alpha, t / 2 ** level))
 
-    def level(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        while len(self.e) <= n:  # halve the step: one new node per interval
-            e_h, sig_h = _vanloan(self.spec.beta, self.spec.alpha, self.t / (2 * len(self.e) - 2))
-            e, sig = e_h @ self.e[:-1], symmetrize(sig_h + e_h @ self.sig[:-1] @ e_h.T)
-            gap = frobenius(symmetrize(sig_h + e_h @ sig[-1] @ e_h.T) - self.sig[-1])
-            if not gap <= _DRIFT_TOL * max(1.0, frobenius(self.sig[-1])):
-                raise QuadratureError(f"sigma grid drifted from the block exponential "
-                                      f"at t = {self.t} by {gap:.3e}")
-            self.e, self.sig = _interleave(self.e, e), _interleave(self.sig, sig)
-        stride = (len(self.e) - 1) // n
-        return self.e[::stride], self.sig[::stride]
+    def nodes(self, ks: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """The stacks at k t / 2^level for k in ks, cached for every u."""
+        memo = level, ks.tobytes()
+        if memo not in self.stacks:
+            self.stacks[memo] = self._stack([_key(int(k), level) for k in ks])
+        return self.stacks[memo]
+
+    def _stack(self, keys: list) -> tuple[np.ndarray, np.ndarray]:
+        """The nodes of keys, stacked. Missing ones are built first, coarsest
+        level first with one stacked product per level: node k is one step of
+        t / 2^level from node k - 1 and must land on node k + 1, so its bits
+        never depend on the order of the calls."""
+        new = set(keys) - self.node.keys()
+        for level in sorted({lv for _, lv in new}):
+            ks = sorted(k for k, lv in new if lv == level)
+            e_h, sig_h = self.step(level)
+            e_prev, sig_prev = self._stack([_key(k - 1, level) for k in ks])
+            e, sig = e_h @ e_prev, symmetrize(sig_h + e_h @ sig_prev @ e_h.T)
+            sig_next = self._stack([_key(k + 1, level) for k in ks])[1]
+            for now, want in zip(symmetrize(sig_h + e_h @ sig @ e_h.T), sig_next):
+                gap = frobenius(now - want)
+                if not gap <= _DRIFT_TOL * max(1.0, frobenius(want)):
+                    raise QuadratureError(f"sigma grid drifted from the block exponential "
+                                          f"at t = {self.t} by {gap:.3e}")
+            self.node.update(((k, level), node) for k, node in zip(ks, zip(e, sig)))
+        e, sig = zip(*(self.node[key] for key in keys))
+        return np.stack(e), np.stack(sig)
 
     def psi(self, u: np.ndarray) -> np.ndarray:
         """psi(t, u) from the last node; raises when I + u sigma_t is near singular."""
-        if np.linalg.cond(np.eye(self.spec.d) + u @ self.sig[-1]) > 1e12:
+        e_t, sig_t = self.node[1, 0]
+        if np.linalg.cond(np.eye(self.spec.d) + u @ sig_t) > 1e12:
             raise DomainError(f"I + u sigma_t(alpha) is near singular at t = {self.t}")
-        return _psi(u, self.e[-1], self.sig[-1])
+        return _psi(u, e_t, sig_t)
 
 
-def _interleave(old: np.ndarray, mid: np.ndarray) -> np.ndarray:
-    """old[0], mid[0], old[1], ..., mid[-1], old[-1] along the first axis."""
-    out = np.empty((len(old) + len(mid),) + old.shape[1:], dtype=old.dtype)
-    out[::2], out[1::2] = old, mid
-    return out
+def _key(k: int, level: int) -> tuple[int, int]:
+    """The key (odd k, level) of the node k t / 2^level, or (0, 0) at s = 0."""
+    z = (k & -k).bit_length() - 1 if k else level  # trailing zero bits of k
+    return k >> z, level - z
 
 
 def _psi(u: np.ndarray, e: np.ndarray, sig: np.ndarray) -> np.ndarray:
@@ -249,11 +266,11 @@ def _psi(u: np.ndarray, e: np.ndarray, sig: np.ndarray) -> np.ndarray:
 
 def _logdet_continuous(grid: _SigmaGrid, u: np.ndarray) -> complex:
     """log det(I + u sigma_t(alpha)) on the branch that is 0 at s = 0: the
-    argument is unwrapped on grid levels until its increments are small and
-    its total is stable; a persistent jump of pi or more is an error."""
-    n, prev_total = _BASE_STEPS, None
-    while n <= _MAX_STEPS:
-        z = np.linalg.det(np.eye(len(u)) + u @ grid.level(n)[1])
+    argument is unwrapped on whole grid levels until its increments are small
+    and its total is stable; a persistent jump of pi or more is an error."""
+    prev_total = None
+    for level in range(_BASE_LEVEL, _MAX_LEVEL + 1):
+        z = np.linalg.det(np.eye(len(u)) + u @ grid.nodes(np.arange(2 ** level + 1), level)[1])
         if np.min(np.abs(z)) < 1e-300:
             raise BranchTrackingError("determinant vanished along the trajectory")
         args = np.unwrap(np.angle(z))
@@ -261,38 +278,19 @@ def _logdet_continuous(grid: _SigmaGrid, u: np.ndarray) -> complex:
         if np.max(np.abs(np.diff(args))) < np.pi / 4 and prev_total is not None and \
                 abs(total - prev_total) < 1e-9 * (1.0 + abs(total)):
             return complex(np.log(abs(z[-1])), total)
-        n, prev_total = 2 * n, total
-    raise BranchTrackingError(
-        "argument increments above pi persisted under grid refinement")
+        prev_total = total
+    raise BranchTrackingError("argument increments above pi persisted under grid refinement")
 
 
 def _jump_rate(m: AtomicMeasure, u: np.ndarray, e: np.ndarray, sig: np.ndarray) -> np.ndarray:
     """sum_k w_k (exp(-tr(psi(s, u) xi_k)) - 1) at every node."""
     psi = _psi(u, e, sig)  # I + u sigma_s is invertible: Re(u) and sigma_s are PSD
     if not np.isfinite(psi).all():
-        raise QuadratureError("composite quadrature met a non-finite integrand")
+        raise QuadratureError("jump quadrature met a non-finite psi")
     floor = -PSD_SLACK * np.maximum(1.0, np.linalg.norm(psi.real, axis=(-2, -1)))
     if not (eigenvalues(psi.real)[:, 0] >= floor).all():
         raise DomainError("jump transform requires Re(psi) PSD (bounded integrand)")
     return sum(w * (np.exp(-np.einsum("nij,ji->n", psi, xi)) - 1.0) for xi, w in m.atoms)
-
-
-def _jump_integral(grid: _SigmaGrid, u: np.ndarray) -> complex:
-    """Integral of the jump rate over [0, t]: composite Simpson S_n, n doubled
-    until |S_n - S_{n/2}| / 15 <= _QUAD_TOL, then S_n + (S_n - S_{n/2}) / 15."""
-    def simpson(f):
-        return grid.t / (3 * len(f) - 3) * (f[0] + 4 * f[1::2].sum() + 2 * f[2:-1:2].sum() + f[-1])
-
-    n = _BASE_STEPS
-    f = _jump_rate(grid.spec.m, u, *grid.level(n))
-    while abs(simpson(f) - simpson(f[::2])) / 15.0 > _QUAD_TOL:
-        n *= 2
-        if n > _MAX_STEPS:
-            raise QuadratureError("composite quadrature failed to converge")
-        e, sig = grid.level(n)
-        f = _interleave(f, _jump_rate(grid.spec.m, u, e[1::2], sig[1::2]))
-    fine, coarse = simpson(f), simpson(f[::2])
-    return fine + (fine - coarse) / 15.0
 
 
 def _checked(spec: MBAJDSpec, us, times) -> list[np.ndarray]:
@@ -326,8 +324,9 @@ def mbajd_grid(spec: MBAJDSpec, us, times) -> tuple[np.ndarray, np.ndarray]:
         grid = _SigmaGrid(spec, float(times[j]))
         for k, u in enumerate(us):
             phi[k, j] = spec.p * _logdet_continuous(grid, u)
-            if not spec.m.is_empty:
-                phi[k, j] -= _jump_integral(grid, u)
+            if not spec.m.is_empty:  # the jump integral, each panel within _QUAD_TOL
+                phi[k, j] -= _adaptive_simpson(
+                    lambda ks, lv: _jump_rate(spec.m, u, *grid.nodes(ks, lv)), grid.t, _QUAD_TOL)
             psi[k, j] = grid.psi(u)
     return phi, psi
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import AffineParams, LinearDrift, LyapunovDrift
-from .symcore import DomainError, _project2, _sqrt2, check_psd, frobenius, spectrum, symmetrize
+from .symcore import DomainError, _project2, _sqrt2, check_psd, spectrum, symmetrize
 # the per-layer benchmark hooks the cone kernels of the d >= 3 step under these two names
 from .symcore import cone_project as _project_psd_batch, cone_sqrt as _sqrt_psd_batch
 
@@ -74,20 +74,12 @@ class MCEstimate:
     n_steps: int
 
 
-@dataclass(frozen=True)
-class DiffusionFactor:
-    sigma: np.ndarray  # Sigma^T Sigma = alpha
-
-    def residual(self, alpha: np.ndarray) -> float:
-        return frobenius(self.sigma.T @ self.sigma - alpha)
-
-
-def diffusion_factor(alpha: np.ndarray) -> DiffusionFactor:
-    """Factor Sigma = diag(sqrt(lambda)) Q^T from alpha = Q diag(lambda) Q^T."""
+def diffusion_factor(alpha: np.ndarray) -> np.ndarray:
+    """Sigma = diag(sqrt(lambda)) Q^T from alpha = Q diag(lambda) Q^T, so that
+    Sigma^T Sigma = alpha."""
     check_psd(alpha, "diffusion factor requires alpha PSD")
     w, q = spectrum(alpha)
-    sigma = np.sqrt(np.maximum(w, 0.0))[:, None] * q.T
-    return DiffusionFactor(sigma=sigma)
+    return np.sqrt(np.maximum(w, 0.0))[:, None] * q.T
 
 
 class PoissonOverflowError(DomainError):
@@ -179,7 +171,7 @@ class _Scheme:
     def of(cls, params: AffineParams) -> _Scheme:
         d = params.d
         return cls(b=params.b, drift=params.drift,
-                   sigma=diffusion_factor(params.alpha).sigma,
+                   sigma=diffusion_factor(params.alpha),
                    m_sites=np.array([xi for xi, _ in params.m.atoms]).reshape(-1, d, d),
                    m_rates=np.array([w for _, w in params.m.atoms], dtype=float),
                    mu_sites=np.array([xi for xi, _ in params.mu.atoms]).reshape(-1, d, d),

@@ -476,6 +476,14 @@ def test_non_finite_float_flag_exits_two(capsys, wishart_file, ugrid_file, argv)
     assert f"expected a finite number, got '{value}'" in err
 
 
+@pytest.mark.parametrize("value", ["-3", "2.5", "many"])
+def test_validate_pairs_must_be_a_non_negative_count(capsys, wishart_file, value):
+    # a negative count used to test only the canonical pairs and exit 0
+    code, out, err = run_cli(capsys, "validate", wishart_file, "--pairs", value)
+    assert_clean_exit(code, out, err, 2)
+    assert f"expected a non-negative integer, got '{value}'" in err
+
+
 def test_simulate_poisson_overflow_named_error(capsys, tmp_path, ugrid_file):
     params = AffineParams(d=2, alpha=np.eye(2), b=np.eye(2),
                           drift=LyapunovDrift(beta=-np.eye(2)),

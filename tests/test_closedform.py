@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,11 @@ from hypothesis import strategies as st
 
 from psdaffine import (
     AtomicMeasure,
+    BlowUpError,
+    DegenerateAlphaWarning,
     DomainError,
     MBAJDSpec,
+    StepBudgetError,
     csym,
     flow_omega,
     frobenius,
@@ -18,11 +23,13 @@ from psdaffine import (
     sigma_integral,
     solve,
     solve_boundary,
+    solve_grid,
     trace_inner,
     transform,
 )
+import psdaffine.closedform as cf
 from psdaffine.symcore import symmetrize
-from conftest import random_interior_u, random_psd, random_stable_beta, random_sym
+from conftest import random_interior_u, random_psd, random_spd, random_stable_beta, random_sym
 
 
 def basic_spec(d=2, beta=None, p=1.0, atoms=()):
@@ -228,6 +235,54 @@ def test_mbajd_phi_imaginary_part_not_principal():
     assert phi.imag - principal.imag == pytest.approx(2 * np.pi, abs=1e-9)
     sol = solve(spec.to_affine_params(), u, t)
     assert abs(phi - sol.phi_at(t)) < 1e-7
+
+
+@pytest.mark.parametrize("w", [17.0, 20.0, 100.0, 400.0])
+def test_mbajd_phi_at_high_frequency_matches_the_ode(w):
+    # near s = 0 the jump rate turns at a rate of about w^2: the quadrature
+    # must refine there and only there
+    spec = basic_spec(beta=-0.5 * np.eye(2), atoms=((np.eye(2), 1.0),))
+    u = 1j * w * np.eye(2)
+    want = solve_boundary(spec.to_affine_params(), u, 1.0).phi_at(1.0)
+    assert abs(mbajd_phi(spec, u, 1.0) - want) <= 1e-9 * abs(want)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(d=st.sampled_from([2, 3]), rank_one_alpha=st.booleans(), n_atoms=st.integers(0, 2),
+       kind=st.sampled_from(["interior", "rank-1", "imaginary"]),
+       freq=st.floats(0.0, 50.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_closed_form_matches_the_ode(d, rank_one_alpha, n_atoms, kind, freq, seed):
+    # rule: values agree to 1e-8 relative, or both routes raise a named error;
+    # beta stays stable, where the ODE itself is accurate to 1e-8
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(d)
+    alpha = np.outer(v, v) / (v @ v) if rank_one_alpha else random_spd(rng, d, 0.3, 1.2)
+    atoms = tuple((random_psd(rng, d) + 0.1 * np.eye(d), rng.uniform(0.1, 0.8))
+                  for _ in range(n_atoms))
+    spec = MBAJDSpec(d=d, alpha=alpha, beta=random_stable_beta(rng, d, -1.0, -0.2),
+                     p=(d - 1) / 2 + rng.uniform(0.0, 1.0), m=AtomicMeasure(atoms=atoms))
+    w = rng.standard_normal(d)
+    re_u = {"interior": random_spd(rng, d), "rank-1": np.outer(w, w),
+            "imaginary": np.zeros((d, d))}[kind]
+    im_u = random_sym(rng, d)
+    u = re_u + 1j * freq * im_u / np.abs(im_u).max()
+    T = rng.uniform(0.3, 1.5)
+    named = (cf.BranchTrackingError, cf.QuadratureError, DomainError, BlowUpError,
+             StepBudgetError)
+    try:
+        phi, psi = mbajd_grid(spec, [u], [T])
+    except named:
+        phi = None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateAlphaWarning)
+            sol = solve_grid(spec.to_affine_params(), [u], T)[0]
+    except named:
+        assert phi is None
+        return
+    assert phi is not None
+    assert abs(phi[0, 0] - sol.phi_at(T)) <= 1e-8 * max(1.0, abs(sol.phi_at(T)))
+    assert frobenius(psi[0, 0] - sol.psi_at(T)) <= 1e-8 * max(1.0, frobenius(sol.psi_at(T)))
 
 
 def test_mbajd_phi_with_jumps_matches_ode():
@@ -449,8 +504,8 @@ def test_unstable_beta_matches_a_refined_grid_or_raises(monkeypatch):
         phi, psi = phi_psi()
     except named:
         return
-    # Simpson's error is O(h^4): a 4x finer grid meets a 4^4 x smaller bound
-    monkeypatch.setattr(cf, "_BASE_STEPS", 4 * cf._BASE_STEPS)
+    # Simpson's error is O(h^4): 4x finer panels meet a 4^4 x smaller bound
+    monkeypatch.setattr(cf, "_BASE_LEVEL", cf._BASE_LEVEL + 2)
     monkeypatch.setattr(cf, "_QUAD_TOL", cf._QUAD_TOL / 4 ** 4)
     fine_phi, fine_psi = phi_psi()
     assert np.max(np.abs(phi - fine_phi) / np.maximum(1.0, np.abs(fine_phi))) <= 1e-10
@@ -462,7 +517,7 @@ def test_richardson_cap_raises_quadrature_error(monkeypatch):
     spec = basic_spec(beta=NON_NORMAL_BETA, atoms=((np.eye(2), 0.5),))
     u = np.eye(2) + 0.5j * np.eye(2)
     mbajd_phi(spec, u, 2.0)  # converges under the default cap
-    monkeypatch.setattr(cf, "_MAX_STEPS", 32)
+    monkeypatch.setattr(cf, "_MAX_DEPTH", cf._BASE_LEVEL)  # no panel may be bisected
     with pytest.raises(cf.QuadratureError, match="failed to converge"):
         mbajd_phi(spec, u, 2.0)
 

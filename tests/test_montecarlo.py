@@ -20,6 +20,7 @@ from psdaffine import (
     diffusion_factor,
     estimate_transform,
     estimate_transforms,
+    frobenius,
     is_psd,
     simulate_paths,
     trace_inner,
@@ -57,17 +58,17 @@ def conservative_params(d=2, m_atoms=(), mu_atoms=()):
 
 
 def test_diffusion_factor_identity_and_zero():
-    f = diffusion_factor(np.eye(3))
-    assert f.residual(np.eye(3)) <= 1e-12
-    f0 = diffusion_factor(np.zeros((2, 2)))
-    np.testing.assert_allclose(f0.sigma, np.zeros((2, 2)))
+    s = diffusion_factor(np.eye(3))
+    assert frobenius(s.T @ s - np.eye(3)) <= 1e-12
+    np.testing.assert_allclose(diffusion_factor(np.zeros((2, 2))), np.zeros((2, 2)))
 
 
 def test_diffusion_factor_random_psd():
     rng = np.random.default_rng(0)
     for _ in range(20):
         alpha = random_psd(rng, 3)
-        assert diffusion_factor(alpha).residual(alpha) <= 1e-12
+        s = diffusion_factor(alpha)
+        assert frobenius(s.T @ s - alpha) <= 1e-12
 
 
 def test_diffusion_factor_rejects_indefinite():
