@@ -470,6 +470,7 @@ def _flag_type(parse, ok, expected: str):
 
 _finite_float = _flag_type(float, math.isfinite, "a finite number")
 _non_negative_int = _flag_type(int, lambda n: n >= 0, "a non-negative integer")
+_positive_int = _flag_type(int, lambda n: n >= 1, "a positive integer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -500,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--u", required=True, help="u-grid file")
     mc.add_argument("--x", default=None, help="initial state file (default: identity)")
     mc.add_argument("-T", type=_finite_float, required=True)
-    mc.add_argument("--paths", type=int, default=10000)
+    mc.add_argument("--paths", type=_positive_int, default=10000)
     mc.add_argument("--dt", type=_finite_float, default=2.0**-8)
     mc.add_argument("--seed", type=int, default=0)
     mc.add_argument("--antithetic", action="store_true")

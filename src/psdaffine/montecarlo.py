@@ -13,18 +13,21 @@ step's start (w_k dt for constant atoms, tr(M_k X) dt for state-dependent
 ones). Killing is out of scope: simulation requires c = 0, gamma = 0. At
 d = 2 a block of paths is stepped as component rows, one contiguous array
 per matrix entry, with the analytic 2 x 2 square root and projection
-(_advance2); at d >= 3 as a stack (n, d, d) with one eigh per state
-(_advance).
+(_advance2); at d >= 3 as a stack (n, d, d) with one eigh per state and
+step (_advance): the eigh of the new state gives both its projection and
+its square root, which is the next step's sqrt(X).
 
 Randomness is Philox counter streams keyed by (seed, stream tag), one
 Gaussian stream and one jump stream per path, so results are bit-identical
 for a fixed (seed, config, params) no matter how paths are partitioned
-across workers. Poisson counts are inverted from a single uniform per
-(step, atom), which keeps the draw layout independent of the realized
-counts. Each stream is drawn in chunks of _CHUNK_STEPS steps, through a
-staging buffer of _STAGE_PATHS paths, into step-major buffers reused across
-chunks, so the memory of a path block is fixed by the chunk, not by T/dt;
-chunked draws give the same numbers as one draw of all steps.
+across workers. A path block draws every stream through one Philox
+generator, moved from stream to stream by setting its state (_Streams).
+Poisson counts are inverted from a single uniform per (step, atom), which
+keeps the draw layout independent of the realized counts. Each stream is
+drawn in chunks of _CHUNK_STEPS steps, through a staging buffer of
+_STAGE_PATHS paths, into step-major buffers reused across chunks, so the
+memory of a path block is fixed by the chunk, not by T/dt; chunked draws
+give the same numbers as one draw of all steps.
 
 estimate_transforms evaluates every u on the same simulated paths (common
 random numbers), so the estimates of one call have correlated errors.
@@ -42,7 +45,7 @@ import numpy as np
 from .model import AffineParams, LinearDrift, LyapunovDrift
 from .symcore import DomainError, _project2, _sqrt2, check_psd, spectrum, symmetrize
 # the per-layer benchmark hooks the cone kernels of the d >= 3 step under these two names
-from .symcore import cone_project as _project_psd_batch, cone_sqrt as _sqrt_psd_batch
+from .symcore import cone_project_sqrt as _project_psd_batch, cone_sqrt as _sqrt_psd_batch
 
 _BLOCK_PATHS = 4096  # fixed blocking: memory bound, never affects results
 _CHUNK_STEPS = 256   # steps drawn per stream refill: memory bound, never affects results
@@ -129,9 +132,43 @@ def _poisson_from_uniform(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _stream(seed: int, tag: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(tag)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+# where a new Philox stream starts: counter 0, then an empty buffer
+# (buffer_pos 4 of 4), has_uint32 0 and uinteger 0
+_STREAM_START = [0] * 8 + [4, 0, 0]
+
+
+class _Streams:
+    """The streams of one path block, drawn through one Philox generator.
+
+    A Philox stream is its key and counter (Salmon et al., SC 2011), so the
+    generator moves to stream tag by setting its state: key (seed, tag) and
+    the words of _STREAM_START, where a new Philox(key=(seed, tag)) starts.
+    save(slot) keeps where a stream stopped, for the next chunk of its
+    draws, in 11 words of one uint64 array: the counter, the buffer,
+    buffer_pos, has_uint32 and uinteger. The state is one dict of Python
+    ints, which the Philox state setter reads faster than arrays."""
+
+    def __init__(self, seed: int, n_slots: int):
+        key = [seed & 0xFFFFFFFFFFFFFFFF, 0]
+        self.gen = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+        self.state = {"bit_generator": "Philox", "state": {"key": key}}
+        self.saved = np.empty((n_slots, 11), dtype=np.uint64)
+
+    def at(self, tag: int, slot: int, resume: bool) -> np.random.Generator:
+        """The generator at the start of stream tag, or where save(slot) left it."""
+        state = self.state
+        words = self.saved[slot].tolist() if resume else _STREAM_START
+        state["state"]["key"][1] = tag
+        state["state"]["counter"] = words[:4]
+        state["buffer"] = words[4:8]
+        state["buffer_pos"], state["has_uint32"], state["uinteger"] = words[8:]
+        self.gen.bit_generator.state = state
+        return self.gen
+
+    def save(self, slot: int):
+        state = self.gen.bit_generator.state
+        self.saved[slot] = (state["state"]["counter"].tolist() + state["buffer"].tolist()
+                            + [state["buffer_pos"], state["has_uint32"], state["uinteger"]])
 
 
 def _gauss_tag(p: int, antithetic: bool) -> int | None:
@@ -182,16 +219,18 @@ class _Scheme:
         return len(self.m_sites) + len(self.mu_sites)
 
 
-def _advance(x: np.ndarray, normals: np.ndarray, uniforms: np.ndarray, dt: float,
-             scheme: _Scheme) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One projected Euler step for a batch of PSD states x (n, d, d), given
-    the step's standard normals (n, d, d) and one uniform per atom
-    (n, n_atoms), m atoms first. Returns the new states, the jump counts and
-    the intensities integrated over the step (both (n, n_atoms)); raises
-    NonFiniteStateError when a new state is not finite."""
+def _advance(x: np.ndarray, root: np.ndarray, normals: np.ndarray, uniforms: np.ndarray,
+             dt: float, scheme: _Scheme) -> tuple[np.ndarray, ...]:
+    """One projected Euler step for a batch of PSD states x (n, d, d) with
+    square roots root, given the step's standard normals (n, d, d) and one
+    uniform per atom (n, n_atoms), m atoms first. Returns the new states,
+    their square roots (from the same eigh as the projection), the jump
+    counts and the intensities integrated over the step (both
+    (n, n_atoms)); raises NonFiniteStateError when a new state is not
+    finite."""
     n = len(x)
     n_m = len(scheme.m_sites)
-    noise = np.einsum("pij,jk->pik", _sqrt_psd_batch(x) @ normals, scheme.sigma,
+    noise = np.einsum("pij,jk->pik", root @ normals, scheme.sigma,
                       optimize=True) * np.sqrt(dt)
     x_new = x + (scheme.b + scheme.drift.apply(x)) * dt + noise + noise.transpose(0, 2, 1)
     lam = np.concatenate(
@@ -206,7 +245,7 @@ def _advance(x: np.ndarray, normals: np.ndarray, uniforms: np.ndarray, dt: float
     if not np.isfinite(x_new).all():
         raise NonFiniteStateError(f"simulated states overflow the float range in an "
                                   f"Euler step of size {dt:.6g}")
-    return _project_psd_batch(x_new), counts, lam
+    return *_project_psd_batch(x_new), counts, lam
 
 
 def _advance2(x: np.ndarray, normals: np.ndarray, uniforms: np.ndarray, dt: float,
@@ -253,12 +292,13 @@ def _advance2(x: np.ndarray, normals: np.ndarray, uniforms: np.ndarray, dt: floa
     return x_new, counts, lam
 
 
-def _advance_stacked(x: np.ndarray, normals: np.ndarray, uniforms: np.ndarray, dt: float,
-                     scheme: _Scheme) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _advance_stacked(x: np.ndarray, root: np.ndarray, normals: np.ndarray,
+                     uniforms: np.ndarray, dt: float,
+                     scheme: _Scheme) -> tuple[np.ndarray, ...]:
     """_advance on the draw layout of _advance2; counts and intensities (n_atoms, n)."""
-    x, counts, lam = _advance(x, np.ascontiguousarray(normals.transpose(2, 0, 1)),
-                              uniforms.T, dt, scheme)
-    return x, counts.T, lam.T
+    x, root, counts, lam = _advance(x, root, np.ascontiguousarray(normals.transpose(2, 0, 1)),
+                                    uniforms.T, dt, scheme)
+    return x, root, counts.T, lam.T
 
 
 @dataclass
@@ -285,43 +325,45 @@ def _simulate_block(params: AffineParams, x0: np.ndarray, dt: float, n_steps: in
     uniforms = np.empty((chunk, n_atoms, n))
     stage_n = np.empty((min(n, _STAGE_PATHS), chunk, d, d))
     stage_u = np.empty((len(stage_n), chunk, n_atoms))
-    # a run of one chunk creates, draws and drops each generator, so no
-    # generator outlives its draw; longer runs keep them (thousands per
-    # block, a few MB) so that each chunk continues its streams
-    kept = {} if n_steps > chunk else None
-
-    def stream(tag):
-        if kept is None:
-            return _stream(seed, tag)
-        if tag not in kept:
-            kept[tag] = _stream(seed, tag)
-        return kept[tag]
+    # slot 2i keeps the Gaussian stream of the block's path i, slot 2i + 1
+    # its jump stream, when the draws take more than one chunk
+    streams = _Streams(seed, 2 * n if n_steps > chunk else 0)
 
     if d == 2:
         x = np.repeat(x0[:, :, None], n, axis=2)
-        step = _advance2
     else:
         x = np.broadcast_to(x0, (n, d, d)).copy()
-        step = _advance_stacked
+        root = np.broadcast_to(_sqrt_psd_batch(x0), (n, d, d))
     counts = np.zeros((n_atoms, n))
     intens = np.zeros((n_atoms, n))
     for start in range(0, n_steps, chunk):
         steps = min(chunk, n_steps - start)
+        keep = start + steps < n_steps  # a later chunk continues these streams
         for lo in range(0, n, len(stage_n)):
             hi = min(lo + len(stage_n), n)
             for i in range(lo, hi):
                 tag = _gauss_tag(paths[i], antithetic)
                 if tag is not None:
-                    stream(tag).standard_normal(out=stage_n[i - lo, :steps])
+                    streams.at(tag, 2 * i, start > 0).standard_normal(
+                        out=stage_n[i - lo, :steps])
+                    if keep:
+                        streams.save(2 * i)
             normals[:steps, ..., lo:hi] = np.moveaxis(stage_n[:hi - lo, :steps], 0, -1)
             if n_atoms:
                 for i in range(lo, hi):
-                    stream(2 * paths[i] + 1).random(out=stage_u[i - lo, :steps])
+                    streams.at(2 * paths[i] + 1, 2 * i + 1, start > 0).random(
+                        out=stage_u[i - lo, :steps])
+                    if keep:
+                        streams.save(2 * i + 1)
                 uniforms[:steps, ..., lo:hi] = np.moveaxis(stage_u[:hi - lo, :steps], 0, -1)
         if antithetic:  # each odd path takes the negated draws of the even one before it
             np.negative(normals[:steps, ..., 0::2], out=normals[:steps, ..., 1::2])
         for k in range(steps):
-            x, step_counts, step_intens = step(x, normals[k], uniforms[k], dt, scheme)
+            if d == 2:
+                x, step_counts, step_intens = _advance2(x, normals[k], uniforms[k], dt, scheme)
+            else:
+                x, root, step_counts, step_intens = _advance_stacked(
+                    x, root, normals[k], uniforms[k], dt, scheme)
             counts += step_counts
             intens += step_intens
 

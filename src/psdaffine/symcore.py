@@ -108,8 +108,9 @@ def trace_inner(x: np.ndarray, y: np.ndarray):
 # ---------------------------------------------------------------------------
 # Cone kernels: one matrix (d, d) or a stack (..., d, d), unchecked, one eigh
 # per matrix; the checked sqrt_psd, psd_project and min_eig below take
-# outside input. The Monte Carlo step at d = 2 takes the analytic _sqrt2 and
-# _project2 on components instead.
+# outside input. The Monte Carlo step at d >= 3 takes its projection and the
+# next step's square root from one eigh (cone_project_sqrt); at d = 2 it
+# takes the analytic _sqrt2 and _project2 on components instead.
 # ---------------------------------------------------------------------------
 
 
@@ -133,6 +134,13 @@ def cone_sqrt(x: np.ndarray) -> np.ndarray:
 def cone_project(x: np.ndarray) -> np.ndarray:
     """Nearest (Frobenius) PSD matrix to symmetric x: clamp negative eigenvalues (Higham 1988)."""
     return _spectral(x, root=False)
+
+
+def cone_project_sqrt(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cone_project(x) and its square root, both rebuilt from one eigh of x."""
+    w, q = np.linalg.eigh(x)
+    w = np.maximum(w, 0.0)
+    return _rebuild(w, q), _rebuild(np.sqrt(w), q)
 
 
 def eigenvalues(x: np.ndarray) -> np.ndarray:

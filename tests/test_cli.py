@@ -484,6 +484,16 @@ def test_validate_pairs_must_be_a_non_negative_count(capsys, wishart_file, value
     assert f"expected a non-negative integer, got '{value}'" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "abc"])
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_paths_must_be_a_positive_count(capsys, wishart_file, ugrid_file, command, value):
+    # 0 and -3 used to reach SimConfig and exit 1 as a domain failure
+    code, out, err = run_cli(capsys, command, wishart_file, "--u", ugrid_file, "-T", "0.5",
+                             "--paths", value, "--out", "json")
+    assert_clean_exit(code, out, err, 2)
+    assert f"expected a positive integer, got '{value}'" in err
+
+
 def test_simulate_poisson_overflow_named_error(capsys, tmp_path, ugrid_file):
     params = AffineParams(d=2, alpha=np.eye(2), b=np.eye(2),
                           drift=LyapunovDrift(beta=-np.eye(2)),
@@ -655,11 +665,17 @@ def test_validate_passes_huge_finite_alpha(capsys, tmp_path):
     assert checks["alpha_psd"]["value"] == 1e308
 
 
-class _LargestUniformStream:
-    """Stands in for a path's Philox stream: zero normals, and every uniform
-    the largest float below 1."""
+class _LargestUniformStreams:
+    """Stands in for a path block's Philox streams: zero normals, and every
+    uniform the largest float below 1."""
 
-    def __init__(self, seed, tag):
+    def __init__(self, seed, n_slots):
+        pass
+
+    def at(self, tag, slot, resume):
+        return self
+
+    def save(self, slot):
         pass
 
     def standard_normal(self, size=None, out=None):
@@ -682,7 +698,7 @@ def test_simulate_survives_the_largest_uniform(capsys, monkeypatch, tmp_path, ug
     params = AffineParams(d=2, alpha=np.eye(2), b=np.eye(2),
                           drift=LyapunovDrift(beta=-np.eye(2)),
                           m=AtomicMeasure(atoms=((np.eye(2), 10.0),)))
-    monkeypatch.setattr(montecarlo, "_stream", _LargestUniformStream)
+    monkeypatch.setattr(montecarlo, "_Streams", _LargestUniformStreams)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "simulate", write_params(tmp_path, "p.json", params),
                              "--u", ugrid_file, "-T", "0.05", "--paths", "4",

@@ -27,7 +27,7 @@ from psdaffine import (
     transform,
 )
 from psdaffine.model import sym_to_vec, vec_to_sym
-from psdaffine.symcore import symmetrize
+from psdaffine.symcore import cone_sqrt, symmetrize
 from psdaffine.montecarlo import (
     PoissonOverflowError,
     _advance2,
@@ -217,8 +217,9 @@ def test_d2_component_step_matches_the_spectral_step(case):
     # projection) on the same states and draws
     x, g, u, dt, scheme = case
     got, counts, lam = _advance2(x, g, u, dt, scheme)
-    ref, ref_counts, ref_lam = _advance_stacked(np.ascontiguousarray(x.transpose(2, 0, 1)),
-                                                g, u, dt, scheme)
+    stacked = np.ascontiguousarray(x.transpose(2, 0, 1))
+    ref, _, ref_counts, ref_lam = _advance_stacked(stacked, cone_sqrt(stacked),
+                                                   g, u, dt, scheme)
     ref = ref.transpose(1, 2, 0)
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10 * np.abs(ref).max())
     assert (got == got.swapaxes(0, 1)).all()
@@ -433,10 +434,17 @@ def golden_params(d):
 # must be stated with its size. The d = 3 digests were re-recorded when the
 # d >= 3 projection began to rebuild every state from its eigh (it used to
 # pass a whole batch through while every state was in the cone): terminal
-# states moved by at most 7e-8 relative, estimates by at most 1.1e-10.
+# states moved by at most 7e-8 relative, estimates by at most 1.1e-10. They
+# were re-recorded again when the d >= 3 step began to take its square root
+# from the eigh of the unprojected new state, the eigh that also projects it
+# (it used to decompose the projection once more): over the three d = 3
+# runs below, terminal states moved by at most 1.6e-8 relative (per-path
+# Frobenius norm), intensity integrals by at most 4.8e-9 relative, and
+# estimates of E[exp(-tr(u X))] for u = I, I/2 + iI and 2iI by at most
+# 6.2e-10 absolute (9.7e-9 relative); the jump counts did not change.
 GOLDEN = {
     2: "15215249003867692abf1de5ca82daae56d0cd7c1f229c28d0fea64eb3421af7",
-    3: "8d2a87262e73e86ed75131688399527f0a2e1b167b7ad52b9a7c8c6cae4958a8",
+    3: "5dd7c182427cd413105a1f15daa11918344b8bdcbad1ed2226d69cef407b8920",
 }
 
 
@@ -462,8 +470,8 @@ def test_simulate_paths_golden_bits(monkeypatch, d):
 GOLDEN_CHUNKED = {
     (2, False): "fa15bb6122a9b931b4b0b49f3e4f0d757e31f96ccfab88bbff387820668ec985",
     (2, True): "e7b3ad840dc87e09c1c5cde206f35c24f35ee1bae8a1456e379b1916fc089b09",
-    (3, False): "87b11e45152ee7dacbd8a318b14fce9a7e14b4c8212a96a233f37cbe3300b422",
-    (3, True): "666e583184a3c16e26b31eba8c075f41c9231d433d8a695aa1e459b2cb04c34f",
+    (3, False): "b8849f9374eda24911149174d2b8274f7e48de48174498e1104b28733e47fda4",
+    (3, True): "6cab9abde668d73831ca36c4b1842791c608076dcd766fbde30a8b93d8f1f9c6",
 }
 
 
@@ -476,6 +484,34 @@ def test_simulate_paths_golden_bits_chunked(monkeypatch, d, antithetic):
                            SimConfig(n_paths=62, dt=0.001, seed=2024, antithetic=antithetic))
     assert stats.n_steps == 600
     assert _digest(stats) == GOLDEN_CHUNKED[(d, antithetic)]
+
+
+def test_d3_block_takes_one_eigh_per_step_and_one_philox(monkeypatch):
+    # the eigh that projects the state of step k also gives the square root
+    # of step k + 1, and a block moves one Philox generator between its
+    # streams, over three draw chunks
+    import psdaffine.montecarlo as mc
+    monkeypatch.setenv("PSDAFFINE_THREADS", "1")
+    monkeypatch.setattr(mc, "_BLOCK_PATHS", 25)  # 26 + 10 paths
+    calls = {"eigh": 0, "philox": 0}
+    eigh, philox = np.linalg.eigh, np.random.Philox
+
+    def counted_eigh(a, *args, **kwargs):
+        calls["eigh"] += np.ndim(a) == 3
+        return eigh(a, *args, **kwargs)
+
+    def counted_philox(*args, **kwargs):
+        calls["philox"] += 1
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(np.random, "Philox", counted_philox)
+    stats = simulate_paths(golden_params(3), 0.5 * np.eye(3), 0.6,
+                           SimConfig(n_paths=36, dt=0.001, seed=2024))
+    n_blocks = 2
+    assert stats.n_steps == 600
+    assert calls["eigh"] <= n_blocks * (stats.n_steps + 1)
+    assert calls["philox"] == n_blocks
 
 
 def test_simulate_paths_memory_flat_in_steps(monkeypatch):

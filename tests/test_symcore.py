@@ -27,6 +27,7 @@ from psdaffine.symcore import (
     _spectral,
     _sqrt2,
     cone_project,
+    cone_project_sqrt,
     cone_sqrt,
     eigenvalues,
     symmetrize,
@@ -333,6 +334,33 @@ def test_stacked_spectral_kernel_equals_per_matrix(x, root):
     # the cone kernels are the spectral kernel itself, at every d
     assert cone_project(x).tobytes() == _spectral(x, False).tobytes()
     assert cone_sqrt(x).tobytes() == _spectral(x, True).tobytes()
+
+
+@st.composite
+def _cone_edge_stacks(draw):
+    """Symmetric stacks of one kind: indefinite, PSD of rank below d,
+    negative definite or zero."""
+    kind = draw(st.sampled_from(["indefinite", "rank-deficient", "negative-definite", "zero"]))
+    if kind == "indefinite":
+        return draw(_sym_stacks())
+    d = draw(st.integers(2, 5))
+    shape = draw(_SHAPES)
+    if kind == "zero":
+        return np.zeros(shape + (d, d))
+    if kind == "negative-definite":
+        return -draw(_psd_stacks(dims=(d, d), floor=1e-3))
+    g = draw(hnp.arrays(np.float64, shape + (d, draw(st.integers(1, d - 1))), elements=_ENTRY))
+    return symmetrize(g @ g.swapaxes(-1, -2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cone_edge_stacks())
+def test_projection_and_root_from_one_eigh(x):
+    p, r = cone_project_sqrt(x)
+    assert p.tobytes() == cone_project(x).tobytes()
+    assert (r == r.swapaxes(-1, -2)).all()
+    norm = np.linalg.norm(p, axis=(-2, -1))
+    assert (np.linalg.norm(r @ r - p, axis=(-2, -1)) <= 1e-12 * norm).all()
 
 
 def _on_components(kernel, x):
