@@ -27,7 +27,7 @@ from .model import (
     MatrixAtomicMeasure,
     validate as validate_params,
 )
-from .symcore import DomainError, is_psd, trace_inner
+from .symcore import DomainError, canonical_sym, check_psd, is_psd, trace_inner
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -199,9 +199,15 @@ def load_ugrid(path: str) -> tuple[list[np.ndarray], list[float]]:
 
 
 def _check_dims(d: int, us: list[np.ndarray], x: np.ndarray | None = None) -> None:
-    """Every u-grid entry and the initial state, if given, must be d x d."""
-    if x is not None and x.shape != (d, d):
-        raise ParamFileError("--x: dimension does not match the parameter set")
+    """Every u-grid entry and the initial state, if given, must be d x d; the
+    initial state must also be symmetric up to rounding and PSD."""
+    if x is not None:
+        if x.shape != (d, d):
+            raise ParamFileError("--x: dimension does not match the parameter set")
+        try:
+            check_psd(canonical_sym(x, "the initial state"), "the initial state is not PSD")
+        except DomainError as exc:
+            raise ParamFileError(f"--x: {exc}") from exc
     for k, u in enumerate(us):
         if u.shape != (d, d):
             raise ParamFileError(f"$.u[{k}]: dimension does not match the parameter set")
@@ -456,7 +462,7 @@ def cmd_mbajd(args) -> int:
 
 def _flag_type(parse, ok, expected: str):
     """An argparse type: text that parse rejects, or whose value fails ok, is
-    malformed input."""
+    malformed input. parse may itself be such a type, whose message wins."""
     def convert(text: str):
         try:
             val = parse(text)
@@ -469,6 +475,8 @@ def _flag_type(parse, ok, expected: str):
 
 
 _finite_float = _flag_type(float, math.isfinite, "a finite number")
+_positive_float = _flag_type(_finite_float, lambda v: v > 0, "a positive number")
+_non_negative_float = _flag_type(_finite_float, lambda v: v >= 0, "a non-negative number")
 _non_negative_int = _flag_type(int, lambda n: n >= 0, "a non-negative integer")
 _positive_int = _flag_type(int, lambda n: n >= 1, "a positive integer")
 
@@ -484,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params")
     p.add_argument("--pairs", type=_non_negative_int, default=64,
                    help="random boundary pairs besides the canonical ones")
-    p.add_argument("--tol", type=_finite_float, default=1e-9)
+    p.add_argument("--tol", type=_non_negative_float, default=1e-9)
     p.add_argument("--out", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_validate)
 
@@ -500,9 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("params")
     mc.add_argument("--u", required=True, help="u-grid file")
     mc.add_argument("--x", default=None, help="initial state file (default: identity)")
-    mc.add_argument("-T", type=_finite_float, required=True)
+    mc.add_argument("-T", type=_positive_float, required=True)
     mc.add_argument("--paths", type=_positive_int, default=10000)
-    mc.add_argument("--dt", type=_finite_float, default=2.0**-8)
+    mc.add_argument("--dt", type=_positive_float, default=2.0**-8)
     mc.add_argument("--seed", type=int, default=0)
     mc.add_argument("--antithetic", action="store_true")
     mc.add_argument("--out", choices=("csv", "json"), default="csv")
@@ -512,15 +520,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", parents=[mc],
                        help="three-way check: ODE vs closed form vs MC")
-    p.add_argument("--allowance", type=_finite_float, default=0.005,
+    p.add_argument("--allowance", type=_non_negative_float, default=0.005,
                    help="discretization allowance added to 3 stderr")
-    p.add_argument("--closed-tol", type=_finite_float, default=1e-6)
+    p.add_argument("--closed-tol", type=_non_negative_float, default=1e-6)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("mbajd", help="closed-form phi, psi table")
     p.add_argument("params")
     p.add_argument("--u", required=True)
-    p.add_argument("-T", type=_finite_float, default=None,
+    p.add_argument("-T", type=_non_negative_float, default=None,
                    help="single time (otherwise the u-grid times are used)")
     p.add_argument("--out", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_mbajd)

@@ -10,12 +10,12 @@ after every step,
 where G is a d x d matrix of standard normals, Sigma^T Sigma = alpha, and
 the jump count of each atom is Poisson with the intensity frozen at the
 step's start (w_k dt for constant atoms, tr(M_k X) dt for state-dependent
-ones). Killing is out of scope: simulation requires c = 0, gamma = 0. At
-d = 2 a block of paths is stepped as component rows, one contiguous array
-per matrix entry, with the analytic 2 x 2 square root and projection
-(_advance2); at d >= 3 as a stack (n, d, d) with one eigh per state and
-step (_advance): the eigh of the new state gives both its projection and
-its square root, which is the next step's sqrt(X).
+ones). Killing is out of scope: simulation requires c = 0, gamma = 0. One
+kernel (_advance) steps a block of paths at every d, as component rows
+(d, d, n), one contiguous array per matrix entry. Only its cone step, which
+projects the new states and returns their square roots as the next step's
+sqrt(X), depends on d (_cone_step): the analytic 2 x 2 projection and
+square root at d = 2, one eigh per state at d >= 3.
 
 Randomness is Philox counter streams keyed by (seed, stream tag), one
 Gaussian stream and one jump stream per path, so results are bit-identical
@@ -39,11 +39,12 @@ import os
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .model import AffineParams, LinearDrift, LyapunovDrift
-from .symcore import DomainError, _project2, _sqrt2, check_psd, spectrum, symmetrize
+from .symcore import DomainError, _project2, _sqrt2, check_psd, spectrum
 # the per-layer benchmark hooks the cone kernels of the d >= 3 step under these two names
 from .symcore import cone_project_sqrt as _project_psd_batch, cone_sqrt as _sqrt_psd_batch
 
@@ -219,65 +220,53 @@ class _Scheme:
         return len(self.m_sites) + len(self.mu_sites)
 
 
+def _rows2(a, b, c) -> np.ndarray:
+    """Component rows (2, 2, ...) of [[a, b], [b, c]]."""
+    return np.array([[a, b], [b, c]])
+
+
+def _cone_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The projection onto the cone of states on component rows (d, d, n), and
+    its square roots: the analytic _project2 and _sqrt2 at d = 2, otherwise
+    the rebuilds from one eigh per state (_project_psd_batch)."""
+    if len(x) != 2:
+        proj, root = _project_psd_batch(x.transpose(2, 0, 1))
+        return proj.transpose(1, 2, 0), root.transpose(1, 2, 0)
+    a, b, c = _project2(x[0, 0], x[0, 1], x[1, 1])
+    return _rows2(a, b, c), _rows2(*_sqrt2(a, b, c))
+
+
 def _advance(x: np.ndarray, root: np.ndarray, normals: np.ndarray, uniforms: np.ndarray,
              dt: float, scheme: _Scheme) -> tuple[np.ndarray, ...]:
-    """One projected Euler step for a batch of PSD states x (n, d, d) with
-    square roots root, given the step's standard normals (n, d, d) and one
-    uniform per atom (n, n_atoms), m atoms first. Returns the new states,
-    their square roots (from the same eigh as the projection), the jump
-    counts and the intensities integrated over the step (both
-    (n, n_atoms)); raises NonFiniteStateError when a new state is not
-    finite."""
-    n = len(x)
+    """One projected Euler step of a block of paths on component rows: the
+    PSD states x, their square roots root and the step's standard normals are
+    (d, d, n), row (i, j) holding entry (i, j) of every path; uniforms, one
+    per atom and path, are (n_atoms, n), m atoms first. Returns the new
+    states, their square roots (from the cone step that projects them), the
+    jump counts and the intensities integrated over the step (both
+    (n_atoms, n)); raises NonFiniteStateError when a new state is not finite.
+    The products by Sigma and by a Lyapunov beta are one BLAS product each
+    over all paths; every other sum runs over its index in order."""
+    d, n = len(x), x.shape[-1]
     n_m = len(scheme.m_sites)
-    noise = np.einsum("pij,jk->pik", root @ normals, scheme.sigma,
-                      optimize=True) * np.sqrt(dt)
-    x_new = x + (scheme.b + scheme.drift.apply(x)) * dt + noise + noise.transpose(0, 2, 1)
-    lam = np.concatenate(
-        [np.broadcast_to(scheme.m_rates * dt, (n, n_m)),
-         np.maximum(np.einsum("kij,pji->pk", scheme.mu_weights, x), 0.0) * dt], axis=1)
-    counts = _poisson_from_uniform(lam, uniforms)
-    if n_m:
-        x_new = x_new + np.einsum("pk,kij->pij", counts[:, :n_m], scheme.m_sites)
-    if len(scheme.mu_sites):
-        x_new = x_new + np.einsum("pk,kij->pij", counts[:, n_m:], scheme.mu_sites)
-    x_new = symmetrize(x_new)
-    if not np.isfinite(x_new).all():
-        raise NonFiniteStateError(f"simulated states overflow the float range in an "
-                                  f"Euler step of size {dt:.6g}")
-    return *_project_psd_batch(x_new), counts, lam
-
-
-def _advance2(x: np.ndarray, normals: np.ndarray, uniforms: np.ndarray, dt: float,
-              scheme: _Scheme) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_advance at d = 2 on component rows: x and normals are (2, 2, n), row
-    (i, j) holding entry (i, j) of every path; uniforms, counts and
-    intensities are (n_atoms, n). The square root and projection are the
-    analytic _sqrt2 and _project2. The products by Sigma and a Lyapunov beta
-    are one BLAS product each over all paths, rounded (fused multiply-adds
-    included) as the einsum products of _advance round them; every other
-    sum is taken in _advance's order."""
-    n = x.shape[-1]
-    n_m = len(scheme.m_sites)
-    r = np.stack(_sqrt2(x[0, 0], x[0, 1], x[1, 1]))  # sqrt(X) = [[r0, r1], [r1, r2]]
     # y[j, i] = (sqrt(X) G)[i, j], so that z[k, i] = (sqrt(X) G Sigma)[i, k]
-    y = r[:2] * normals[0, :, None] + r[1:] * normals[1, :, None]
-    z = (scheme.sigma.T @ y.reshape(2, -1)).reshape(2, 2, n) * np.sqrt(dt)
+    y = reduce(np.add, (root[:, l] * normals[l, :, None] for l in range(d)))
+    z = (scheme.sigma.T @ y.reshape(d, -1)).reshape(d, d, n) * np.sqrt(dt)
     if isinstance(scheme.drift, LyapunovDrift):
-        bx = (scheme.drift.beta @ x.reshape(2, -1)).reshape(2, 2, n)
+        bx = (scheme.drift.beta @ x.reshape(d, -1)).reshape(d, d, n)
         drift = bx + bx.swapaxes(0, 1)
     else:
         drift = scheme.drift.apply(np.ascontiguousarray(x.transpose(2, 0, 1))).transpose(1, 2, 0)
     x_new = x + (scheme.b[..., None] + drift) * dt + z.swapaxes(0, 1) + z
     lam = np.empty((scheme.n_atoms, n))
     lam[:n_m] = (scheme.m_rates * dt)[:, None]
-    if len(scheme.mu_sites):  # tr(W X), summed as the einsum of _advance sums it
+    if len(scheme.mu_sites):  # tr(W X) = sum_i sum_l W[i, l] X[l, i]
         w = scheme.mu_weights[..., None]
-        half = w[:, :, 0] * x[0] + w[:, :, 1] * x[1]
-        lam[n_m:] = np.maximum(half[:, 0] + half[:, 1], 0.0) * dt
+        half = reduce(np.add, (w[:, :, l] * x[l] for l in range(d)))
+        lam[n_m:] = np.maximum(reduce(np.add, (half[:, i] for i in range(d))), 0.0) * dt
     counts = _poisson_from_uniform(lam, uniforms)
     for block, sites in ((counts[:n_m], scheme.m_sites), (counts[n_m:], scheme.mu_sites)):
-        if len(sites):  # sum_k counts_k xi_k, from 0 in the order of the einsum of _advance
+        if len(sites):  # sum_k counts_k xi_k, from 0
             jumps = np.zeros_like(x_new)
             for count, xi in zip(block, sites):
                 jumps += count * xi[..., None]
@@ -287,18 +276,7 @@ def _advance2(x: np.ndarray, normals: np.ndarray, uniforms: np.ndarray, dt: floa
     if not np.isfinite(x_new).all():
         raise NonFiniteStateError(f"simulated states overflow the float range in an "
                                   f"Euler step of size {dt:.6g}")
-    a, b, c = _project2(x_new[0, 0], x_new[0, 1], x_new[1, 1])
-    x_new[0, 0], x_new[0, 1], x_new[1, 0], x_new[1, 1] = a, b, b, c
-    return x_new, counts, lam
-
-
-def _advance_stacked(x: np.ndarray, root: np.ndarray, normals: np.ndarray,
-                     uniforms: np.ndarray, dt: float,
-                     scheme: _Scheme) -> tuple[np.ndarray, ...]:
-    """_advance on the draw layout of _advance2; counts and intensities (n_atoms, n)."""
-    x, root, counts, lam = _advance(x, root, np.ascontiguousarray(normals.transpose(2, 0, 1)),
-                                    uniforms.T, dt, scheme)
-    return x, root, counts.T, lam.T
+    return *_cone_step(x_new), counts, lam
 
 
 @dataclass
@@ -329,11 +307,9 @@ def _simulate_block(params: AffineParams, x0: np.ndarray, dt: float, n_steps: in
     # its jump stream, when the draws take more than one chunk
     streams = _Streams(seed, 2 * n if n_steps > chunk else 0)
 
-    if d == 2:
-        x = np.repeat(x0[:, :, None], n, axis=2)
-    else:
-        x = np.broadcast_to(x0, (n, d, d)).copy()
-        root = np.broadcast_to(_sqrt_psd_batch(x0), (n, d, d))
+    x = np.repeat(x0[:, :, None], n, axis=2)
+    root = _rows2(*_sqrt2(x0[0, 0], x0[0, 1], x0[1, 1])) if d == 2 else _sqrt_psd_batch(x0)
+    root = np.broadcast_to(root[..., None], x.shape)
     counts = np.zeros((n_atoms, n))
     intens = np.zeros((n_atoms, n))
     for start in range(0, n_steps, chunk):
@@ -359,17 +335,12 @@ def _simulate_block(params: AffineParams, x0: np.ndarray, dt: float, n_steps: in
         if antithetic:  # each odd path takes the negated draws of the even one before it
             np.negative(normals[:steps, ..., 0::2], out=normals[:steps, ..., 1::2])
         for k in range(steps):
-            if d == 2:
-                x, step_counts, step_intens = _advance2(x, normals[k], uniforms[k], dt, scheme)
-            else:
-                x, root, step_counts, step_intens = _advance_stacked(
-                    x, root, normals[k], uniforms[k], dt, scheme)
+            x, root, step_counts, step_intens = _advance(x, root, normals[k], uniforms[k],
+                                                         dt, scheme)
             counts += step_counts
             intens += step_intens
-
-    if d == 2:
-        x = np.ascontiguousarray(x.transpose(2, 0, 1))
-    return PathStats(x_final=x, jump_counts=np.ascontiguousarray(counts.T),
+    return PathStats(x_final=np.ascontiguousarray(x.transpose(2, 0, 1)),
+                     jump_counts=np.ascontiguousarray(counts.T),
                      intensity_integrals=np.ascontiguousarray(intens.T),
                      dt=dt, n_steps=n_steps)
 

@@ -108,9 +108,9 @@ def trace_inner(x: np.ndarray, y: np.ndarray):
 # ---------------------------------------------------------------------------
 # Cone kernels: one matrix (d, d) or a stack (..., d, d), unchecked, one eigh
 # per matrix; the checked sqrt_psd, psd_project and min_eig below take
-# outside input. The Monte Carlo step at d >= 3 takes its projection and the
-# next step's square root from one eigh (cone_project_sqrt); at d = 2 it
-# takes the analytic _sqrt2 and _project2 on components instead.
+# outside input. The cone step of the Monte Carlo kernel takes a projection
+# and the next step's square root from one eigh (cone_project_sqrt) at
+# d >= 3, and from the analytic _project2 and _sqrt2 on components at d = 2.
 # ---------------------------------------------------------------------------
 
 

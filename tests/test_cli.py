@@ -494,6 +494,52 @@ def test_paths_must_be_a_positive_count(capsys, wishart_file, ugrid_file, comman
     assert f"expected a positive integer, got '{value}'" in err
 
 
+_MC_BASE = ("-T", "0.5", "--paths", "16", "--dt", "0.1")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("simulate", "--dt", "0"), "a positive number"),
+    (("simulate", "--dt", "-0.1"), "a positive number"),
+    (("simulate", "-T", "0"), "a positive number"),
+    (("compare", "-T", "-1"), "a positive number"),
+    (("compare", "--dt", "0"), "a positive number"),
+    (("compare", "--allowance", "-1"), "a non-negative number"),
+    (("compare", "--closed-tol", "-1"), "a non-negative number"),
+    (("mbajd", "-T", "-1"), "a non-negative number"),
+    (("validate", "--tol", "-1"), "a non-negative number"),
+])
+def test_numeric_flag_out_of_range_exits_two(capsys, wishart_file, ugrid_file, argv, expected):
+    # each used to exit 1: a domain error, every compare row a threshold
+    # breach, or every validate check a failure
+    command, flag, value = argv
+    mc_base = ("--u", ugrid_file) + _MC_BASE
+    base = {"validate": (), "mbajd": ("--u", ugrid_file),
+            "simulate": mc_base, "compare": mc_base}[command]
+    code, out, err = run_cli(capsys, command, wishart_file, *base, flag, value, "--out", "json")
+    assert_clean_exit(code, out, err, 2)
+    assert f"expected {expected}, got '{value}'" in err
+
+
+@pytest.mark.parametrize("x, problem", [
+    ([[-1.0, 0.5], [0.2, -1.0]], "is not symmetric"),
+    ([[1.0, 0.5], [0.2, 1.0]], "is not symmetric"),
+    ([[1.0, 2.0], [2.0, 1.0]], "is not PSD"),
+])
+@pytest.mark.parametrize("command", ["transform", "simulate", "compare"])
+def test_initial_state_must_be_symmetric_and_psd(capsys, tmp_path, wishart_file, ugrid_file,
+                                                 command, x, problem):
+    # transform used to exit 0 with status ok rows, simulate and compare 1
+    xfile = tmp_path / "x.json"
+    xfile.write_text(json.dumps({"x": x}))
+    if command == "transform":
+        argv = ("transform", wishart_file, ugrid_file)
+    else:
+        argv = (command, wishart_file, "--u", ugrid_file) + _MC_BASE
+    code, out, err = run_cli(capsys, *argv, "--x", str(xfile), "--out", "json")
+    assert_clean_exit(code, out, err, 2)
+    assert err.startswith(f"input error: --x: the initial state {problem}")
+
+
 def test_simulate_poisson_overflow_named_error(capsys, tmp_path, ugrid_file):
     params = AffineParams(d=2, alpha=np.eye(2), b=np.eye(2),
                           drift=LyapunovDrift(beta=-np.eye(2)),
