@@ -479,6 +479,7 @@ _positive_float = _flag_type(_finite_float, lambda v: v > 0, "a positive number"
 _non_negative_float = _flag_type(_finite_float, lambda v: v >= 0, "a non-negative number")
 _non_negative_int = _flag_type(int, lambda n: n >= 0, "a non-negative integer")
 _positive_int = _flag_type(int, lambda n: n >= 1, "a positive integer")
+_seed = _flag_type(int, lambda n: 0 <= n < 2 ** 64, "a seed in [0, 2^64)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -511,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("-T", type=_positive_float, required=True)
     mc.add_argument("--paths", type=_positive_int, default=10000)
     mc.add_argument("--dt", type=_positive_float, default=2.0**-8)
-    mc.add_argument("--seed", type=int, default=0)
+    mc.add_argument("--seed", type=_seed, default=0)
     mc.add_argument("--antithetic", action="store_true")
     mc.add_argument("--out", choices=("csv", "json"), default="csv")
 

@@ -16,10 +16,10 @@ boundary of the tube; no invertibility of alpha is needed anywhere.
 :func:`mbajd_grid` evaluates a u-grid at a list of times on one dyadic
 lattice of [0, t] per time, shared by every u: a node s = k t / 2^L is one
 step h = t / 2^L of E_{s+h} = E_h E_s, sigma_{s+h} = sigma_h + E_h sigma_s E_h^T
-from its left neighbour, and must land on its right one. Per u, batched
-determinants follow log det(I + u sigma_s) on a continuous branch from s = 0
-(never the principal branch), and one adaptive Simpson rule integrates the
-jump rate, bisecting only the panels that fail their Richardson test.
+from its left neighbour, and must land on its right one. Each time is one pass
+over the stack of u: batched determinants follow each row's log det(I + u sigma_s)
+on a continuous branch from s = 0 (never the principal one), and one adaptive Simpson
+rule integrates every row's jump rate, bisecting the panels that fail their row's test.
 """
 
 from __future__ import annotations
@@ -127,16 +127,18 @@ def flow_omega(beta: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
     return symmetrize(e @ np.asarray(x, dtype=float) @ e.T)
 
 
-def _adaptive_simpson(f, t: float, tol: float):
-    """Adaptive Simpson quadrature over [0, t] of an array-valued integrand
-    f(ks, level), given stacked at the nodes k t / 2^level. From 2^_BASE_LEVEL
-    panels on, each round bisects every panel whose |S_fine - S_coarse| / 15,
-    a max over components, exceeds tol; the others add
-    S_fine + (S_fine - S_coarse) / 15. A non-finite estimate raises at once:
-    bisecting it further cannot make it finite."""
-    level, first = _BASE_LEVEL + 2, 4 * np.arange(2 ** _BASE_LEVEL)  # 4 intervals a panel
-    v = f(np.arange(2 ** level + 1), level)[first[:, None] + np.arange(5)]  # (panel, node, ...)
-    total = 0.0
+def _adaptive_simpson(f, t: float, tol: float, n: int) -> np.ndarray:
+    """Adaptive Simpson quadrature over [0, t] of n rows of array-valued integrands
+    f(rows, ks, level), given stacked at the nodes k t / 2^level of rows. From
+    2^_BASE_LEVEL panels a row on, each round bisects every panel whose
+    |S_fine - S_coarse| / 15, a max over components, exceeds tol; the others add
+    S_fine + (S_fine - S_coarse) / 15 to their row's total in panel order, so no
+    row depends on another. A non-finite estimate raises at once."""
+    level, ks = _BASE_LEVEL + 2, np.arange(2 ** (_BASE_LEVEL + 2) + 1)
+    row, first = np.divmod(4 * np.arange(n << _BASE_LEVEL), len(ks) - 1)  # 4 intervals a panel
+    v = f(np.repeat(np.arange(n), len(ks)), np.tile(ks, n), level)
+    v = v.reshape((n, len(ks)) + v.shape[1:])[row[:, None], first[:, None] + np.arange(5)]
+    total = np.zeros((n,) + v.shape[2:], dtype=v.dtype)
     while True:
         h = t / 2 ** level
         coarse = 2.0 * h / 3.0 * (v[:, 0] + 4.0 * v[:, 2] + v[:, 4])
@@ -147,16 +149,17 @@ def _adaptive_simpson(f, t: float, tol: float):
             raise QuadratureError(f"adaptive quadrature met a non-finite integrand "
                                   f"on [{k * h:.6g}, {(k + 4) * h:.6g}]")
         done = err <= tol
-        total = total + (fine + (fine - coarse) / 15.0)[done].sum(axis=0)
+        np.add.at(total, row[done], (fine + (fine - coarse) / 15.0)[done])
         if done.all():
             return total
-        if level - 2 >= _MAX_DEPTH or np.count_nonzero(~done) > 2 ** _MAX_LEVEL:
+        if level - 2 >= _MAX_DEPTH or np.bincount(row[~done]).max() > 2 ** _MAX_LEVEL:
             raise QuadratureError("adaptive quadrature failed to converge")
-        v, first, level = v[~done], 2 * first[~done], level + 1
-        mid = f((first[:, None] + [1, 3, 5, 7]).ravel(), level).reshape((len(v), 4) + v.shape[2:])
+        v, row, first, level = v[~done], row[~done], 2 * first[~done], level + 1
+        mid = f(np.repeat(row, 4), (first[:, None] + [1, 3, 5, 7]).ravel(), level)
         # the halves' nodes: v0 m0 v1 m1 v2 | v2 m2 v3 m3 v4
-        v = np.concatenate([v, mid], axis=1)[:, [0, 5, 1, 6, 2, 2, 7, 3, 8, 4]]
-        v, first = v.reshape((2 * len(v), 5) + v.shape[2:]), (first[:, None] + [0, 4]).ravel()
+        v = np.concatenate([v, mid.reshape((len(v), 4) + v.shape[2:])], axis=1)
+        v = v[:, [0, 5, 1, 6, 2, 2, 7, 3, 8, 4]].reshape((2 * len(v), 5) + v.shape[2:])
+        row, first = np.repeat(row, 2), (first[:, None] + [0, 4]).ravel()
 
 
 def _vanloan(beta: np.ndarray, alpha: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -177,8 +180,8 @@ def _witness(beta: np.ndarray, alpha: np.ndarray, t: float, sig: np.ndarray) -> 
     """Raise unless adaptive quadrature of 2 omega_s(alpha) over [0, t]
     agrees with sig to 1e-8 relative."""
     quad = _adaptive_simpson(
-        lambda ks, lv: np.stack([2.0 * flow_omega(beta, alpha, k * t / 2 ** lv) for k in ks]),
-        t, tol=1e-11 * max(1.0, frobenius(alpha)))
+        lambda _, ks, lv: np.stack([2.0 * flow_omega(beta, alpha, k * t / 2 ** lv) for k in ks]),
+        t, 1e-11 * max(1.0, frobenius(alpha)), 1)[0]
     disc = frobenius(sig - quad)
     if disc > 1e-8 * max(1.0, frobenius(sig)):
         raise QuadratureError(
@@ -214,43 +217,37 @@ class _SigmaGrid:
             _witness(spec.beta, spec.alpha, t, sig_t)
             object.__setattr__(spec, "_witnessed", t)
         self.node = {(0, 0): (np.eye(spec.d), np.zeros_like(sig_t)), (1, 0): (e_t, sig_t)}
-        self.stacks = {}
         self.step = functools.cache(lambda level: _vanloan(spec.beta, spec.alpha, t / 2 ** level))
 
     def nodes(self, ks: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
-        """The stacks at k t / 2^level for k in ks, cached for every u."""
-        memo = level, ks.tobytes()
-        if memo not in self.stacks:
-            self.stacks[memo] = self._stack([_key(int(k), level) for k in ks])
-        return self.stacks[memo]
-
-    def _stack(self, keys: list) -> tuple[np.ndarray, np.ndarray]:
-        """The nodes of keys, stacked. Missing ones are built first, coarsest
-        level first with one stacked product per level: node k is one step of
-        t / 2^level from node k - 1 and must land on node k + 1, so its bits
-        never depend on the order of the calls."""
+        """The nodes at k t / 2^level for k in ks, stacked. Missing ones are
+        built first, coarsest level first with one stacked product per level:
+        node k is one step of t / 2^level from node k - 1 and must land on node
+        k + 1, so its bits never depend on the order of the calls."""
+        ks, back = np.unique(ks, return_inverse=True)
+        keys = [_key(int(k), level) for k in ks]
         new = set(keys) - self.node.keys()
-        for level in sorted({lv for _, lv in new}):
-            ks = sorted(k for k, lv in new if lv == level)
-            e_h, sig_h = self.step(level)
-            e_prev, sig_prev = self._stack([_key(k - 1, level) for k in ks])
+        for lv in sorted({lv for _, lv in new}):
+            odd = np.array(sorted(k for k, at in new if at == lv))
+            e_h, sig_h = self.step(lv)
+            e_prev, sig_prev = self.nodes(odd - 1, lv)
             e, sig = e_h @ e_prev, symmetrize(sig_h + e_h @ sig_prev @ e_h.T)
-            sig_next = self._stack([_key(k + 1, level) for k in ks])[1]
+            sig_next = self.nodes(odd + 1, lv)[1]
             for now, want in zip(symmetrize(sig_h + e_h @ sig @ e_h.T), sig_next):
                 gap = frobenius(now - want)
                 if not gap <= _DRIFT_TOL * max(1.0, frobenius(want)):
                     raise QuadratureError(f"sigma grid drifted from the block exponential "
                                           f"at t = {self.t} by {gap:.3e}")
-            self.node.update(((k, level), node) for k, node in zip(ks, zip(e, sig)))
+            self.node.update(((int(k), lv), node) for k, node in zip(odd, zip(e, sig)))
         e, sig = zip(*(self.node[key] for key in keys))
-        return np.stack(e), np.stack(sig)
+        return np.stack(e)[back], np.stack(sig)[back]
 
-    def psi(self, u: np.ndarray) -> np.ndarray:
-        """psi(t, u) from the last node; raises when I + u sigma_t is near singular."""
+    def psi(self, us: np.ndarray) -> np.ndarray:
+        """psi(t, u) of a stack of u; raises when some I + u sigma_t is near singular."""
         e_t, sig_t = self.node[1, 0]
-        if np.linalg.cond(np.eye(self.spec.d) + u @ sig_t) > 1e12:
+        if (np.linalg.cond(np.eye(self.spec.d) + us @ sig_t) > 1e12).any():
             raise DomainError(f"I + u sigma_t(alpha) is near singular at t = {self.t}")
-        return _psi(u, e_t, sig_t)
+        return _psi(us, e_t, sig_t)
 
 
 def _key(k: int, level: int) -> tuple[int, int]:
@@ -260,30 +257,33 @@ def _key(k: int, level: int) -> tuple[int, int]:
 
 
 def _psi(u: np.ndarray, e: np.ndarray, sig: np.ndarray) -> np.ndarray:
-    """exp(beta^T s)(I + u sigma_s)^{-1} u exp(beta s) of one node or a stack."""
-    return symmetrize(e.swapaxes(-1, -2) @ np.linalg.solve(np.eye(len(u)) + u @ sig, u) @ e)
+    """exp(beta^T s)(I + u sigma_s)^{-1} u exp(beta s) of stacked u and nodes."""
+    return symmetrize(e.swapaxes(-1, -2) @ np.linalg.solve(np.eye(u.shape[-1]) + u @ sig, u) @ e)
 
 
-def _logdet_continuous(grid: _SigmaGrid, u: np.ndarray) -> complex:
-    """log det(I + u sigma_t(alpha)) on the branch that is 0 at s = 0: the
-    argument is unwrapped on whole grid levels until its increments are small
-    and its total is stable; a persistent jump of pi or more is an error."""
-    prev_total = None
+def _logdet_continuous(grid: _SigmaGrid, us: np.ndarray) -> np.ndarray:
+    """log det(I + u sigma_t(alpha)) of a stack of u on the branch that is 0 at s = 0:
+    each row's argument is unwrapped on whole grid levels until its increments are
+    small and its total is stable; a persistent jump of pi or more is an error."""
+    logdet, live, prev_total = np.empty(len(us), dtype=complex), np.arange(len(us)), np.nan
     for level in range(_BASE_LEVEL, _MAX_LEVEL + 1):
-        z = np.linalg.det(np.eye(len(u)) + u @ grid.nodes(np.arange(2 ** level + 1), level)[1])
+        sig = grid.nodes(np.arange(2 ** level + 1), level)[1]
+        z = np.linalg.det(np.eye(grid.spec.d) + us[live, None] @ sig)
         if np.min(np.abs(z)) < 1e-300:
             raise BranchTrackingError("determinant vanished along the trajectory")
         args = np.unwrap(np.angle(z))
-        total = args[-1] - args[0]  # angle(z[0]) = 0 since det = 1 at s = 0
-        if np.max(np.abs(np.diff(args))) < np.pi / 4 and prev_total is not None and \
-                abs(total - prev_total) < 1e-9 * (1.0 + abs(total)):
-            return complex(np.log(abs(z[-1])), total)
-        prev_total = total
+        total = args[:, -1] - args[:, 0]  # angle(z[:, 0]) = 0 since det = 1 at s = 0
+        ok = (np.max(np.abs(np.diff(args)), axis=1) < np.pi / 4) & \
+            (np.abs(total - prev_total) < 1e-9 * (1.0 + np.abs(total)))
+        logdet[live[ok]] = np.log(np.abs(z[ok, -1])) + 1j * total[ok]
+        live, prev_total = live[~ok], total[~ok]
+        if not len(live):
+            return logdet
     raise BranchTrackingError("argument increments above pi persisted under grid refinement")
 
 
 def _jump_rate(m: AtomicMeasure, u: np.ndarray, e: np.ndarray, sig: np.ndarray) -> np.ndarray:
-    """sum_k w_k (exp(-tr(psi(s, u) xi_k)) - 1) at every node."""
+    """sum_k w_k (exp(-tr(psi(s, u) xi_k)) - 1) at every node, u stacked with them."""
     psi = _psi(u, e, sig)  # I + u sigma_s is invertible: Re(u) and sigma_s are PSD
     if not np.isfinite(psi).all():
         raise QuadratureError("jump quadrature met a non-finite psi")
@@ -293,9 +293,9 @@ def _jump_rate(m: AtomicMeasure, u: np.ndarray, e: np.ndarray, sig: np.ndarray) 
     return sum(w * (np.exp(-np.einsum("nij,ji->n", psi, xi)) - 1.0) for xi, w in m.atoms)
 
 
-def _checked(spec: MBAJDSpec, us, times) -> list[np.ndarray]:
-    """Every u as a complex array, once each u is d x d with Re(u) PSD and
-    each time is t >= 0."""
+def _checked(spec: MBAJDSpec, us, times) -> np.ndarray:
+    """The u stacked as a complex array, once each u is d x d with Re(u) PSD
+    and each time is t >= 0."""
     us = [np.asarray(u, dtype=complex) for u in us]
     for u in us:
         if u.shape != (spec.d, spec.d):
@@ -304,30 +304,30 @@ def _checked(spec: MBAJDSpec, us, times) -> list[np.ndarray]:
     for t in times:
         if not t >= 0:
             raise DomainError(f"the closed form requires t >= 0, got {t}")
-    return us
+    return np.array(us).reshape(len(us), spec.d, spec.d)
 
 
 def mbajd_grid(spec: MBAJDSpec, us, times) -> tuple[np.ndarray, np.ndarray]:
     """phi(t, u) and psi(t, u) for every u of a grid at every time, as arrays
     of shape (len(us), len(times)) and (len(us), len(times), d, d).
 
-    Every u must be d x d with Re(u) PSD. The quadrature witness runs once,
-    at the largest time; each time builds one sigma grid for every u.
+    Every u must be d x d with Re(u) PSD. The quadrature witness runs once, at
+    the largest time; each time takes one pass over the stack of u on one sigma grid.
     """
     us = _checked(spec, us, times)
     phi = np.zeros((len(us), len(times)), dtype=complex)
     psi = np.empty((len(us), len(times), spec.d, spec.d), dtype=complex)
-    for j in sorted(range(len(times)), key=lambda j: -times[j]) if us else ():
+    for j in sorted(range(len(times)), key=lambda j: -times[j]) if len(us) else ():
         if times[j] == 0:
             psi[:, j] = us
             continue
         grid = _SigmaGrid(spec, float(times[j]))
-        for k, u in enumerate(us):
-            phi[k, j] = spec.p * _logdet_continuous(grid, u)
-            if not spec.m.is_empty:  # the jump integral, each panel within _QUAD_TOL
-                phi[k, j] -= _adaptive_simpson(
-                    lambda ks, lv: _jump_rate(spec.m, u, *grid.nodes(ks, lv)), grid.t, _QUAD_TOL)
-            psi[k, j] = grid.psi(u)
+        phi[:, j] = spec.p * _logdet_continuous(grid, us)
+        if not spec.m.is_empty:  # the jump integral, each panel within _QUAD_TOL
+            phi[:, j] -= _adaptive_simpson(
+                lambda rows, ks, lv: _jump_rate(spec.m, us[rows], *grid.nodes(ks, lv)),
+                grid.t, _QUAD_TOL, len(us))
+        psi[:, j] = grid.psi(us)
     return phi, psi
 
 
@@ -335,8 +335,8 @@ def mbajd_psi(spec: MBAJDSpec, u: np.ndarray, t: float) -> np.ndarray:
     """psi(t, u) in the singular-safe form exp(beta^T t)(I + u sigma)^{-1} u exp(beta t):
     the psi of :func:`mbajd_grid` from one block exponential at t (plus the
     witness at a new largest horizon), with no log-det or jump integral."""
-    (u,) = _checked(spec, [u], [t])
-    return u.copy() if t == 0 else _SigmaGrid(spec, float(t)).psi(u)
+    us = _checked(spec, [u], [t])
+    return us[0].copy() if t == 0 else _SigmaGrid(spec, float(t)).psi(us)[0]
 
 
 def mbajd_phi(spec: MBAJDSpec, u: np.ndarray, t: float) -> complex:

@@ -192,9 +192,6 @@ class AtomicMeasure:
     def is_empty(self) -> bool:
         return len(self.atoms) == 0
 
-    def total_weight(self) -> float:
-        return sum(w for _, w in self.atoms)
-
 
 @dataclass(frozen=True)
 class MatrixAtomicMeasure:
@@ -216,9 +213,6 @@ class MatrixAtomicMeasure:
     @property
     def is_empty(self) -> bool:
         return len(self.atoms) == 0
-
-    def total_trace(self) -> float:
-        return sum(float(np.trace(wm)) for _, wm in self.atoms)
 
 
 def truncation(xi: np.ndarray) -> np.ndarray:

@@ -65,6 +65,8 @@ class SimConfig:
             raise ValueError("n_paths must be at least 1")
         if not 0.0 < self.dt < np.inf:
             raise ValueError("dt must be positive and finite")
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2 ** 64):
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
         if self.antithetic and self.n_paths % 2:
             raise ValueError("antithetic sampling needs an even number of paths")
 
@@ -150,7 +152,7 @@ class _Streams:
     ints, which the Philox state setter reads faster than arrays."""
 
     def __init__(self, seed: int, n_slots: int):
-        key = [seed & 0xFFFFFFFFFFFFFFFF, 0]
+        key = [int(seed), 0]
         self.gen = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
         self.state = {"bit_generator": "Philox", "state": {"key": key}}
         self.saved = np.empty((n_slots, 11), dtype=np.uint64)

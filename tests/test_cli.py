@@ -494,6 +494,16 @@ def test_paths_must_be_a_positive_count(capsys, wishart_file, ugrid_file, comman
     assert f"expected a positive integer, got '{value}'" in err
 
 
+@pytest.mark.parametrize("value", ["-1", "18446744073709551616", "abc"])
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_seed_must_fit_the_philox_key(capsys, wishart_file, ugrid_file, command, value):
+    # -1 and 2^64 used to run, and exit 0, as the seeds 2^64 - 1 and 0
+    code, out, err = run_cli(capsys, command, wishart_file, "--u", ugrid_file, "-T", "0.5",
+                             "--paths", "16", "--seed", value, "--out", "json")
+    assert_clean_exit(code, out, err, 2)
+    assert f"expected a seed in [0, 2^64), got '{value}'" in err
+
+
 _MC_BASE = ("-T", "0.5", "--paths", "16", "--dt", "0.1")
 
 

@@ -487,6 +487,37 @@ def test_grid_call_equals_one_row_calls(d, n_atoms, n_u, seed):
             assert psi[k, j].tobytes() == want.tobytes()
 
 
+def test_one_jump_quadrature_per_time(monkeypatch):
+    # the whole u-grid shares each time's jump integral; the fifth call is
+    # the witness of the fresh spec at its largest time
+    rng = np.random.default_rng(19)
+    spec = basic_spec(beta=random_stable_beta(rng, 2),
+                      atoms=((random_psd(rng, 2) + 0.1 * np.eye(2), 0.5),))
+    calls = []
+    correct = cf._adaptive_simpson
+    monkeypatch.setattr(cf, "_adaptive_simpson",
+                        lambda *args, **kw: calls.append(args) or correct(*args, **kw))
+    phi, _ = mbajd_grid(spec, [random_interior_u(rng, 2) for _ in range(16)],
+                        [0.25, 0.5, 1.0, 2.0])
+    assert np.isfinite(phi).all()
+    assert len(calls) == 5
+
+
+def test_rows_of_different_depth_stay_independent():
+    # a high-frequency row needs finer log-det levels and deeper panels than
+    # an interior one; sharing a pass must not change any row's bits
+    rng = np.random.default_rng(20)
+    spec = basic_spec(beta=NON_NORMAL_BETA, atoms=((random_psd(rng, 2) + 0.1 * np.eye(2), 0.5),))
+    us = [400j * np.eye(2), random_interior_u(rng, 2), 17j * np.eye(2),
+          random_interior_u(rng, 2)]
+    times = [0.5, 1.0]
+    phi, psi = mbajd_grid(spec, us, times)
+    for k, u in enumerate(us):
+        for j, t in enumerate(times):
+            assert phi[k, j].tobytes() == np.complex128(mbajd_phi(spec, u, t)).tobytes()
+            assert psi[k, j].tobytes() == mbajd_psi(spec, u, t).tobytes()
+
+
 def test_unstable_beta_matches_a_refined_grid_or_raises(monkeypatch):
     import psdaffine.closedform as cf
     rng = np.random.default_rng(17)

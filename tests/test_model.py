@@ -338,10 +338,12 @@ def test_jump_transform_bounded_integrand():
                      for _ in range(3))
     m = AtomicMeasure(atoms=m_atoms)
     mu = MatrixAtomicMeasure(atoms=mu_atoms)
+    total_weight = sum(w for _, w in m_atoms)
+    total_trace = sum(float(np.trace(wm)) for _, wm in mu_atoms)
     for _ in range(100):
         u = random_psd(rng, 2) * rng.uniform(0, 5) + 1j * random_sym(rng, 2, 3.0)
-        assert abs(jump_transform_m(m, u)) <= 2 * m.total_weight() + 1e-12
-        assert frobenius(jump_transform_mu(mu, u)) <= 2 * mu.total_trace() + 1e-12
+        assert abs(jump_transform_m(m, u)) <= 2 * total_weight + 1e-12
+        assert frobenius(jump_transform_mu(mu, u)) <= 2 * total_trace + 1e-12
 
 
 # ---------------------------------------------------------------------------

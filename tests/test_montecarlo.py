@@ -453,6 +453,14 @@ def test_sim_config_rejects_non_finite_dt(dt):
         SimConfig(n_paths=4, dt=dt, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, "7"])
+def test_sim_config_rejects_a_seed_outside_the_philox_key(seed):
+    # -1 and 2^64 used to run as the seeds 2^64 - 1 and 0
+    with pytest.raises(ValueError, match="seed must be an integer in \\[0, 2\\^64\\)"):
+        SimConfig(n_paths=4, dt=0.1, seed=seed)
+    SimConfig(n_paths=4, dt=0.1, seed=2 ** 64 - 1)
+
+
 @pytest.mark.parametrize("T", [float("nan"), float("inf")])
 def test_simulate_paths_rejects_non_finite_horizon(T):
     with pytest.raises(ValueError, match="T must be positive and finite"):
