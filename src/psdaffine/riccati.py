@@ -8,9 +8,13 @@ The system, solved forward from phi(0) = 0, psi(0) = u0:
                - sum_k (exp(-tr(psi xi_k)) - 1) M_k
 
 The state is integrated as the real/imaginary split of the isometric
-vectorization of psi plus the two components of phi (dimension d(d+1) + 2).
-In the projected variant the jump exponents use pi(Re psi) + i Im psi, which
-is what makes initial data on the boundary of the cone integrable.
+vectorization of psi plus the two components of phi (dimension d(d+1) + 2),
+and the right-hand side works on that packed state: the linear terms, the
+quadratic and the weighted jump sums are real matrix products built once
+per parameter set, and only the projected rows are unpacked. In the
+projected variant the jump exponents use pi(Re psi) + i Im psi, which is
+what makes initial data on the boundary of the cone integrable; a row whose
+Re psi is in the cone keeps its own exponents.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import numpy as np
 
 from . import _dopri5
 from .model import (
+    SQRT2,
     AffineParams,
     AlphaClass,
     TruncatedParams,
@@ -33,13 +38,13 @@ from .model import (
 )
 from .symcore import (
     DomainError,
-    _spectral,
+    _project2,
     check_psd,
+    cone_project,
     eigenvalues,
     frobenius,
     min_eig,
     riccati_quadratic_real,
-    symmetrize,
     trace_inner,
 )
 # the per-layer benchmark hooks this kernel in this module by name
@@ -83,78 +88,107 @@ class SolverDiagnostics:
 
 
 class RiccatiRHS:
-    """Right-hand side evaluator; accepts truncation-free or truncated
-    parameter sets. ``projected`` switches the jump exponents to the
-    cone-projected real part and is required whenever Re(u0) is singular:
-    one flag for every row, or one flag per row of the stacks evaluated."""
+    """Right-hand side on the packed real state, of truncation-free or
+    truncated parameter sets. ``projected`` switches the jump exponents to
+    the cone-projected real part and is required whenever Re(u0) is
+    singular: one flag for every row, or one flag per row.
+
+    With v (2, D) the real and imaginary halves of a row's psi, v @ ``_lin``
+    gives B^T(psi), tr(b psi), every tr(psi xi_k) and, in the truncated form,
+    every tr(psi chi(xi_k)); ``_quad`` takes v(psi) outer v(psi) to the
+    quadratic term, and ``_jump`` the jump coefficients to both jump sums.
+    Every product has the inner shape of one row, so each row has the bits
+    it has alone."""
 
     def __init__(self, params: AffineParams | TruncatedParams,
                  projected: bool | list[bool] = False):
         self.params = params
         self.projected = np.asarray(projected, dtype=bool)
-        self.truncated = isinstance(params, TruncatedParams)
-        self.d = params.d
-        self.D = sym_dim(params.d)
-        self.drift = params.drift_tilde if self.truncated else params.drift
+        self.d = d = params.d
+        self.D = D = sym_dim(d)
         self.alpha = params.alpha
-        self.gamma = params.gamma
-        self.b = params.b
-        self.c = params.c
-        self._alpha_zero = frobenius(params.alpha) == 0.0
+        truncated = isinstance(params, TruncatedParams)
+        drift = params.drift_tilde if truncated else params.drift
+        m_atoms, mu_atoms = params.m.atoms, params.mu.atoms
+        sites = [xi for xi, _ in m_atoms] + [xi for xi, _ in mu_atoms]
+        chis = [truncation(xi) for xi, _ in mu_atoms] if truncated else []
+        self._n_m, k = len(m_atoms), len(sites)
+        self._lin = np.concatenate(
+            [drift.as_matrix(), sym_to_vec(params.b)[:, None]]
+            + [sym_to_vec(np.stack(a)).T for a in (sites, chis) if a], axis=1)
+        self._exps = slice(D + 1, D + 1 + k) if k else None
+        self._chis = slice(D + 1 + k, None) if chis else None
+        self._xi = np.ascontiguousarray(self._lin[:, D + 1:D + 1 + k])
+        self._jump = np.zeros((k, D + 1))
+        self._jump[:self._n_m, D] = [w for _, w in m_atoms]
+        if mu_atoms:
+            self._jump[self._n_m:, :D] = sym_to_vec(np.stack([wm for _, wm in mu_atoms]))
+        self._const = np.zeros((2, D + 1))
+        self._const[0] = np.append(sym_to_vec(params.gamma), params.c)
+        self._quad = None if frobenius(params.alpha) == 0.0 else _quadratic_matrix(params.alpha)
+        self._proj = np.flatnonzero(self.projected) if self.projected.ndim else None
 
-        m_atoms = params.m.atoms
-        self._m_sites = np.stack([xi for xi, _ in m_atoms]) if m_atoms else None
-        self._m_weights = np.array([w for _, w in m_atoms]) if m_atoms else None
-        mu_atoms = params.mu.atoms
-        self._mu_sites = np.stack([xi for xi, _ in mu_atoms]) if mu_atoms else None
-        self._mu_weights_flat = (np.stack([wm.ravel() for _, wm in mu_atoms])
-                                 if mu_atoms else None)
-        if self.truncated and mu_atoms:
-            self._mu_chi = np.stack([truncation(xi) for xi, _ in mu_atoms])
-        else:
-            self._mu_chi = None
-
-    # -- matrix-level rates -------------------------------------------------
-
-    def _jump_exponent_base(self, psi: np.ndarray) -> np.ndarray:
-        """psi, with pi(Re psi) + i Im psi in the projected rows."""
-        flags = np.broadcast_to(self.projected, psi.shape[:1])
-        if not flags.any():
-            return psi
-        re = psi.real[flags]
+    def _moved_exponents(self, v: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Of projected rows (p, 2, D): the rows whose Re psi leaves the cone,
+        and their jump exponents (m, 2, K) at pi(Re psi) + i Im psi, or None
+        when every Re psi is in the cone; a row in the cone keeps its own.
+        The analytic 2 x 2 projection on components at d = 2; otherwise the
+        eigenvalues of every row, and one eigh per moved row."""
+        re = v[:, 0]
         if not np.isfinite(re).all():
             raise DomainError("eigendecomposition failed: non-finite entries")
-        e = psi.copy()
-        # the spectral kernel on every stack: the 2 x 2 fast path rounds differently
-        e[flags] = _spectral(symmetrize(re), root=False) + 1j * psi.imag[flags]
-        return e
+        if self.d == 2:
+            a, b, c = re[:, 0], re[:, 1] / SQRT2, re[:, 2]
+            pa, pb, pc = _project2(a, b, c)
+            if pa is a:
+                return None, None
+            moved = np.flatnonzero((pa != a) | (pb != b) | (pc != c))
+            re = np.stack([pa[moved], SQRT2 * pb[moved], pc[moved]], axis=-1)
+        else:
+            x = vec_to_sym(re, self.d)
+            moved = np.flatnonzero(np.linalg.eigvalsh(x)[:, 0] < 0.0)
+            if not len(moved):
+                return None, None
+            re = sym_to_vec(cone_project(x[moved]))
+        return moved, np.concatenate([re[:, None], v[moved, 1:]], axis=1) @ self._xi
+
+    def __call__(self, t, y: np.ndarray) -> np.ndarray:
+        """Rates of one packed state (N,) or of the columns of (N, m)."""
+        y = np.asarray(y)
+        D = self.D
+        # rows in C order whatever the layout of y: the complex views below need it
+        rows = np.ascontiguousarray(y.T.reshape(-1, y.shape[0]))
+        n = len(rows)
+        v = rows[:, :2 * D].reshape(n, 2, D)
+        lin = v @ self._lin
+        rate = lin[:, :, :D + 1] + self._const
+        if self._quad is not None:
+            vc = v[:, 0] + 1j * v[:, 1]
+            outer = (vc[:, :, None] * vc[:, None, :]).view(float).reshape(n, D * D, 2)
+            rate[:, :, :D] += (self._quad @ outer).transpose(0, 2, 1)
+        if self._exps is not None:
+            z = lin[:, :, self._exps]
+            proj = self._proj if self._proj is not None else np.arange(n if self.projected else 0)
+            if len(proj):
+                moved, exps = self._moved_exponents(v[proj])
+                if moved is not None:
+                    z[proj[moved]] = exps
+            ew = np.exp(-(z[:, 0] + 1j * z[:, 1])) - 1.0
+            coef = ew.view(float).reshape(n, -1, 2).transpose(0, 2, 1)
+            if self._chis is not None:
+                # the truncated form keeps the chi compensator inside the integral:
+                # the integrand is (exp(..) - 1 + tr(chi_k psi)) M_k
+                coef[:, :, self._n_m:] += lin[:, :, self._chis]
+            rate -= coef @ self._jump
+        out = np.empty((n, 2 * D + 2))
+        out[:, :2 * D] = rate[:, :, :D].reshape(n, 2 * D)
+        out[:, 2 * D:] = rate[:, :, D]
+        return out.T.reshape(y.shape)
 
     def rates(self, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rates of phi (n,) and of psi (n, d, d) at a stack psi (n, d, d).
-        Every row has the bits it has alone: each weighted jump sum is one
-        product per row."""
-        has_jumps = self._m_sites is not None or self._mu_sites is not None
-        e = self._jump_exponent_base(psi) if has_jumps else None
-        rate = self.drift.adjoint(psi) + self.gamma
-        if not self._alpha_zero:
-            # psi alpha psi is symmetric for symmetric psi, alpha; no re-symmetrization
-            rate = rate - 2.0 * (psi @ self.alpha @ psi)
-        if self._mu_sites is not None:
-            ew = np.exp(-np.einsum("nij,kji->nk", e, self._mu_sites)) - 1.0
-            rate = rate - self._mu_sum(ew)
-            if self._mu_chi is not None:
-                # truncated form keeps the chi compensator inside the integral:
-                # the integrand is (exp(..) - 1 + tr(chi_k psi)) M_k
-                rate = rate - self._mu_sum(np.einsum("nij,kji->nk", psi, self._mu_chi))
-        phi_rate = np.einsum("ij,nji->n", self.b, psi) + self.c
-        if self._m_sites is not None:
-            ew = np.exp(-np.einsum("nij,kji->nk", e, self._m_sites)) - 1.0
-            phi_rate = phi_rate - (ew[:, None, :] @ self._m_weights)[:, 0]
-        return phi_rate, rate
-
-    def _mu_sum(self, coef: np.ndarray) -> np.ndarray:
-        """sum_k coef[:, k] M_k for coefficients (n, K)."""
-        return (coef[:, None, :] @ self._mu_weights_flat)[:, 0].reshape(-1, self.d, self.d)
+        """Rates of phi (n,) and of psi (n, d, d) at a stack psi (n, d, d)."""
+        r = self(0.0, self.pack(np.zeros(len(psi)), psi).T).T
+        return r[:, -2] + 1j * r[:, -1], self.unpack_psi(r)
 
     # -- packed real state --------------------------------------------------
 
@@ -173,11 +207,14 @@ class RiccatiRHS:
     def unpack_phi(self, y: np.ndarray) -> complex:
         return complex(y[-2], y[-1])
 
-    def __call__(self, t, y: np.ndarray) -> np.ndarray:
-        """Rates of one packed state (N,) or of the columns of (N, m)."""
-        y = np.asarray(y)
-        dphi, dpsi = self.rates(self.unpack_psi(y.T.reshape(-1, y.shape[0])))
-        return self.pack(dphi, dpsi).T.reshape(y.shape)
+
+def _quadratic_matrix(alpha: np.ndarray) -> np.ndarray:
+    """G (D, D^2) with v(-2 psi alpha psi) = G @ (v(psi) outer v(psi)).ravel():
+    column (p, q) is v(-(E_p alpha E_q + E_q alpha E_p)) of the isometric basis E."""
+    d = alpha.shape[0]
+    basis = vec_to_sym(np.eye(sym_dim(d)), d)
+    prod = basis[:, None] @ alpha @ basis[None, :]
+    return -sym_to_vec(prod + prod.swapaxes(-1, -2)).reshape(-1, sym_dim(d)).T.copy()
 
 
 @dataclass
