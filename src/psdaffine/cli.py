@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -252,22 +253,20 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, stream) -> None:
                          for k in columns])
 
 
-def _psi_columns(d: int) -> list[str]:
-    cols = []
-    for part in ("re", "im"):
-        for i in range(d):
-            for j in range(i, d):
-                cols.append(f"psi_{part}_{i}{j}")
-    return cols
+@functools.cache
+def _psi_layout(d: int) -> tuple[tuple[str, ...], tuple[np.ndarray, np.ndarray]]:
+    """The psi column names of dimension d, real parts then imaginary ones,
+    and the upper-triangle indices np.triu_indices(d) they name in order."""
+    iu = np.triu_indices(d)
+    return tuple(f"psi_{part}_{i}{j}" for part in ("re", "im") for i, j in zip(*iu)), iu
 
 
 def _exponent_row(k: int, t: float, phi: complex, psi: np.ndarray, **extra) -> dict:
     """Row with the u index, the time, phi and the upper triangle of psi."""
     row = {"u_index": k, "t": float(t), **extra,
            "phi_re": float(phi.real), "phi_im": float(phi.imag)}
-    d = psi.shape[0]
-    iu = np.triu_indices(d)
-    row.update(zip(_psi_columns(d), map(float, np.concatenate([psi.real[iu], psi.imag[iu]]))))
+    names, iu = _psi_layout(psi.shape[0])
+    row.update(zip(names, np.concatenate([psi.real[iu], psi.imag[iu]]).tolist()))
     return row
 
 
@@ -356,8 +355,7 @@ def cmd_transform(args) -> int:
     else:
         rows = _transform_rows_ode(params, us, times, x)
 
-    columns = (_TRANSFORM_BASE_COLS + _psi_columns(params.d)
-               + ["value_re", "value_im", "t_plus"])
+    columns = [*_TRANSFORM_BASE_COLS, *_psi_layout(params.d)[0], "value_re", "value_im", "t_plus"]
     _emit(rows, columns, args.out, sys.stdout)
     return EXIT_OK
 
@@ -450,7 +448,7 @@ def cmd_mbajd(args) -> int:
         raise ParamFileError(f"{args.u}: $.times: needed unless -T is given")
     rows = [_exponent_row(k, t, phi, psi, p=spec.p)
             for k, t, phi, psi in _closed_exponents(spec, us, times)]
-    columns = ["u_index", "t", "p", "phi_re", "phi_im"] + _psi_columns(params.d)
+    columns = ["u_index", "t", "p", "phi_re", "phi_im", *_psi_layout(params.d)[0]]
     _emit(rows, columns, args.out, sys.stdout)
     return EXIT_OK
 

@@ -16,10 +16,12 @@ boundary of the tube; no invertibility of alpha is needed anywhere.
 :func:`mbajd_grid` evaluates a u-grid at a list of times on one dyadic
 lattice of [0, t] per time, shared by every u: a node s = k t / 2^L is one
 step h = t / 2^L of E_{s+h} = E_h E_s, sigma_{s+h} = sigma_h + E_h sigma_s E_h^T
-from its left neighbour, and must land on its right one. Each time is one pass
-over the stack of u: batched determinants follow each row's log det(I + u sigma_s)
-on a continuous branch from s = 0 (never the principal one), and one adaptive Simpson
-rule integrates every row's jump rate, bisecting the panels that fail their row's test.
+from its left neighbour, and must land on its right one, checked by one stacked
+norm per level. Each time is one pass over the stack of u: batched determinants
+follow each row's log det(I + u sigma_s) on a continuous branch from s = 0 (never
+the principal one), and one adaptive Simpson rule integrates every row's jump rate,
+bisecting the panels that fail their row's test. The quadrature witness of sigma_t
+takes one stacked exponential per Simpson round.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import numpy as np
 
 from .model import AtomicMeasure, AffineParams, LyapunovDrift
 from .symcore import (
+    _SUBNORMAL_NORM,
     PSD_SLACK,
     DomainError,
     canonical_sym,
@@ -59,6 +62,7 @@ _BASE_LEVEL = 4  # 2^4 Simpson panels to start from; the log-det's first s-grid 
 _MAX_LEVEL = 14  # the log-det's finest s-grid level; most panels bisected in one round
 _QUAD_TOL = 1e-10  # Richardson error bound of each panel of the jump integral
 _DRIFT_TOL = 1e-10  # relative gap between a new grid node and its right neighbour
+_ID_BITS = 60  # a sigma grid node s = i t / 2^_ID_BITS; levels up to 60 fit an int64 id
 
 
 @dataclass(frozen=True)
@@ -121,10 +125,12 @@ class MBAJDSpec:
                             drift=LyapunovDrift(beta=self.beta), c=0.0, m=self.m)
 
 
-def flow_omega(beta: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
-    """omega_t(x) = exp(beta t) x exp(beta^T t); PSD-preserving for PSD x."""
-    e = mat_exp(np.asarray(beta, dtype=float) * t)
-    return symmetrize(e @ np.asarray(x, dtype=float) @ e.T)
+def flow_omega(beta: np.ndarray, x: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+    """omega_t(x) = exp(beta t) x exp(beta^T t); PSD-preserving for PSD x.
+    An array of times t gives the stack of omega_t(x), from one stacked
+    exponential."""
+    e = mat_exp(np.asarray(beta, dtype=float) * np.asarray(t, dtype=float)[..., None, None])
+    return symmetrize(e @ np.asarray(x, dtype=float) @ e.swapaxes(-1, -2))
 
 
 def _adaptive_simpson(f, t: float, tol: float, n: int) -> np.ndarray:
@@ -178,10 +184,11 @@ def _vanloan(beta: np.ndarray, alpha: np.ndarray, t: float) -> tuple[np.ndarray,
 
 def _witness(beta: np.ndarray, alpha: np.ndarray, t: float, sig: np.ndarray) -> None:
     """Raise unless adaptive quadrature of 2 omega_s(alpha) over [0, t]
-    agrees with sig to 1e-8 relative."""
-    quad = _adaptive_simpson(
-        lambda _, ks, lv: np.stack([2.0 * flow_omega(beta, alpha, k * t / 2 ** lv) for k in ks]),
-        t, 1e-11 * max(1.0, frobenius(alpha)), 1)[0]
+    agrees with sig to 1e-8 relative. Each Simpson round takes the flow at
+    all of its nodes s from one stacked exponential of beta s; none comes
+    from the sigma grid's step products, which this witnesses."""
+    quad = _adaptive_simpson(lambda _, ks, lv: 2.0 * flow_omega(beta, alpha, ks * t / 2 ** lv),
+                             t, 1e-11 * max(1.0, frobenius(alpha)), 1)[0]
     disc = frobenius(sig - quad)
     if disc > 1e-8 * max(1.0, frobenius(sig)):
         raise QuadratureError(
@@ -206,54 +213,78 @@ def sigma_integral(beta: np.ndarray, alpha: np.ndarray, t: float) -> np.ndarray:
 
 class _SigmaGrid:
     """exp(beta s) and sigma_s(alpha) at the nodes s = k t / 2^level, each
-    stored once under its key (odd k, level); (0, 0) is s = 0 and (1, 0) the
-    direct block exponential at t. The witness runs once per spec and new
-    largest horizon."""
+    stored once, in stacks ordered by s = i t / 2^_ID_BITS under the integer
+    id i. It starts from s = 0 and s = t, the direct block exponential. The
+    witness runs once per spec and new largest horizon."""
 
     def __init__(self, spec: MBAJDSpec, t: float):
         self.spec, self.t = spec, t
-        e_t, sig_t = _vanloan(spec.beta, spec.alpha, t)
+        self.e_t, self.sig_t = _vanloan(spec.beta, spec.alpha, t)
         if t > spec._witnessed:  # no t-dependent failure beyond what one horizon shows
-            _witness(spec.beta, spec.alpha, t, sig_t)
+            _witness(spec.beta, spec.alpha, t, self.sig_t)
             object.__setattr__(spec, "_witnessed", t)
-        self.node = {(0, 0): (np.eye(spec.d), np.zeros_like(sig_t)), (1, 0): (e_t, sig_t)}
+        self.ids = np.array([0, 1 << _ID_BITS])
+        self.e = np.stack([np.eye(spec.d), self.e_t])
+        self.sig = np.stack([np.zeros_like(self.sig_t), self.sig_t])
         self.step = functools.cache(lambda level: _vanloan(spec.beta, spec.alpha, t / 2 ** level))
 
     def nodes(self, ks: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
-        """The nodes at k t / 2^level for k in ks, stacked. Missing ones are
-        built first, coarsest level first with one stacked product per level:
-        node k is one step of t / 2^level from node k - 1 and must land on node
-        k + 1, so its bits never depend on the order of the calls."""
-        ks, back = np.unique(ks, return_inverse=True)
-        keys = [_key(int(k), level) for k in ks]
-        new = set(keys) - self.node.keys()
-        for lv in sorted({lv for _, lv in new}):
-            odd = np.array(sorted(k for k, at in new if at == lv))
-            e_h, sig_h = self.step(lv)
-            e_prev, sig_prev = self.nodes(odd - 1, lv)
-            e, sig = e_h @ e_prev, symmetrize(sig_h + e_h @ sig_prev @ e_h.T)
-            sig_next = self.nodes(odd + 1, lv)[1]
-            for now, want in zip(symmetrize(sig_h + e_h @ sig @ e_h.T), sig_next):
-                gap = frobenius(now - want)
-                if not gap <= _DRIFT_TOL * max(1.0, frobenius(want)):
-                    raise QuadratureError(f"sigma grid drifted from the block exponential "
-                                          f"at t = {self.t} by {gap:.3e}")
-            self.node.update(((int(k), lv), node) for k, node in zip(odd, zip(e, sig)))
-        e, sig = zip(*(self.node[key] for key in keys))
-        return np.stack(e)[back], np.stack(sig)[back]
+        """The nodes at k t / 2^level for k in ks, stacked."""
+        return self._at(np.asarray(ks) << (_ID_BITS - level))
+
+    def _at(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The nodes of the given ids, stacked. Missing ones are built first,
+        coarsest level first with one stacked product per level: node k of its
+        level, k odd, is one step of t / 2^level from node k - 1 and must land
+        on node k + 1, so its bits never depend on the order of the calls."""
+        new = np.setdiff1d(ids, self.ids)
+        if len(new):
+            level = _ID_BITS + 1 - np.frexp(new & -new)[1]  # where the id's k is odd
+            for lv in np.unique(level).tolist():
+                self._build(new[level == lv], lv)
+        pos = np.searchsorted(self.ids, ids)
+        return self.e[pos], self.sig[pos]
+
+    def _build(self, ids: np.ndarray, level: int) -> None:
+        """Store the nodes of ascending ids whose k is odd at this level, each
+        one step from its left neighbour, once all of them land on their right
+        ones."""
+        h = 1 << (_ID_BITS - level)
+        e_h, sig_h = self.step(level)
+        e_prev, sig_prev = self._at(ids - h)
+        e, sig = e_h @ e_prev, symmetrize(sig_h + e_h @ sig_prev @ e_h.T)
+        now, want = symmetrize(sig_h + e_h @ sig @ e_h.T), self._at(ids + h)[1]
+        bad = np.flatnonzero(_drifted(now, want))
+        if len(bad):
+            raise QuadratureError(f"sigma grid drifted from the block exponential at "
+                                  f"t = {self.t} by {frobenius(now[bad[0]] - want[bad[0]]):.3e}")
+        order = np.argsort(np.concatenate([self.ids, ids]))
+        self.ids, self.e, self.sig = (np.concatenate(pair)[order] for pair in
+                                      ((self.ids, ids), (self.e, e), (self.sig, sig)))
 
     def psi(self, us: np.ndarray) -> np.ndarray:
         """psi(t, u) of a stack of u; raises when some I + u sigma_t is near singular."""
-        e_t, sig_t = self.node[1, 0]
-        if (np.linalg.cond(np.eye(self.spec.d) + us @ sig_t) > 1e12).any():
+        if (np.linalg.cond(np.eye(self.spec.d) + us @ self.sig_t) > 1e12).any():
             raise DomainError(f"I + u sigma_t(alpha) is near singular at t = {self.t}")
-        return _psi(us, e_t, sig_t)
+        return _psi(us, self.e_t, self.sig_t)
 
 
-def _key(k: int, level: int) -> tuple[int, int]:
-    """The key (odd k, level) of the node k t / 2^level, or (0, 0) at s = 0."""
-    z = (k & -k).bit_length() - 1 if k else level  # trailing zero bits of k
-    return k >> z, level - z
+def _drifted(now: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """Which nodes of a stack fail frobenius(now - want) <= _DRIFT_TOL * max(1,
+    frobenius(want)). One stacked norm of each side passes a node whose two
+    norms are finite and normal (the sums of squares too) and whose gap is
+    below its bound by 1e-12 relative, more than the two summation orders can
+    differ by for d below about 90; frobenius decides every other node, as
+    it decides them one by one."""
+    diff = now - want
+    with np.errstate(over="ignore"):
+        gap, scale = np.linalg.norm(diff, axis=(-2, -1)), np.linalg.norm(want, axis=(-2, -1))
+    normal = ((_SUBNORMAL_NORM <= gap) & (gap < np.inf)
+              & (_SUBNORMAL_NORM <= scale) & (scale < np.inf))
+    drifted = ~(normal & (gap <= (1.0 - 1e-12) * _DRIFT_TOL * np.maximum(1.0, scale)))
+    for i in np.flatnonzero(drifted):
+        drifted[i] = not frobenius(diff[i]) <= _DRIFT_TOL * max(1.0, frobenius(want[i]))
+    return drifted
 
 
 def _psi(u: np.ndarray, e: np.ndarray, sig: np.ndarray) -> np.ndarray:

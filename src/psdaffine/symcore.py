@@ -229,12 +229,16 @@ def sqrt_psd(x: np.ndarray) -> np.ndarray:
 
 
 def mat_exp(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a general square matrix (scaling and squaring)."""
+    """Matrix exponential of a general square matrix, or of each matrix of a
+    stack (..., d, d) (scaling and squaring, matrix by matrix, so a stacked
+    call has the bits of the single ones)."""
     # imported here: only the closed form takes exponentials, and loading
     # scipy.linalg costs every other command about 0.3 s and 28 MB
     from scipy.linalg import expm
 
-    a = check_square(np.asarray(a, dtype=float), "a")
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DomainError(f"a must be a square matrix or a stack of them, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise DomainError("mat_exp: non-finite entries")
     return expm(a)

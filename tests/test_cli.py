@@ -619,7 +619,8 @@ def test_mbajd_rejects_non_mbajd(capsys, tmp_path, ugrid_file):
 
 def test_closed_transform_takes_few_exponentials_per_row(capsys, monkeypatch, tmp_path):
     # one sigma grid per time, shared by the 16 u, and one quadrature witness
-    # per command: at most 5 block or flow exponentials per row
+    # per command: at most 5 block or flow exponentials per row, counted by
+    # matrix, since the witness takes a stack of them per Simpson round
     import psdaffine.closedform as cf
     rng = np.random.default_rng(23)
     q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
@@ -633,15 +634,16 @@ def test_closed_transform_takes_few_exponentials_per_row(capsys, monkeypatch, tm
                    "im": (0.25 * (b + b.T)).tolist()})
     ufile = tmp_path / "u.json"
     ufile.write_text(json.dumps({"u": us, "times": [0.25, 0.5, 1.0, 2.0]}))
-    calls = []
+    matrices = []
     correct = cf.mat_exp
-    monkeypatch.setattr(cf, "mat_exp", lambda a: calls.append(a.shape) or correct(a))
+    monkeypatch.setattr(cf, "mat_exp", lambda a: matrices.append(a.size // a.shape[-1] ** 2)
+                        or correct(a))
     code, out, err = run_cli(capsys, "transform", write_params(tmp_path, "p.json",
                                                                spec.to_affine_params()),
                              str(ufile), "--method", "closed", "--out", "json")
     assert_clean_exit(code, out, err, 0)
     assert len(json.loads(out)) == 64
-    assert 0 < len(calls) <= 5 * 64
+    assert 0 < sum(matrices) <= 5 * 64
 
 
 def test_missing_file_exit_two(capsys):
@@ -830,6 +832,12 @@ def golden_cli_files(tmp_path, d, general, gamma):
         d=d, alpha=alpha, b=d * alpha, drift=drift, gamma=0.2 * eye if gamma else None,
         m=AtomicMeasure(atoms=((0.3 * eye + 0.05 * ones, 0.8), (0.1 * ones, 0.5))),
         mu=MatrixAtomicMeasure(atoms=((0.2 * np.diag(np.arange(1.0, d + 1)), 0.4 * eye),)))
+    return (write_params(tmp_path, "golden.json", params),) + golden_grid_files(tmp_path, d)
+
+
+def golden_grid_files(tmp_path, d):
+    """The u-grid and x files of the golden runs."""
+    ones, eye = np.ones((d, d)), np.eye(d)
     im = 0.3 * eye - 0.1 * ones
     us = [0.7 * eye + 0.1 * ones + 1j * im,  # direct
           1j * im,  # projected
@@ -842,7 +850,7 @@ def golden_cli_files(tmp_path, d, general, gamma):
                                  "times": [0.0, 0.3, 0.75, 1.5]}))
     xfile = tmp_path / "golden_x.json"
     xfile.write_text(json.dumps({"x": (0.5 * eye + 0.1 * ones).tolist()}))
-    return write_params(tmp_path, "golden.json", params), str(ufile), str(xfile)
+    return str(ufile), str(xfile)
 
 
 # SHA-256 of stdout (recorded with NumPy 2.4 and OpenBLAS on x86-64, as the
@@ -875,3 +883,31 @@ def test_cli_golden_bits(capsys, tmp_path, case):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_CLI[case]
+
+
+# SHA-256 of the closed form's stdout on the same u-grid (recorded with NumPy
+# 2.4, SciPy 1.17 and OpenBLAS on x86-64): the batched drift check and witness
+# only decide whether a command fails, so no printed closed-form bit may move.
+GOLDEN_CLOSED = {
+    "d2-one-atom":
+        "8f8259541426aced17dbc484855922d93c2f3a2261860a555e48ce5a47448c2a",
+    "d3-no-jumps":
+        "67083d6b472b47dae1c5d11d5070a4024ac9c85c94a8421ad36d22123491195d",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CLOSED))
+def test_closed_form_golden_bits(capsys, tmp_path, case):
+    d = int(case[1])
+    ones, eye = np.ones((d, d)), np.eye(d)
+    atoms = ((0.3 * eye + 0.05 * ones, 0.8),) if case.endswith("one-atom") else ()
+    spec = MBAJDSpec(d=d, alpha=0.5 * eye + 0.1 * ones,
+                     beta=-0.6 * eye + 0.2 * np.triu(ones, 1), p=0.5 * d,
+                     m=AtomicMeasure(atoms=atoms))
+    ufile, xfile = golden_grid_files(tmp_path, d)
+    code, out, err = run_cli(capsys, "transform",
+                             write_params(tmp_path, "golden.json", spec.to_affine_params()),
+                             ufile, "--x", xfile, "--method", "closed",
+                             "--out", "json" if d == 2 else "csv")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_CLOSED[case]

@@ -375,16 +375,17 @@ def _corrupt_witness(monkeypatch):
 
 
 def _count_flow_omega(monkeypatch):
+    """The witness nodes s, one entry each, of every flow_omega call."""
     import psdaffine.closedform as cf
-    calls = []
+    nodes = []
     correct = cf.flow_omega
 
     def counting(b, x, s):
-        calls.append(s)
+        nodes.extend(np.ravel(s))
         return correct(b, x, s)
 
     monkeypatch.setattr(cf, "flow_omega", counting)
-    return calls
+    return nodes
 
 
 NON_NORMAL_BETA = np.array([[-0.5, 0.3], [0.0, -0.2]])
@@ -422,12 +423,12 @@ def test_witness_runs_once_per_new_horizon(monkeypatch):
     rng = np.random.default_rng(16)
     beta = random_stable_beta(rng, 2)
     times = (0.25, 0.5, 1.0, 2.0)
-    calls = _count_flow_omega(monkeypatch)
+    nodes = _count_flow_omega(monkeypatch)
     per_witness = []
     for t in times:
         sigma_integral(beta, np.eye(2), t)
-        per_witness.append(len(calls))
-        calls.clear()
+        per_witness.append(len(nodes))
+        nodes.clear()
     assert min(per_witness) > 0
     spec = basic_spec(beta=beta, atoms=((random_psd(rng, 2) + 0.1 * np.eye(2), 0.5),))
     for _ in range(16):
@@ -435,7 +436,7 @@ def test_witness_runs_once_per_new_horizon(monkeypatch):
         for t in times:
             mbajd_phi(spec, u, t)
             mbajd_psi(spec, u, t)
-    assert len(calls) == sum(per_witness)
+    assert len(nodes) == sum(per_witness)
 
 
 # ---------------------------------------------------------------------------
@@ -568,3 +569,74 @@ def test_grid_drift_from_the_block_exponential_raises(monkeypatch):
     monkeypatch.setattr(cf, "_vanloan", off_below_one)
     with pytest.raises(cf.QuadratureError, match="sigma grid drifted"):
         mbajd_phi(spec, np.eye(2) + 0j, 1.0)
+
+
+def _drift_stacks():
+    """now, want stacks (d = 3) with gaps below, at and just above the bound,
+    non-finite entries, entries near 1e155 (sums of squares overflow) and
+    subnormal ones (sums of squares underflow)."""
+    rng = np.random.default_rng(24)
+    base = [random_spd(rng, 3) for _ in range(4)]
+    for w in base:
+        w[1, 1] = 0.0  # the gap below sits alone in this entry, so it is exact
+    now, want = [], []
+
+    def node(w, gap=0.0, scale=1.0):
+        w = scale * w
+        n = w.copy()
+        n[1, 1] = gap
+        now.append(n)
+        want.append(w)
+
+    for w in base:
+        bound = cf._DRIFT_TOL * max(1.0, frobenius(w))
+        for gap in (0.0, 0.3 * bound, bound * (1.0 - 2e-12), bound * (1.0 - 1e-13),
+                    np.nextafter(bound, 0.0), bound, np.nextafter(bound, np.inf), 2.0 * bound):
+            node(w, gap)
+    for scale in (1e150, 1e155, 1e160, 1e-160, 1e-170, 1e-310):
+        for rel in (0.0, 1e-11, 1e-9):
+            node(base[0], rel * scale * frobenius(base[0]), scale)
+    for value in (np.inf, -np.inf, np.nan):
+        node(base[1], value)
+        node(base[2] * 1e155, value)
+    node(base[3], 5e-324)
+    bad = base[3].copy()
+    bad[0, 2] = np.inf
+    node(bad)
+    return np.array(now), np.array(want)
+
+
+def test_batched_drift_check_decides_as_frobenius_node_by_node(monkeypatch):
+    now, want = _drift_stacks()
+    with np.errstate(invalid="ignore"):  # inf - inf
+        per_node = [not frobenius(n - w) <= cf._DRIFT_TOL * max(1.0, frobenius(w))
+                    for n, w in zip(now, want)]
+        assert True in per_node and False in per_node
+        assert cf._drifted(now, want).tolist() == per_node
+    # ordinary nodes, with gaps at 0.3 times their bound, never reach frobenius
+    calls = []
+    monkeypatch.setattr(cf, "frobenius", lambda x: calls.append(x) or frobenius(x))
+    assert not cf._drifted(now[1:32:8], want[1:32:8]).any()
+    assert calls == []
+
+
+def test_witness_checks_every_node_of_a_batched_round(monkeypatch):
+    # the flow is off only at s > t/2; those nodes share each Simpson round's
+    # stacked call with correct ones, and the witness must still see them
+    t = 1.0
+    rounds = []
+    correct = cf.flow_omega
+
+    def off_late(b, x, s):
+        rounds.append(np.ravel(s))
+        out = correct(b, x, s)
+        return np.where((np.asarray(s) > t / 2)[..., None, None], out * (1.0 + 1e-6), out)
+
+    sigma_integral(NON_NORMAL_BETA, np.eye(2), t)
+    monkeypatch.setattr(cf, "flow_omega", off_late)
+    for run in (lambda: sigma_integral(NON_NORMAL_BETA, np.eye(2), t),
+                lambda: mbajd_phi(basic_spec(beta=NON_NORMAL_BETA), np.eye(2) + 0j, t)):
+        rounds.clear()
+        with pytest.raises(cf.QuadratureError, match="cross-check failed"):
+            run()
+        assert any((s <= t / 2).any() and (s > t / 2).any() for s in rounds)

@@ -185,6 +185,23 @@ def test_mat_exp_matches_taylor_squaring_oracle(scale):
     assert frobenius(got - ref) <= 1e-12 * frobenius(ref)
 
 
+def test_stacked_mat_exp_equals_per_matrix_calls():
+    # a diagonal slice (taken apart from the Pade path) among general ones
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((5, 3, 3)) * np.array([0.1, 1.0, 4.0, 20.0, 1.0])[:, None, None]
+    a[4] = np.diag([0.5, -1.0, 2.0])
+    got = mat_exp(a)
+    assert got.shape == a.shape
+    for slice_, one in zip(got, a):
+        assert slice_.tobytes() == mat_exp(one).tobytes()
+    assert mat_exp(a.reshape(1, 5, 3, 3)).tobytes() == got.tobytes()
+    a[2, 1, 0] = np.nan
+    with pytest.raises(DomainError, match="non-finite"):
+        mat_exp(a)
+    with pytest.raises(DomainError, match="square"):
+        mat_exp(np.zeros((5, 3, 2)))
+
+
 # ---------------------------------------------------------------------------
 # quadratic form and trace-form inequalities
 # ---------------------------------------------------------------------------
