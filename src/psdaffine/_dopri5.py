@@ -207,9 +207,12 @@ def integrate(f, t0: float, y0: np.ndarray, t_end: float, rtol: float, atol: flo
                     raise StepBudgetError(
                         f"step budget of {MAX_STEPS} steps exhausted at t = {row.t:.6g}")
                 else:
-                    row.h = min(row.h, t_end - row.t)
-                    if row.h < 1e-14 * max(1.0, abs(row.t)):
+                    # a step clamped to the rest of the span always runs: the
+                    # last one may be 1 ulp long, and so may a whole tiny span
+                    rest = t_end - row.t
+                    if row.h < min(rest, 1e-14 * max(1.0, abs(row.t))):
                         row.status = "underflow"
+                    row.h = min(row.h, rest)
             if row.status is None:
                 live.append(i)
             else:

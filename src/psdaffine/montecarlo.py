@@ -15,7 +15,11 @@ kernel (_advance) steps a block of paths at every d, as component rows
 (d, d, n), one contiguous array per matrix entry. Only its cone step, which
 projects the new states and returns their square roots as the next step's
 sqrt(X), depends on d (_cone_step): the analytic 2 x 2 projection and
-square root at d = 2, one eigh per state at d >= 3.
+square root at d = 2; at d = 3 the closed-form root of symcore._sqrt3 on the
+states it certifies (smallest eigenvalue at least CONE3_CERTIFY = 1e-3 times
+the largest), which pass the projection unchanged, and one eigh per state on
+the rest (11% of path-steps on the mc-general-d3 benchmark model); one eigh
+per state at d >= 4. A simulation takes at most _MAX_PATH_STEPS path-steps.
 
 Randomness is Philox counter streams keyed by (seed, stream tag), one
 Gaussian stream and one jump stream per path, so results are bit-identical
@@ -44,13 +48,17 @@ from functools import reduce
 import numpy as np
 
 from .model import AffineParams, LinearDrift, LyapunovDrift
-from .symcore import DomainError, _project2, _sqrt2, check_psd, spectrum
-# the per-layer benchmark hooks the cone kernels of the d >= 3 step under these two names
+from .symcore import DomainError, _project2, _sqrt2, _sqrt3, check_psd, spectrum
+# the per-layer benchmark hooks the eigh cone kernels of the d >= 3 step under these two names
 from .symcore import cone_project_sqrt as _project_psd_batch, cone_sqrt as _sqrt_psd_batch
 
 _BLOCK_PATHS = 4096  # fixed blocking: memory bound, never affects results
 _CHUNK_STEPS = 256   # steps drawn per stream refill: memory bound, never affects results
 _STAGE_PATHS = 256   # paths drawn per staging refill: memory bound, never affects results
+# path-steps one simulation may take, checked before any block is built: about
+# 1000x the largest simulation of the tests (1e5 paths x 1024 steps), and
+# about a day of stepping on one core at d = 2
+_MAX_PATH_STEPS = 10 ** 11
 
 
 @dataclass(frozen=True)
@@ -98,6 +106,18 @@ class PoissonOverflowError(DomainError):
 
     def __reduce__(self):  # rebuilt from lam, not from the message
         return type(self), (self.lam,)
+
+
+class PathStepBudgetError(DomainError):
+    """A simulation would take more than _MAX_PATH_STEPS path-steps."""
+
+    def __init__(self, n_paths: int, n_steps: float):
+        self.n_paths, self.n_steps = n_paths, n_steps
+        super().__init__(f"{n_paths} paths of {n_steps:.6g} steps exceed the budget of "
+                         f"{_MAX_PATH_STEPS:.0e} path-steps; use fewer paths or a larger dt")
+
+    def __reduce__(self):  # rebuilt from the counts, not from the message
+        return type(self), (self.n_paths, self.n_steps)
 
 
 class NonFiniteStateError(DomainError):
@@ -229,13 +249,24 @@ def _rows2(a, b, c) -> np.ndarray:
 
 def _cone_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The projection onto the cone of states on component rows (d, d, n), and
-    its square roots: the analytic _project2 and _sqrt2 at d = 2, otherwise
-    the rebuilds from one eigh per state (_project_psd_batch)."""
-    if len(x) != 2:
+    its square roots: the analytic _project2 and _sqrt2 at d = 2; at d = 3,
+    the closed-form _sqrt3 on the states it certifies, which pass through the
+    projection unchanged (as the same array when all do), and one eigh per
+    state (_project_psd_batch) on the rest alone; one eigh per state at d >= 4."""
+    if len(x) == 2:
+        a, b, c = _project2(x[0, 0], x[0, 1], x[1, 1])
+        return _rows2(a, b, c), _rows2(*_sqrt2(a, b, c))
+    if len(x) != 3:
         proj, root = _project_psd_batch(x.transpose(2, 0, 1))
         return proj.transpose(1, 2, 0), root.transpose(1, 2, 0)
-    a, b, c = _project2(x[0, 0], x[0, 1], x[1, 1])
-    return _rows2(a, b, c), _rows2(*_sqrt2(a, b, c))
+    root, certified = _sqrt3(x)
+    rest = np.flatnonzero(~certified)
+    if len(rest):
+        proj, rest_root = _project_psd_batch(x[..., rest].transpose(2, 0, 1))
+        x = x.copy()
+        x[..., rest] = proj.transpose(1, 2, 0)
+        root[..., rest] = rest_root.transpose(1, 2, 0)
+    return x, root
 
 
 def _advance(x: np.ndarray, root: np.ndarray, normals: np.ndarray, uniforms: np.ndarray,
@@ -365,7 +396,10 @@ def simulate_paths(params: AffineParams, x0: np.ndarray, T: float,
     x0 = check_psd(np.asarray(x0, dtype=float), "initial state must be PSD")
     if not 0.0 < T < np.inf:
         raise ValueError("T must be positive and finite")
-    n_steps = max(1, int(np.ceil(T / cfg.dt - 1e-12)))
+    steps = max(1.0, float(np.ceil(T / cfg.dt - 1e-12)))  # inf when T / dt overflows
+    if steps > _MAX_PATH_STEPS or int(cfg.n_paths) * int(steps) > _MAX_PATH_STEPS:
+        raise PathStepBudgetError(cfg.n_paths, steps)
+    n_steps = int(steps)
     dt = T / n_steps
 
     size = _BLOCK_PATHS + _BLOCK_PATHS % 2  # whole antithetic pairs in every block

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from functools import reduce
 
 import numpy as np
 
@@ -109,8 +110,11 @@ def trace_inner(x: np.ndarray, y: np.ndarray):
 # Cone kernels: one matrix (d, d) or a stack (..., d, d), unchecked, one eigh
 # per matrix; the checked sqrt_psd, psd_project and min_eig below take
 # outside input. The cone step of the Monte Carlo kernel takes a projection
-# and the next step's square root from one eigh (cone_project_sqrt) at
-# d >= 3, and from the analytic _project2 and _sqrt2 on components at d = 2.
+# and the next step's square root from the analytic _project2 and _sqrt2 on
+# components at d = 2; at d = 3 from the closed-form _sqrt3 on component rows
+# for the states it certifies (l3 >= CONE3_CERTIFY l1, which pass the
+# projection unchanged) and from one eigh (cone_project_sqrt) for the rest;
+# from one eigh at d >= 4.
 # ---------------------------------------------------------------------------
 
 
@@ -183,6 +187,59 @@ def _project2(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, 
     a, b, c = a.copy(), b.copy(), c.copy()
     a[bad], b[bad], c[bad] = lam * v0 * v0, lam * v0 * v1, lam * v1 * v1
     return a, b, c
+
+
+# the d = 3 kernel certifies a state when its smallest closed-form eigenvalue
+# is at least this share of its largest: a condition number of at most 1e3,
+# where the closed form's root is within about 2e-13 relative of the exact one
+# (at 1e6 it is 3e-9, while eigh stays near 1e-12)
+CONE3_CERTIFY = 1e-3
+# entries (i, j), i <= j, of a 3 x 3 state: the diagonal, then (0, 1), (0, 2), (1, 2)
+_UPPER3 = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+
+
+def _sqrt3(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Square roots of the symmetric 3 x 3 states on component rows x
+    (3, 3, n), and the mask of the certified states, whose closed-form
+    eigenvalues are finite with l3 >= CONE3_CERTIFY * l1 > 0; the roots of
+    the other states are not defined.
+
+    Each state is first scaled by an exact even power of two that brings its
+    largest entry into [1/4, 1), so no cube over- or underflows. The
+    eigenvalues l1 >= l2 >= l3 come from the trigonometric closed form (Smith,
+    CACM 4(4), 1961). With s_k = sqrt(l_k) and the sums i1, i2, i3 of their
+    products, the root is U = ((i1^2 - i2) X - X^2 + i1 i3 I) / (i1 i2 - i3)
+    (Franca, Comput. Math. Appl. 18(5), 1989), where i1^2 - i2 = tr X + i2 and
+    i1 i2 - i3 = (s1 + s2)(s1 + s3)(s2 + s3) are sums of positive terms."""
+    big = reduce(np.maximum, (np.abs(x[i, j]) for i, j in _UPPER3))
+    e = np.maximum(np.frexp(big)[1], -1022)
+    e += e & 1
+    scale = np.ldexp(1.0, -e)
+    a, b, c, d, f, g = (x[i, j] * scale for i, j in _UPPER3)
+    # the states that are not certified may divide by 0 or take roots of negatives
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tr = a + b + c
+        q = tr / 3.0
+        aq, bq, cq = a - q, b - q, c - q
+        dd, ff, gg = d * d, f * f, g * g
+        p = np.sqrt((aq * aq + bq * bq + cq * cq + 2.0 * (dd + ff + gg)) / 6.0)
+        det = aq * (bq * cq - gg) - d * (d * cq - g * f) + f * (d * g - bq * f)
+        r = np.where(p > 0.0, det / (2.0 * p * p * p), 0.0)
+        phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
+        l1 = q + 2.0 * p * np.cos(phi)
+        l3 = q + 2.0 * p * np.cos(phi + 2.0 * math.pi / 3.0)
+        certified = (l3 >= CONE3_CERTIFY * l1) & (l3 > 0.0) & (l1 < np.inf)
+        s1, s2, s3 = np.sqrt(l1), np.sqrt(tr - l1 - l3), np.sqrt(l3)
+        i2 = s1 * s2 + s1 * s3 + s2 * s3
+        k1, k0 = tr + i2, (s1 + s2 + s3) * (s1 * s2 * s3)
+        inv = np.ldexp(1.0, e // 2) / ((s1 + s2) * (s1 + s3) * (s2 + s3))
+        u00 = (k1 * a - (a * a + dd + ff) + k0) * inv
+        u11 = (k1 * b - (dd + b * b + gg) + k0) * inv
+        u22 = (k1 * c - (ff + gg + c * c) + k0) * inv
+        u01 = (k1 * d - (a * d + d * b + f * g)) * inv
+        u02 = (k1 * f - (a * f + d * g + f * c)) * inv
+        u12 = (k1 * g - (d * f + b * g + g * c)) * inv
+    return np.array([[u00, u01, u02], [u01, u11, u12], [u02, u12, u22]]), certified
 
 
 def _checked_sym(x) -> np.ndarray:

@@ -400,6 +400,25 @@ def test_compare_threshold_breach_exits_one(capsys, wishart_file, ugrid_file):
     assert "threshold breach" in err
 
 
+def _no_block(*args, **kwargs):
+    raise AssertionError("a path block was simulated beyond the path-step budget")
+
+
+@pytest.mark.parametrize("flags", [("-T", "1e300", "--dt", "1e-300"),
+                                   ("-T", "1", "--dt", "1e-300"),
+                                   ("-T", "1", "--dt", "0.5", "--paths", str(10 ** 15))],
+                         ids=["T-over-dt-overflows", "dt-too-small", "too-many-paths"])
+def test_simulation_beyond_the_step_budget_exits_one(capsys, monkeypatch, wishart_file,
+                                                    ugrid_file, flags):
+    # T / dt overflows, or the step count or the path count is out of reach:
+    # a named error before any block is built or drawn
+    monkeypatch.setattr(montecarlo, "_simulate_block", _no_block)
+    with deadline(30):
+        code, out, err = run_cli(capsys, "simulate", wishart_file, "--u", ugrid_file, *flags)
+    assert_clean_exit(code, out, err, 1)
+    assert out == "" and "exceed the budget of 1e+11 path-steps" in err
+
+
 @pytest.mark.parametrize("command", ["transform", "mbajd", "simulate", "compare"])
 def test_u_dimension_mismatch_exits_two(capsys, tmp_path, wishart_file, command):
     ufile = tmp_path / "u3.json"

@@ -29,10 +29,19 @@ from psdaffine import (
 )
 from psdaffine.model import sym_to_vec, vec_to_sym
 import psdaffine.montecarlo as mc
-from psdaffine.symcore import _sqrt2, cone_project_sqrt, cone_sqrt, psd_project, symmetrize
+from psdaffine.symcore import (
+    _sqrt2,
+    _sqrt3,
+    cone_project_sqrt,
+    cone_sqrt,
+    psd_project,
+    symmetrize,
+)
 from psdaffine.montecarlo import (
+    PathStepBudgetError,
     PoissonOverflowError,
     _advance,
+    _cone_step,
     _poisson_from_uniform,
     _rows2,
     _Scheme,
@@ -123,6 +132,27 @@ def test_poisson_overflow_survives_pickling():
     err = pickle.loads(pickle.dumps(PoissonOverflowError(800.0)))
     assert type(err) is PoissonOverflowError and err.lam == 800.0
     assert str(err) == str(PoissonOverflowError(800.0))
+
+
+def _no_block(*args, **kwargs):
+    raise AssertionError("a path block was simulated beyond the path-step budget")
+
+
+def test_path_step_budget_is_checked_before_any_block(monkeypatch):
+    # a simulation runs up to the budget exactly and raises one path-step
+    # beyond it, before any block is simulated; the error survives pickling
+    monkeypatch.setattr(mc, "_MAX_PATH_STEPS", 120)
+    params = conservative_params()
+    stats = simulate_paths(params, np.eye(2), 1.0, SimConfig(n_paths=12, dt=0.1, seed=0))
+    assert stats.n_steps == 10
+    monkeypatch.setattr(mc, "_simulate_block", _no_block)
+    for n_paths, T, dt in ((13, 1.0, 0.1), (12, 1.0, 0.09), (1, 1.0, 1e-300),
+                           (10 ** 400, 1.0, 0.5), (1, 1e300, 1e-300)):
+        with pytest.raises(PathStepBudgetError, match="exceed the budget") as info:
+            simulate_paths(params, np.eye(2), T, SimConfig(n_paths=n_paths, dt=dt, seed=0))
+        assert isinstance(info.value, DomainError)
+        err = pickle.loads(pickle.dumps(info.value))
+        assert type(err) is PathStepBudgetError and str(err) == str(info.value)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -240,6 +270,28 @@ def test_d2_component_step_matches_the_spectral_step(case):
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10 * np.abs(ref).max())
     assert (got == got.swapaxes(0, 1)).all()
     assert np.array_equal(counts, ref_counts) and np.array_equal(lam, ref_lam)
+
+
+def test_d3_cone_step_passes_certified_states_and_projects_the_rest_by_eigh():
+    # certified states come back unchanged with their closed-form roots; the
+    # others have the bits of cone_project_sqrt (one eigh) on them alone
+    rng = np.random.default_rng(7)
+    inside = [random_spd(rng, 3, 0.1, 1.0) * 10.0 ** rng.uniform(-3, 3) for _ in range(40)]
+    edge = [random_spd(rng, 3, 1e-9, 1.0) for _ in range(10)]
+    outside = [random_sym(rng, 3) for _ in range(20)]
+    stack = symmetrize(np.stack([*inside, *edge, *outside, np.zeros((3, 3)), np.eye(3)]))
+    x = _rows(rng.permutation(stack))
+    proj, root = _cone_step(x)
+    closed, certified = _sqrt3(x)
+    assert certified.sum() >= 40 and (~certified).sum() >= 10
+    assert np.array_equal(proj[..., certified], x[..., certified])
+    assert np.array_equal(root[..., certified], closed[..., certified])
+    ref_proj, ref_root = cone_project_sqrt(x[..., ~certified].transpose(2, 0, 1))
+    assert np.array_equal(proj[..., ~certified], _rows(ref_proj))
+    assert np.array_equal(root[..., ~certified], _rows(ref_root))
+    # a batch the closed form certifies whole passes through as the same array
+    x = _rows(symmetrize(np.stack(inside)))
+    assert _cone_step(x)[0] is x
 
 
 @pytest.mark.parametrize("n_atoms", [0, 1, 2])
@@ -512,10 +564,16 @@ def golden_params(d):
 # with d = 2's sums in index order in place of einsum products: over the
 # same three runs, terminal states moved by at most 3.6e-14 relative,
 # intensity integrals by at most 1.6e-14 relative and those estimates by at
-# most 1.9e-14 absolute; the jump counts did not change.
+# most 1.9e-14 absolute; the jump counts did not change. They were
+# re-recorded once more when the d = 3 cone step began to pass the states it
+# certifies unchanged and take their roots from the closed form (_sqrt3),
+# with one eigh on the other states alone: over the three d = 3 runs, terminal
+# states moved by at most 3.3e-14 relative, intensity integrals by at most
+# 1.1e-14 relative and those estimates by at most 1.3e-14 absolute; the jump
+# counts did not change.
 GOLDEN = {
     2: "15215249003867692abf1de5ca82daae56d0cd7c1f229c28d0fea64eb3421af7",
-    3: "15d10c3185480844d11f859ddedeb27a9d36f39e30235bfcd61325dcf40421cc",
+    3: "ed1478b8810ee1166abcb5fc7f083db5be54f95ac781c95f4bb52e0743e5dc2d",
 }
 
 
@@ -537,12 +595,13 @@ def test_simulate_paths_golden_bits(monkeypatch, d):
 
 # The same digest over 600 steps: two full draw chunks and a partial one, in
 # 25-path blocks, rounded up to whole antithetic pairs. They equal the
-# digests of drawing each path's whole stream at once.
+# digests of drawing each path's whole stream at once. The d = 3 ones were
+# re-recorded with GOLDEN[3], for the closed-form cone step (moves above).
 GOLDEN_CHUNKED = {
     (2, False): "fa15bb6122a9b931b4b0b49f3e4f0d757e31f96ccfab88bbff387820668ec985",
     (2, True): "e7b3ad840dc87e09c1c5cde206f35c24f35ee1bae8a1456e379b1916fc089b09",
-    (3, False): "73bf05af5031fb280c7a55ec3216b244067766beb65e37ce7f803d0aab2ec184",
-    (3, True): "d981e972aa9d89089c6ba36e58db79c1073518d186ced8e095ffb94e87d58430",
+    (3, False): "04640ae197112daac0e592cb5519448d74b9b79b3f63a6c05742927e05133673",
+    (3, True): "402b08e147fd9fa48148df4dc12e92872819521c3bfabd2cbb5a4424eae085e1",
 }
 
 

@@ -666,6 +666,32 @@ def test_grid_rows_that_stop_early_equal_one_row_solves(d, cs, cs_boundary, seed
             assert grid_sol.diagnostics.t_plus == pytest.approx(0.5 / c, rel=1e-2)
 
 
+@pytest.mark.parametrize("T", [0.0065620964067675544, 1e-320, 1e-15])
+def test_horizon_reached_by_a_one_ulp_or_tiny_last_step_is_no_blowup(T):
+    # at the first horizon the last step, clamped to the rest of the span,
+    # lands 1 ulp short of T and the next is 1 ulp long; the others are
+    # shorter than the controller's underflow guard from the first step.
+    # Neither is an underflow: the rows finish at T, with the closed form
+    x = np.array([[0.6070132019008737, -0.12171518476579167],
+                  [-0.12171518476579167, 0.5917753961233577]])
+    params = AffineParams(
+        d=2, alpha=[[0.5980263769212052, 0.13096747462935912],
+                    [0.13096747462935915, 0.5259421206765864]],
+        b=[[1.5879482274998555, 0.34775986013945465],
+           [0.34775986013945476, 1.3965418425113059]],
+        drift=LyapunovDrift(beta=np.array([[-0.677245014239398, 0.09295258221471671],
+                                           [0.09295258221471671, -0.43367198956442854]])))
+    u = 1j * np.eye(2)
+    sol = solve_grid(params, [u], T)[0]
+    assert sol.completed and sol.diagnostics.t_plus == np.inf and sol.t_end == T
+    spec = MBAJDSpec.from_params(params)
+    phi, psi = sol.eval(T)
+    assert abs(phi - mbajd_phi(spec, u, T)) <= 1e-12
+    assert np.abs(psi - mbajd_psi(spec, u, T)).max() <= 1e-12
+    assert transform(params, u, x, T) == pytest.approx(
+        np.exp(-mbajd_phi(spec, u, T) - trace_inner(mbajd_psi(spec, u, T), x)), abs=1e-12)
+
+
 def test_mixed_grid_is_one_integration(monkeypatch):
     from psdaffine import _dopri5
     calls = []

@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,13 +27,15 @@ from psdaffine.symcore import (
     _rebuild,
     _spectral,
     _sqrt2,
+    _sqrt3,
+    CONE3_CERTIFY,
     cone_project,
     cone_project_sqrt,
     cone_sqrt,
     eigenvalues,
     symmetrize,
 )
-from conftest import random_psd, random_sym
+from conftest import random_orthogonal, random_psd, random_sym
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +398,65 @@ def test_2x2_fast_path_agrees_with_spectral_kernel(x, p):
     # matrices in the cone pass through as the same arrays
     a, b, c = p[..., 0, 0], p[..., 0, 1], p[..., 1, 1]
     assert all(out is arg for out, arg in zip(_project2(a, b, c), (a, b, c)))
+
+
+def _exact_root(x):
+    """Root of the projection of x onto the cone, and the eigenvalues of x
+    (ascending), from a 40-digit eigendecomposition of its exact entries."""
+    mpmath.mp.dps = 40
+    w, q = mpmath.eigsy(mpmath.matrix(x.tolist()))
+    root = q * mpmath.diag([mpmath.sqrt(max(wi, 0)) for wi in w]) * q.T
+    return (np.array(root.tolist(), dtype=float),
+            np.sort(np.array([float(wi) for wi in w])))
+
+
+def _states3(kind, rng, n=12):
+    """3 x 3 symmetric test states of one kind, exactly symmetric."""
+    def rotated(w):
+        q = random_orthogonal(rng, 3)
+        return (q * np.asarray(w, dtype=float)) @ q.T
+    if kind.startswith("cond"):  # condition number 10^k, middle eigenvalue between
+        k = int(kind[4:])
+        xs = [rotated([1.0, 10.0 ** (-k * rng.uniform()), 10.0 ** -k]) for _ in range(n)]
+    elif kind == "double":
+        xs = [rotated(w) for w in ([1.0, 1.0, 0.5], [2.0, 0.3, 0.3], [1.0, 1.0, 2e-3])] * 4
+    elif kind == "identity":
+        xs = [c * np.eye(3) for c in (1.0, 0.1, 3.0, 2.0 ** -40, 7e5)]
+        xs += [rotated([c] * 3) for c in (1.0, 0.25, 9.0)]
+    elif kind == "rank1":
+        xs = [rotated([rng.uniform(0.1, 2.0), 0.0, 0.0]) for _ in range(n)]
+    elif kind == "rank2":
+        xs = [rotated([1.0, rng.uniform(0.01, 1.0), 0.0]) for _ in range(n)]
+    elif kind == "outside":  # one, two or three negative eigenvalues
+        xs = [rotated(w) for w in ([1.0, 0.5, -1e-3], [1.0, -0.2, -0.4], [-1.0, -2.0, -0.1],
+                                   [1.0, 1.0, -1e-12], [1.0, 1e-3, -1.0])] * 2
+    else:  # "scaled": interior states, two-eigenvalue boundary and outside states at 2^+-500
+        base = [rotated(w) for w in ([1.0, 0.5, 0.1], [1.0, 0.02, 2e-3], [1.0, 1.0, 1.0],
+                                     [1.0, 0.5, 0.0], [1.0, 0.5, -0.1])]
+        xs = [x * 2.0 ** e for e in (500, -500) for x in base]
+    return symmetrize(np.stack(xs))
+
+
+@pytest.mark.parametrize("kind", [f"cond{k}" for k in range(13)]
+                         + ["double", "identity", "rank1", "rank2", "outside", "scaled"])
+def test_3x3_closed_form_root_certifies_only_accurate_states(kind):
+    # certified roots are within 1e-12 (relative Frobenius) of a 40-digit
+    # root; states with a condition number up to 1e2 are certified, and
+    # states outside the cone, on its boundary or with a condition number
+    # from 1e4 are left to the eigh fallback
+    x = _states3(kind, np.random.default_rng(sum(map(ord, kind))))
+    root, certified = _sqrt3(np.ascontiguousarray(x.transpose(1, 2, 0)))
+    assert root.shape == (3, 3, len(x)) and certified.dtype == bool
+    for p, state in enumerate(x):
+        exact, w = _exact_root(state)
+        if certified[p]:
+            err = np.linalg.norm(root[..., p] - exact) / np.linalg.norm(exact)
+            assert err <= 1e-12, (p, err)
+            assert w[0] >= 0.99 * CONE3_CERTIFY * w[2]
+        if w[0] <= 0.0 or w[0] <= 1e-4 * w[2]:
+            assert not certified[p], p
+        elif w[0] >= 1e-2 * w[2]:
+            assert certified[p], p
 
 
 @settings(max_examples=150, deadline=None)

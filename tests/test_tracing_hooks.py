@@ -40,21 +40,38 @@ def test_traced_block_binds_paths_and_n_steps():
 
 def test_d3_simulation_calls_the_hooked_cone_kernels(monkeypatch):
     # montecarlo.sqrt_s, project_s and project_active_frac come from the
-    # tracer replacing these module attributes, as done here
+    # tracer replacing these module attributes, as done here. The d = 3 cone
+    # step hands the projection kernel only the states the closed form does
+    # not certify, one call per block and step that has any; every state
+    # outside the cone is among them
     import psdaffine.montecarlo as mc
     from psdaffine import AffineParams, LyapunovDrift, SimConfig
 
     shapes = {"_sqrt_psd_batch": [], "_project_psd_batch": []}
+    projected, stepped = [], []
     for name, seen in shapes.items():
         def hooked(x, kernel=getattr(mc, name), seen=seen):
             seen.append(x.shape)
+            if x.ndim == 3:
+                projected.extend(map(bytes, x))
             return kernel(x)
         monkeypatch.setattr(mc, name, hooked)
+
+    def sqrt3(x, kernel=mc._sqrt3):
+        stepped.append(x.transpose(2, 0, 1).copy())
+        return kernel(x)
+    monkeypatch.setattr(mc, "_sqrt3", sqrt3)
     monkeypatch.setenv("PSDAFFINE_THREADS", "1")
     monkeypatch.setattr(mc, "_BLOCK_PATHS", 25)  # 26 + 10 paths
     params = AffineParams(d=3, alpha=np.eye(3), b=3 * np.eye(3),
                           drift=LyapunovDrift(beta=-0.5 * np.eye(3)))
     stats = mc.simulate_paths(params, np.eye(3), 0.2, SimConfig(n_paths=36, dt=0.01, seed=1))
     assert stats.n_steps == 20
-    assert shapes["_project_psd_batch"] == [(26, 3, 3)] * 20 + [(10, 3, 3)] * 20
+    assert [len(x) for x in stepped] == [26] * 20 + [10] * 20
     assert shapes["_sqrt_psd_batch"] == [(3, 3)] * 2
+    calls = shapes["_project_psd_batch"]
+    assert 0 < len(calls) <= 40 and all(len(s) == 3 and s[1:] == (3, 3) for s in calls)
+    states = np.concatenate(stepped)
+    outside = states[np.linalg.eigvalsh(states)[:, 0] < 0.0]
+    assert len(outside) and set(map(bytes, outside)) <= set(projected)
+    assert len(projected) < len(states) // 2  # most states are certified
