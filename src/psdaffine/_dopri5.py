@@ -51,6 +51,9 @@ PI_ALPHA = 0.7 / 5.0
 PI_BETA = 0.4 / 5.0
 # step budget (accepted plus rejected) of each row
 MAX_STEPS = 1_000_000
+# tolerances of the scaled error norm: ATOL + RTOL * max(|y0|, |y1|) per component
+RTOL = 1e-9
+ATOL = 1e-11
 
 
 class StepBudgetError(RuntimeError):
@@ -134,20 +137,19 @@ class _Row:
                                  n, self.n_rej)
 
 
-def _error_norms(err: np.ndarray, y0: np.ndarray, y1: np.ndarray,
-                 rtol: float, atol: float) -> np.ndarray:
+def _error_norms(err: np.ndarray, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
     """Scaled max-norm of each row's error estimate; inf where the step or
     its error is not finite."""
-    scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
+    scale = ATOL + RTOL * np.maximum(np.abs(y0), np.abs(y1))
     with np.errstate(invalid="ignore"):
         ratio = np.abs(err) / scale
     finite = np.isfinite(ratio).all(axis=1) & np.isfinite(y1).all(axis=1)
     return np.where(finite, ratio.max(axis=1), np.inf)
 
 
-def _initial_steps(f, t0, y0, f0, t_end, rtol, atol) -> list[float]:
+def _initial_steps(f, t0, y0, f0, t_end) -> list[float]:
     """Hairer-Norsett-Wanner starting step of each row of y0 (n, N)."""
-    scale = atol + rtol * np.abs(y0)
+    scale = ATOL + RTOL * np.abs(y0)
     root_n = max(1, y0.shape[1]) ** 0.5
     d0s = row_norms(y0 / scale) / root_n
     d1s = row_norms(f0 / scale) / root_n
@@ -173,18 +175,16 @@ def _initial_steps(f, t0, y0, f0, t_end, rtol, atol) -> list[float]:
     return hs
 
 
-def integrate(f, t0: float, y0: np.ndarray, t_end: float, rtol: float, atol: float,
-              monitor=None) -> BatchResult:
+def integrate(f, t0: float, y0: np.ndarray, t_end: float, monitor) -> BatchResult:
     """Integrate y' = f(t, y) from t0 to t_end for every column of y0 (N, n).
 
     As in scipy's ``solve_ivp(vectorized=True)``, states are columns:
     ``f(t, Y)`` takes the times t (n,) and states Y (N, n) of all n rows,
     in the order of y0, and returns their rates (N, n); a row that has
-    ended is passed at its last accepted state. ``monitor(t, Y)``, if
-    given, runs on the rows that accepted a step and returns one bool per
-    row; False stops that row (status "stopped") with the step kept. Each
-    row has its own budget of MAX_STEPS steps; a row that exceeds it raises
-    StepBudgetError.
+    ended is passed at its last accepted state. ``monitor(t, Y)`` runs on
+    the rows that accepted a step and returns one bool per row; False stops
+    that row (status "stopped") with the step kept. Each row has its own
+    budget of MAX_STEPS steps; a row that exceeds it raises StepBudgetError.
     """
     y = np.asarray(y0, dtype=float).T.copy(order="C")  # rows (n, N)
     n, size = y.shape
@@ -192,7 +192,7 @@ def integrate(f, t0: float, y0: np.ndarray, t_end: float, rtol: float, atol: flo
     if not np.all(np.isfinite(f0)):
         raise FloatingPointError("right-hand side not finite at the initial state")
     rows = [_Row(float(t0), y[i].copy()) for i in range(n)]
-    for row, h in zip(rows, _initial_steps(f, float(t0), y, f0, t_end, rtol, atol)):
+    for row, h in zip(rows, _initial_steps(f, float(t0), y, f0, t_end)):
         row.h = h
 
     k = np.empty((n, 7, size))
@@ -228,7 +228,7 @@ def integrate(f, t0: float, y0: np.ndarray, t_end: float, rtol: float, atol: flo
                 k[:, s] = np.asarray(f(t + C[s] * h, (y + hc * (A[s] @ k[:, :s])).T)).T
             y_new = y + hc * (B @ k)
             err_vec = hc * (E @ k)
-        errs = _error_norms(err_vec, y, y_new, rtol, atol).tolist()
+        errs = _error_norms(err_vec, y, y_new).tolist()
         q = k.transpose(0, 2, 1) @ P
 
         accepted = []
@@ -251,10 +251,8 @@ def integrate(f, t0: float, y0: np.ndarray, t_end: float, rtol: float, atol: flo
         y[accepted] = y_new[accepted]
         k[accepted, 0] = k[accepted, 6]  # FSAL
 
-        going = [True] * len(accepted)
-        if monitor is not None:
-            t_acc = np.array([rows[i].t for i in accepted])
-            going = np.asarray(monitor(t_acc, y_new[accepted].T), dtype=bool).tolist()
+        t_acc = np.array([rows[i].t for i in accepted])
+        going = np.asarray(monitor(t_acc, y_new[accepted].T), dtype=bool).tolist()
         for i, go in zip(accepted, going):
             row = rows[i]
             if not go:

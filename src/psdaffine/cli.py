@@ -28,7 +28,7 @@ from .model import (
     MatrixAtomicMeasure,
     validate as validate_params,
 )
-from .symcore import DomainError, canonical_sym, check_psd, is_psd, trace_inner
+from .symcore import DomainError, check_u, check_x, trace_inner
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -175,7 +175,7 @@ def load_params(path: str) -> AffineParams:
 
 def load_ugrid(path: str) -> tuple[list[np.ndarray], list[float]]:
     """U-grid file: {"u": [{"re": [[..]], "im": [[..]]}, ...], "times": [..]}.
-    "im" may be omitted; each "re" must be PSD; times nonnegative ascending."""
+    "im" may be omitted; times nonnegative ascending; :func:`_check_inputs` checks each u."""
     obj = _load_json(path)
     entries = _require(obj, "u", "$")
     if not isinstance(entries, list):
@@ -183,12 +183,7 @@ def load_ugrid(path: str) -> tuple[list[np.ndarray], list[float]]:
     us = []
     for k, entry in enumerate(entries):
         re = _matrix(_require(entry, "re", f"$.u[{k}]"), f"$.u[{k}].re")
-        if not is_psd(re):
-            raise ParamFileError(f"$.u[{k}].re: must be PSD")
-        if "im" in entry:
-            im = _matrix(entry["im"], f"$.u[{k}].im", re.shape[0])
-        else:
-            im = np.zeros_like(re)
+        im = _matrix(entry["im"], f"$.u[{k}].im", re.shape[0]) if "im" in entry else 0.0
         us.append(re + 1j * im)
     times = obj.get("times", [])
     if not isinstance(times, list):
@@ -199,19 +194,16 @@ def load_ugrid(path: str) -> tuple[list[np.ndarray], list[float]]:
     return us, times
 
 
-def _check_dims(d: int, us: list[np.ndarray], x: np.ndarray | None = None) -> None:
-    """Every u-grid entry and the initial state, if given, must be d x d; the
-    initial state must also be symmetric up to rounding and PSD."""
-    if x is not None:
-        if x.shape != (d, d):
-            raise ParamFileError("--x: dimension does not match the parameter set")
+def _check_inputs(d: int, us: list[np.ndarray], x: np.ndarray | None = None) -> None:
+    """The initial state, if given, and every u-grid entry must pass the
+    symcore rules of dimension d; a failure is malformed input at its field."""
+    checks = [("--x", check_x, x)] if x is not None else []
+    checks += [(f"$.u[{k}]", check_u, u) for k, u in enumerate(us)]
+    for field, check, value in checks:
         try:
-            check_psd(canonical_sym(x, "the initial state"), "the initial state is not PSD")
+            check(value, d)
         except DomainError as exc:
-            raise ParamFileError(f"--x: {exc}") from exc
-    for k, u in enumerate(us):
-        if u.shape != (d, d):
-            raise ParamFileError(f"$.u[{k}]: dimension does not match the parameter set")
+            raise ParamFileError(f"{field}: {exc}") from exc
 
 
 def load_matrix_file(path: str) -> np.ndarray:
@@ -339,7 +331,7 @@ def cmd_transform(args) -> int:
     if not times:
         raise ParamFileError(f"{args.ugrid}: $.times: at least one time is required")
     x = load_matrix_file(args.x) if args.x else np.zeros((params.d, params.d))
-    _check_dims(params.d, us, x)
+    _check_inputs(params.d, us, x)
 
     method = args.method
     spec = closedform.MBAJDSpec.from_params(params)
@@ -366,7 +358,7 @@ def _mc_inputs(args):
     montecarlo._check_conservative(params)
     us, _ = load_ugrid(args.u)
     x = load_matrix_file(args.x) if args.x else np.eye(params.d)
-    _check_dims(params.d, us, x)
+    _check_inputs(params.d, us, x)
     cfg = montecarlo.SimConfig(n_paths=args.paths, dt=args.dt, seed=args.seed,
                                antithetic=args.antithetic)
     return params, us, x, cfg
@@ -441,7 +433,7 @@ def cmd_mbajd(args) -> int:
               "empty mu, Lyapunov drift and b = 2 p alpha)", file=sys.stderr)
         return EXIT_FAILURE
     us, times = load_ugrid(args.u)
-    _check_dims(params.d, us)
+    _check_inputs(params.d, us)
     if args.T is not None:
         times = [args.T]
     if not times:
@@ -478,6 +470,11 @@ _non_negative_float = _flag_type(_finite_float, lambda v: v >= 0, "a non-negativ
 _non_negative_int = _flag_type(int, lambda n: n >= 0, "a non-negative integer")
 _positive_int = _flag_type(int, lambda n: n >= 1, "a positive integer")
 _seed = _flag_type(int, lambda n: 0 <= n < 2 ** 64, "a seed in [0, 2^64)")
+# random boundary pairs validate may test: about 5 s and 80 MB at the bound,
+# growing by about 50 us and 0.4 KB per pair on a 2-core x86-64 host
+_MAX_PAIRS = 100_000
+_pair_count = _flag_type(_non_negative_int, lambda n: n <= _MAX_PAIRS,
+                         f"at most {_MAX_PAIRS} pairs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -489,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a parameter file for admissibility")
     p.add_argument("params")
-    p.add_argument("--pairs", type=_non_negative_int, default=64,
+    p.add_argument("--pairs", type=_pair_count, default=64,
                    help="random boundary pairs besides the canonical ones")
     p.add_argument("--tol", type=_non_negative_float, default=1e-9)
     p.add_argument("--out", choices=("text", "json"), default="text")

@@ -40,6 +40,8 @@ from .symcore import (
     check_psd,
     check_square,
     check_sym,
+    check_u,
+    check_x,
     eigenvalues,
     frobenius,
     mat_exp,
@@ -325,13 +327,9 @@ def _jump_rate(m: AtomicMeasure, u: np.ndarray, e: np.ndarray, sig: np.ndarray) 
 
 
 def _checked(spec: MBAJDSpec, us, times) -> np.ndarray:
-    """The u stacked as a complex array, once each u is d x d with Re(u) PSD
-    and each time is t >= 0."""
-    us = [np.asarray(u, dtype=complex) for u in us]
-    for u in us:
-        if u.shape != (spec.d, spec.d):
-            raise DomainError("u must be d x d")
-        check_psd(u.real, "the closed form requires Re(u) PSD")
+    """The u stacked as a complex array, once each u is in the tube and each
+    time is t >= 0."""
+    us = [check_u(u, spec.d) for u in us]
     for t in times:
         if not t >= 0:
             raise DomainError(f"the closed form requires t >= 0, got {t}")
@@ -342,8 +340,8 @@ def mbajd_grid(spec: MBAJDSpec, us, times) -> tuple[np.ndarray, np.ndarray]:
     """phi(t, u) and psi(t, u) for every u of a grid at every time, as arrays
     of shape (len(us), len(times)) and (len(us), len(times), d, d).
 
-    Every u must be d x d with Re(u) PSD. The quadrature witness runs once, at
-    the largest time; each time takes one pass over the stack of u on one sigma grid.
+    Every u must pass symcore.check_u. The quadrature witness runs once, at the
+    largest time; each time takes one pass over the stack of u on one sigma grid.
     """
     us = _checked(spec, us, times)
     phi = np.zeros((len(us), len(times)), dtype=complex)
@@ -378,6 +376,6 @@ def mbajd_phi(spec: MBAJDSpec, u: np.ndarray, t: float) -> complex:
 
 def mbajd_transform(spec: MBAJDSpec, u: np.ndarray, x: np.ndarray, t: float) -> complex:
     """exp(-phi(t, u) - tr(psi(t, u) x)) for the jump-diffusion of ``spec``."""
-    x = check_psd(np.asarray(x, dtype=float), "transform requires x PSD")
+    x = check_x(x, spec.d)
     phi, psi = mbajd_grid(spec, [u], [t])
     return complex(np.exp(-phi[0, 0] - trace_inner(psi[0, 0], x)))

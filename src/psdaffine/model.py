@@ -23,6 +23,7 @@ from .symcore import (
     canonical_sym,
     check_psd,
     check_square,
+    check_u,
     eigenvalues,
     frobenius,
     is_psd,
@@ -183,8 +184,8 @@ class AtomicMeasure:
         for k, (xi, w) in enumerate(self.atoms):
             xi = _validated_atom_site(xi, k)
             w = float(w)
-            if w <= 0.0:
-                raise DomainError(f"atoms[{k}].weight must be > 0")
+            if not 0.0 < w < np.inf:
+                raise DomainError(f"atoms[{k}].weight must be positive and finite")
             validated.append((xi, w))
         object.__setattr__(self, "atoms", tuple(validated))
 
@@ -286,6 +287,8 @@ class AffineParams:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "gamma", gamma)
+        if not math.isfinite(float(self.c)):
+            raise DomainError("c must be finite")
         object.__setattr__(self, "c", float(self.c))
 
     @property
@@ -344,15 +347,9 @@ def detruncate(tp: TruncatedParams) -> AffineParams:
 # ---------------------------------------------------------------------------
 
 
-def _check_exponent_domain(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    check_psd(u.real, "jump transform requires Re(u) PSD (bounded integrand)")
-    return u
-
-
 def jump_transform_m(m: AtomicMeasure, u: np.ndarray) -> complex:
     """sum_k w_k (exp(-tr(u xi_k)) - 1); modulus bounded by 2 sum_k w_k."""
-    u = _check_exponent_domain(u)
+    u = check_u(u, None)  # a measure has no d of its own
     total = 0.0 + 0.0j
     for xi, w in m.atoms:
         total += w * (np.exp(-trace_inner(u, xi)) - 1.0)
@@ -361,7 +358,7 @@ def jump_transform_m(m: AtomicMeasure, u: np.ndarray) -> complex:
 
 def jump_transform_mu(mu: MatrixAtomicMeasure, u: np.ndarray) -> np.ndarray:
     """sum_k (exp(-tr(u xi_k)) - 1) M_k as a complex symmetric matrix."""
-    u = _check_exponent_domain(u)
+    u = check_u(u, None)
     d = u.shape[0]
     total = np.zeros((d, d), dtype=complex)
     for xi, wm in mu.atoms:
@@ -372,11 +369,6 @@ def jump_transform_mu(mu: MatrixAtomicMeasure, u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Growth constant for the a-priori solution bound
 # ---------------------------------------------------------------------------
-
-
-def drift_operator_norm(drift: LinearDrift) -> float:
-    """Operator norm of the adjoint drift as a map on (S_d, Frobenius)."""
-    return float(np.linalg.norm(as_general(drift).as_matrix(), 2))
 
 
 def growth_constant(params: AffineParams) -> float:
@@ -396,7 +388,8 @@ def growth_constant(params: AffineParams) -> float:
         c1 += min(n, 1.0) * tr_wm
         if n > 1.0:
             c2 += 2.0 * tr_wm
-    return drift_operator_norm(params.drift) + c1 + (frobenius(params.gamma) + c2) / 2.0
+    b_op = float(np.linalg.norm(params.drift.as_matrix(), 2))  # ||B^T||_op on (S_d, Frobenius)
+    return b_op + c1 + (frobenius(params.gamma) + c2) / 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ from functools import reduce
 import numpy as np
 
 from .model import AffineParams, LinearDrift, LyapunovDrift
-from .symcore import DomainError, _project2, _sqrt2, _sqrt3, check_psd, spectrum
+from .symcore import DomainError, _project2, _sqrt2, _sqrt3, check_psd, check_u, check_x, spectrum
 # the per-layer benchmark hooks the eigh cone kernels of the d >= 3 step under these two names
 from .symcore import cone_project_sqrt as _project_psd_batch, cone_sqrt as _sqrt_psd_batch
 
@@ -393,7 +393,7 @@ def simulate_paths(params: AffineParams, x0: np.ndarray, T: float,
     of steps). Path blocks may run on a thread pool; the per-path streams
     make the result independent of the partition."""
     _check_conservative(params)
-    x0 = check_psd(np.asarray(x0, dtype=float), "initial state must be PSD")
+    x0 = check_x(x0, params.d)
     if not 0.0 < T < np.inf:
         raise ValueError("T must be positive and finite")
     steps = max(1.0, float(np.ceil(T / cfg.dt - 1e-12)))  # inf when T / dt overflows
@@ -437,9 +437,7 @@ def estimate_transforms(params: AffineParams, us: Sequence[np.ndarray], x: np.nd
     """Monte Carlo estimates of E[exp(-tr(u X_T))] started from x, one per u
     in us. All of them use the same simulated paths (common random numbers),
     so their errors are correlated; an empty us simulates nothing."""
-    us = [np.asarray(u, dtype=complex) for u in us]
-    for u in us:
-        check_psd(u.real, "estimate_transform requires Re(u0) PSD")
+    us = [check_u(u, params.d) for u in us]
     if not us:
         return []
     stats = simulate_paths(params, x, T, cfg)

@@ -39,7 +39,8 @@ from .model import (
 from .symcore import (
     DomainError,
     _project2,
-    check_psd,
+    check_u,
+    check_x,
     cone_project,
     eigenvalues,
     frobenius,
@@ -66,12 +67,9 @@ class DegenerateAlphaWarning(UserWarning):
     """Degenerate nonzero diffusion coefficient: outside the proved regime."""
 
 
-# Fixed numerics of every solve: the DOPRI5 tolerances, the norm of psi
-# (isometric coordinates) at which a solve stops as blown up, and the
-# smallest eigenvalue of Re psi below which a solve from the interior
-# reports a boundary-floor hit.
-_REL_TOL = 1e-9
-_ABS_TOL = 1e-11
+# Fixed numerics of every solve: the norm of psi (isometric coordinates) at
+# which a solve stops as blown up, and the smallest eigenvalue of Re psi below
+# which a solve from the interior reports a boundary-floor hit.
 _BLOWUP_NORM = 1e8
 _BOUNDARY_FLOOR = -1e-8
 
@@ -102,7 +100,6 @@ class RiccatiRHS:
 
     def __init__(self, params: AffineParams | TruncatedParams,
                  projected: bool | list[bool] = False):
-        self.params = params
         self.projected = np.asarray(projected, dtype=bool)
         self.d = d = params.d
         self.D = D = sym_dim(d)
@@ -298,17 +295,17 @@ def _solution(rhs: RiccatiRHS, u0: np.ndarray, res: _dopri5.IntegrationResult,
                            _rhs=rhs, _result=res)
 
 
-def _solve_rows(params, us: list, T: float, projected: list[bool]) -> list[RiccatiSolution]:
-    """One batched integration from every u in us, of the projected system
-    where its flag in projected is set and of the direct one elsewhere; each
-    row takes the steps it takes alone."""
+def _solve_rows(params, us: list, T: float, projected=None) -> list[RiccatiSolution]:
+    """One batched integration from every checked u in us, of the projected
+    system where its flag in projected (by default, :func:`_interior`'s
+    route) is set and of the direct one elsewhere; each row takes the steps
+    it takes alone."""
     if T <= 0:
         raise ValueError("T must be positive")
-    us = [np.asarray(u, dtype=complex) for u in us]
-    for u in us:
-        check_psd(u.real, "initial data must have PSD real part")
     if not us:
         return []
+    if projected is None:
+        projected = [not _interior(u) for u in us]
     degenerate = _warn_if_degenerate(params)
     rhs = RiccatiRHS(params, projected=projected)
     n_psi = 2 * rhs.D  # isometric coordinates of psi
@@ -318,7 +315,7 @@ def _solve_rows(params, us: list, T: float, projected: list[bool]) -> list[Ricca
         return ~(_dopri5.row_norms(y[:n_psi].T) >= _BLOWUP_NORM)
 
     y0 = rhs.pack(np.zeros(len(us)), np.stack(us))
-    res = _dopri5.integrate(rhs, 0.0, y0.T, T, rtol=_REL_TOL, atol=_ABS_TOL, monitor=monitor)
+    res = _dopri5.integrate(rhs, 0.0, y0.T, T, monitor=monitor)
     return [_solution(rhs, u, r, not p and min_eig(u.real) > 0, degenerate)
             for u, p, r in zip(us, projected, res.rows)]
 
@@ -330,13 +327,13 @@ def solve(params: AffineParams | TruncatedParams, u0: np.ndarray,
     Use :func:`solve_boundary` when Re(u0) is singular; there the jump
     exponents must be evaluated at the cone projection of Re(psi).
     """
-    return _solve_rows(params, [u0], T, [False])[0]
+    return _solve_rows(params, [check_u(u0, params.d)], T, [False])[0]
 
 
 def solve_boundary(params: AffineParams | TruncatedParams, u0: np.ndarray,
                    T: float) -> RiccatiSolution:
     """Integrate the projected system; valid for any PSD Re(u0), including 0."""
-    return _solve_rows(params, [u0], T, [True])[0]
+    return _solve_rows(params, [check_u(u0, params.d)], T, [True])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +386,7 @@ def boundary_limit(params: AffineParams, u0: np.ndarray, T: float,
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    u0 = np.asarray(u0, dtype=complex)
-    check_psd(u0.real, "boundary_limit requires Re(u0) PSD")
+    u0 = check_u(u0, params.d)
     eye = np.eye(params.d)
 
     ns: list[int] = []
@@ -446,23 +442,20 @@ def solve_grid(params: AffineParams, us, T: float) -> list[RiccatiSolution]:
     routed by :func:`_interior` to a row of the direct system when Re(u) is
     positive definite and of the projected one otherwise. Each solution is
     bit for bit the one-row solve."""
-    us = [np.asarray(u, dtype=complex) for u in us]
-    return _solve_rows(params, us, T, [not _interior(u) for u in us])
+    return _solve_rows(params, [check_u(u, params.d) for u in us], T)
 
 
 def transform_grid(params: AffineParams, us, x: np.ndarray, T: float) -> list[complex]:
     """Transform values exp(-phi(T, u) - tr(psi(T, u) x)) for every u in us,
-    through :func:`solve_grid`. A blow-up raises for the first such u."""
-    x = check_psd(np.asarray(x, dtype=float), "transform requires x PSD")
+    from the solves of :func:`solve_grid`. A blow-up raises for the first such u."""
+    x = check_x(x, params.d)
     if T < 0:
         raise ValueError("T must be nonnegative")
-    us = [np.asarray(u, dtype=complex) for u in us]
-    for u in us:
-        check_psd(u.real, "initial data must have PSD real part")
+    us = [check_u(u, params.d) for u in us]
     if T == 0:
         return [complex(np.exp(-trace_inner(u, x))) for u in us]
     values = []
-    for sol in solve_grid(params, us, T):
+    for sol in _solve_rows(params, us, T):
         if not sol.completed:
             raise BlowUpError(sol.diagnostics.t_plus)
         phi_t, psi_t = sol.eval(T)
@@ -486,10 +479,7 @@ def generator_exp(params: AffineParams, u: np.ndarray, x: np.ndarray) -> complex
         (-F(u) - tr(R(u) x)) exp(-tr(u x))
 
     with F and R the phi and psi rates."""
-    u = np.asarray(u, dtype=complex)
-    x = np.asarray(x, dtype=float)
-    check_psd(u.real, "generator_exp requires Re(u) PSD")
-    check_psd(x, "generator_exp requires x PSD")
+    u, x = check_u(u, params.d), check_x(x, params.d)
     phi_rate, psi_rate = RiccatiRHS(params, projected=False).rates(u[None])
     val = (-complex(phi_rate[0]) - trace_inner(psi_rate[0], x)) * np.exp(-trace_inner(u, x))
     return complex(val)

@@ -1,9 +1,14 @@
-"""Dense symmetric-matrix kernel: cone geometry and spectral helpers.
+"""Dense symmetric-matrix kernel: cone geometry, spectral helpers and the
+one rule for outside input.
 
 Real symmetric matrices are plain float ndarrays of shape (d, d); complex
 symmetric matrices (elements of the tube S_d^+ + i*S_d) are complex128
 ndarrays with ``x.T == x`` (symmetric, not Hermitian). All functions here are
-pure and never mutate their inputs.
+pure and never mutate their inputs. Outside matrices must be finite and
+symmetric up to rounding (SYM_RTOL): :func:`canonical_sym` stores a parameter's
+exactly symmetric part, and :func:`check_u` and :func:`check_x` decide for
+every route whether u is in the tube and x in the cone, returning the input
+itself.
 """
 
 from __future__ import annotations
@@ -17,35 +22,61 @@ import numpy as np
 # eigenvalues above -PSD_SLACK * max(1, ||x||) count as nonnegative; Euler and
 # Runge-Kutta steps routinely leave the cone at rounding level
 PSD_SLACK = 1e-10
+# outside input is symmetric up to rounding: |x - x^T| <= SYM_RTOL * max(1, max |x_ij|)
+SYM_RTOL = 1e-12
 
 
 class DomainError(ValueError):
     """A mathematical precondition (cone membership, dimension, ...) failed."""
 
 
-def check_square(x: np.ndarray, name: str = "x") -> np.ndarray:
+def check_square(x: np.ndarray, name: str = "x", d: int | None = None) -> np.ndarray:
+    """Validate that ``x`` is a square matrix, d x d if d is given, with finite entries."""
     x = np.asarray(x)
+    if d is not None and x.shape != (d, d):
+        raise DomainError(f"dimension does not match the parameter set: {name} must be "
+                          f"d x d with d = {d}, got shape {x.shape}")
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise DomainError(f"{name} must be a square matrix, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise DomainError(f"{name} has non-finite entries")
     return x
 
 
-def check_sym(x: np.ndarray, name: str = "x", tol: float = 0.0) -> np.ndarray:
-    """Validate that ``x`` is square and symmetric within ``tol`` (default exact)."""
+def check_sym(x: np.ndarray, name: str = "x", rtol: float = 0.0) -> np.ndarray:
+    """Validate that ``x`` is square, finite and symmetric within ``rtol``
+    times max(1, max |x_ij|) (default exact)."""
     x = check_square(x, name)
     dev = np.abs(x - x.T).max() if x.size else 0.0
-    if dev > tol:
+    if dev > rtol * max(1.0, float(np.abs(x).max()) if x.size else 0.0):
         raise DomainError(f"{name} is not symmetric (max |x - x.T| = {dev:.3e})")
     return x
 
 
 def canonical_sym(x, name: str) -> np.ndarray:
-    """Validate symmetry up to rounding and store the exactly symmetric part."""
-    x = np.asarray(x, dtype=float)
-    check_sym(x, name, tol=1e-12 * max(1.0, float(np.abs(x).max()) if x.size else 0.0))
-    x = symmetrize(x)
+    """Validate finiteness and symmetry up to rounding; store the exactly symmetric part."""
+    x = symmetrize(check_sym(np.asarray(x, dtype=float), name, SYM_RTOL))
     x.setflags(write=False)
     return x
+
+
+def check_u(u, d: int | None) -> np.ndarray:
+    """u as a complex array, once it is in the tube S_d^+ + i S_d: d x d (any
+    square size when d is None), finite, Re u and Im u symmetric up to
+    rounding, Re u PSD. Raises DomainError otherwise."""
+    u = check_square(np.asarray(u, dtype=complex), "u", d)
+    check_sym(u.real, "Re(u)", SYM_RTOL)
+    check_sym(u.imag, "Im(u)", SYM_RTOL)
+    check_psd(u.real, "the transform requires Re(u) PSD")
+    return u
+
+
+def check_x(x, d: int) -> np.ndarray:
+    """The initial state x as a float array, once it is in the cone: d x d,
+    finite, symmetric up to rounding, PSD. Raises DomainError otherwise."""
+    x = check_square(np.asarray(x, dtype=float), "the initial state", d)
+    check_sym(x, "the initial state", SYM_RTOL)
+    return check_psd(x, "the initial state is not PSD")
 
 
 def sym(entries) -> np.ndarray:
@@ -242,18 +273,10 @@ def _sqrt3(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array([[u00, u01, u02], [u01, u11, u12], [u02, u12, u22]]), certified
 
 
-def _checked_sym(x) -> np.ndarray:
-    """Symmetric part of outside input x, checked finite and symmetric up to rounding."""
-    x = check_sym(np.asarray(x, dtype=float), tol=1e-12 * max(1.0, frobenius(x)))
-    if not np.isfinite(x).all():
-        raise DomainError("eigendecomposition failed: non-finite entries")
-    return symmetrize(x)
-
-
 def spectrum(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues w (ascending) and orthogonal eigenvectors q of a real
     symmetric matrix x = q diag(w) q^T."""
-    return np.linalg.eigh(_checked_sym(x))
+    return np.linalg.eigh(canonical_sym(x, "x"))
 
 
 def min_eig(x: np.ndarray) -> float:
@@ -262,9 +285,9 @@ def min_eig(x: np.ndarray) -> float:
 
 
 def is_psd(x: np.ndarray) -> bool:
-    """Positive semidefinite up to slack: lambda_min >= -PSD_SLACK * max(1, ||x||)."""
+    """Finite and positive semidefinite up to slack: lambda_min >= -PSD_SLACK * max(1, ||x||)."""
     x = np.asarray(x, dtype=float)
-    return min_eig(x) >= -PSD_SLACK * max(1.0, frobenius(x))
+    return bool(np.isfinite(x).all()) and min_eig(x) >= -PSD_SLACK * max(1.0, frobenius(x))
 
 
 def check_psd(x: np.ndarray, message: str) -> np.ndarray:
@@ -276,13 +299,13 @@ def check_psd(x: np.ndarray, message: str) -> np.ndarray:
 
 def psd_project(x: np.ndarray) -> np.ndarray:
     """Nearest (Frobenius) positive semidefinite matrix: clamp negative eigenvalues."""
-    return cone_project(_checked_sym(x))
+    return cone_project(canonical_sym(x, "x"))
 
 
 def sqrt_psd(x: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root. Raises DomainError on non-PSD input."""
     check_psd(x, "sqrt_psd requires a positive semidefinite input")
-    return cone_sqrt(_checked_sym(x))
+    return cone_sqrt(canonical_sym(x, "x"))
 
 
 def mat_exp(a: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from psdaffine import (
     MatrixAtomicMeasure,
     MBAJDSpec,
     _dopri5,
+    cli,
     montecarlo,
 )
 from psdaffine.cli import (
@@ -503,6 +504,17 @@ def test_validate_pairs_must_be_a_non_negative_count(capsys, wishart_file, value
     assert f"expected a non-negative integer, got '{value}'" in err
 
 
+def test_validate_pairs_has_an_upper_bound(capsys, wishart_file):
+    # any count was accepted: 10^8 pairs would take tens of GB before failing
+    value = str(cli._MAX_PAIRS + 1)
+    code, out, err = run_cli(capsys, "validate", wishart_file, "--pairs", value)
+    assert_clean_exit(code, out, err, 2)
+    assert f"expected at most {cli._MAX_PAIRS} pairs, got '{value}'" in err
+    assert cli._MAX_PAIRS >= 1000 * 64
+    assert cli.build_parser().parse_args(  # the bound itself is allowed (not run)
+        ["validate", wishart_file, "--pairs", str(cli._MAX_PAIRS)]).pairs == cli._MAX_PAIRS
+
+
 @pytest.mark.parametrize("value", ["0", "-3", "abc"])
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_paths_must_be_a_positive_count(capsys, wishart_file, ugrid_file, command, value):
@@ -567,6 +579,29 @@ def test_initial_state_must_be_symmetric_and_psd(capsys, tmp_path, wishart_file,
     code, out, err = run_cli(capsys, *argv, "--x", str(xfile), "--out", "json")
     assert_clean_exit(code, out, err, 2)
     assert err.startswith(f"input error: --x: the initial state {problem}")
+
+
+@pytest.mark.parametrize("part, problem", [("re", "Re(u) is not symmetric"),
+                                           ("im", "Im(u) is not symmetric")])
+@pytest.mark.parametrize("command", ["transform", "simulate", "compare", "mbajd"])
+def test_u_grid_entry_must_be_symmetric(capsys, tmp_path, wishart_file, command, part,
+                                        problem):
+    # compare used to exit 1 with threshold breaches, the others 0 with values
+    bad = {"re": [[1.0, 0.6], [0.0, 1.0]], "im": [[0.0, 0.8], [0.0, 0.0]]}[part]
+    ufile = tmp_path / "u.json"
+    ufile.write_text(json.dumps({"u": [{"re": np.eye(2).tolist()},
+                                       {"re": np.eye(2).tolist(), part: bad}],
+                                 "times": [0.5]}))
+    if command == "transform":
+        argv = ("transform", wishart_file, str(ufile))
+    elif command == "mbajd":
+        argv = ("mbajd", wishart_file, "--u", str(ufile))
+    else:
+        argv = (command, wishart_file, "--u", str(ufile)) + _MC_BASE
+    code, out, err = run_cli(capsys, *argv, "--out", "json")
+    assert_clean_exit(code, out, err, 2)
+    assert out == ""
+    assert err.startswith(f"input error: $.u[1]: {problem}")
 
 
 def test_simulate_poisson_overflow_named_error(capsys, tmp_path, ugrid_file):

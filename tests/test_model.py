@@ -241,6 +241,34 @@ def test_structural_validation_errors():
         MatrixAtomicMeasure(atoms=((np.eye(2), np.diag([1.0, -1.0])),))
 
 
+def _params_with_entry(field, value):
+    """A valid parameter set with every kind of matrix and weight, but for
+    the first entry of ``field``, which is set to ``value``."""
+    def entry(name, base):
+        base = np.array(base, dtype=float)
+        if name == field:
+            base.flat[0] = value
+        return base
+    drift = (GeneralDrift(matrix=entry("drift matrix", -np.eye(3)), d=2)
+             if field == "drift matrix" else LyapunovDrift(beta=entry("beta", -np.eye(2))))
+    return AffineParams(
+        d=2, alpha=entry("alpha", np.eye(2)), b=entry("b", 2 * np.eye(2)), drift=drift,
+        c=float(entry("c", 0.0)), gamma=entry("gamma", np.eye(2)),
+        m=AtomicMeasure(atoms=((entry("m site", np.eye(2)), float(entry("m weight", 0.5))),)),
+        mu=MatrixAtomicMeasure(atoms=((entry("mu site", np.eye(2)),
+                                       entry("mu weight matrix", np.eye(2))),)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["alpha", "b", "gamma", "beta", "drift matrix", "c",
+                                   "m site", "m weight", "mu site", "mu weight matrix"])
+def test_parameter_sets_reject_non_finite_entries(field, bad):
+    # a NaN alpha used to pass construction and validate(params).ok
+    _params_with_entry(field, 1.0)
+    with pytest.raises(DomainError):
+        _params_with_entry(field, bad)
+
+
 # ---------------------------------------------------------------------------
 # truncation conversion
 # ---------------------------------------------------------------------------

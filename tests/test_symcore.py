@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import mpmath
@@ -9,18 +10,27 @@ from hypothesis.extra import numpy as hnp
 from scipy.optimize import minimize
 
 from psdaffine import (
+    AtomicMeasure,
     DomainError,
+    MBAJDSpec,
+    SimConfig,
+    boundary_limit,
     boundary_pairs,
+    estimate_transform,
     frobenius,
+    generator_exp,
     is_psd,
+    jump_transform_m,
     lemma_b_form,
     mat_exp,
+    mbajd_transform,
     psd_project,
     riccati_quadratic_real,
     spectrum,
     sqrt_psd,
     sym,
     trace_inner,
+    transform,
 )
 from psdaffine.symcore import (
     _project2,
@@ -526,3 +536,69 @@ def test_boundary_pairs_random_ranks_present():
 def test_boundary_pairs_d1_rejected():
     with pytest.raises(DomainError):
         boundary_pairs(1)
+
+
+# ---------------------------------------------------------------------------
+# one rule for outside input: every route accepts and rejects the same u and x
+# ---------------------------------------------------------------------------
+
+
+_I2 = np.eye(2)
+_NAN = np.array([[np.nan, 0.0], [0.0, 1.0]])
+_INPUT_PROBES = {
+    # name: (u, x, expected message); before one rule decided them, the routes
+    # disagreed on the values of the first three and raised different errors
+    # (or none) on the others
+    "Re u not symmetric": (np.array([[1.0, 0.6], [0.0, 1.0]]) + 0j, _I2,
+                           "Re(u) is not symmetric"),
+    "Im u not symmetric": (_I2 + 1j * np.array([[0.0, 0.8], [0.0, 0.0]]), _I2,
+                           "Im(u) is not symmetric"),
+    "x not symmetric": (_I2 + 0j, np.array([[1.0, 0.6], [0.0, 1.0]]),
+                        "the initial state is not symmetric"),
+    "u of size 3": (np.eye(3) + 0j, _I2, "u must be d x d"),
+    "u with NaN": (_NAN + 0j, _I2, "u has non-finite entries"),
+    "x with NaN": (_I2 + 0j, _NAN, "the initial state has non-finite entries"),
+    "x with inf": (_I2 + 0j, np.diag([np.inf, 1.0]), "the initial state has non-finite entries"),
+    "Re u not PSD": (-_I2 + 0j, _I2, "Re(u) PSD"),
+    "x not PSD": (_I2 + 0j, np.diag([1.0, -1.0]), "the initial state is not PSD"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(_INPUT_PROBES))
+def test_every_route_raises_the_same_error_for_bad_input(probe):
+    u, x, expected = _INPUT_PROBES[probe]
+    spec = MBAJDSpec(d=2, alpha=_I2, beta=-0.5 * _I2, p=1.0,
+                     m=AtomicMeasure(atoms=((0.5 * _I2, 0.4),)))
+    params = spec.to_affine_params()
+    calls = [lambda: transform(params, u, x, 1.0),
+             lambda: mbajd_transform(spec, u, x, 1.0),
+             lambda: estimate_transform(params, u, x, 1.0,
+                                        SimConfig(n_paths=16, dt=0.25, seed=1)),
+             lambda: generator_exp(params, u, x)]
+    if probe.startswith(("Re u", "Im u", "u ")):
+        calls.append(lambda: boundary_limit(params, u, 1.0, n_max=2))
+        if probe != "u of size 3":  # a measure has no d of its own
+            calls.append(lambda: jump_transform_m(params.m, u))
+    messages = set()
+    for call in calls:
+        with pytest.raises(DomainError, match=re.escape(expected)) as info:
+            call()
+        messages.add(str(info.value))
+    assert len(messages) == 1, messages
+
+
+def test_valid_input_passes_unchanged():
+    from psdaffine.symcore import check_u, check_x
+    # asymmetric at rounding level: accepted as given, never symmetrized
+    u = np.array([[1.0, 0.2 + 1e-13], [0.2, 1.0]]) + 1j * np.array([[0.0, 0.3], [0.3, 0.0]])
+    x = np.array([[2.0, 0.5], [0.5 + 1.5e-12, 1.0]])
+    assert check_u(u, 2) is u
+    assert check_x(x, 2) is x
+
+
+def test_non_finite_matrices_are_not_psd():
+    # eigvalsh of [[nan, 0], [0, 1]] returned [0, -0], so it counted as PSD
+    assert not is_psd(_NAN)
+    assert not is_psd(np.diag([np.inf, 1.0]))
+    with pytest.raises(DomainError, match="non-finite"):
+        spectrum(_NAN)
