@@ -1,15 +1,19 @@
-"""Embedded Dormand-Prince 5(4) integrator with PI step control and quartic
-dense output, over a batch of independent rows.
+"""Embedded Dormand-Prince 8(5,3) integrator with step control on its
+combined 5th/3rd-order error estimate and 7th-order dense output, over a
+batch of independent rows.
 
-Each row keeps its own time, step size, controller memory, accept or reject
-decision and status, so it takes exactly the steps it would take alone; only
-the right-hand side is evaluated on every row at once, one call per
-Runge-Kutta stage, always on all rows in column order. A row that finishes,
-stops or underflows holds still: it steps with h = 0 at its last accepted
-state until the batch ends. Kept self-contained so the caller can monitor
-every accepted step and stop a row early; the per-step hook, the per-row
-step control and the rejected-step count are the reason this is not
-delegated to a library solver.
+Each row keeps its own time, step size, accept or reject decision and
+status, so it takes exactly the steps it would take alone; only the
+right-hand side is evaluated on every row at once, one call per Runge-Kutta
+stage, always on all rows in column order. A step takes 11 calls; once some
+row accepts it, one more gives the rate at the step's end (the first stage
+of the next step) and three more the stages of the dense output. A row that
+finishes, stops or underflows holds still: it steps with h = 0 at its last
+accepted state until the batch ends. The tableau is kept here as NumPy
+constants, so the ODE route imports no SciPy. Kept self-contained so the
+caller can monitor every accepted step and stop a row early; the per-step
+hook, the per-row step control and the rejected-step count are the reason
+this is not delegated to a library solver.
 """
 
 from __future__ import annotations
@@ -18,42 +22,90 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Butcher tableau
-C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-A = [
-    np.array([], dtype=float),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+# Butcher tableau of the Dormand-Prince 8(5,3) pair (Hairer, Norsett & Wanner,
+# Solving ODEs I, 2nd ed. 1993, sec. II.10). Stages 0-11 make a step; stage 12
+# is the rate at the step's end, whose row of A is the weights B, and the first
+# stage of the next step; stages 13-15 serve the dense output only.
+N_STAGES = 12
+C = np.array([0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+              0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+              0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+              0.7777777777777778])
+A = np.zeros((16, 16))
+A[1, :1] = [0.05260015195876773]
+A[2, :2] = [0.0197250569845379, 0.0591751709536137]
+A[3, [0, 2]] = [0.02958758547680685, 0.08876275643042054]
+A[4, [0, 2, 3]] = [0.2413651341592667, -0.8845494793282861, 0.924834003261792]
+A[5, [0, 3, 4]] = [0.037037037037037035, 0.17082860872947386, 0.12546768756682242]
+A[6, [0, 3, 4, 5]] = [0.037109375, 0.17025221101954405, 0.06021653898045596, -0.017578125]
+A[7, [0, 3, 4, 5, 6]] = [0.03709200011850479, 0.17038392571223998, 0.10726203044637328,
+                         -0.015319437748624402, 0.008273789163814023]
+A[8, [0, 3, 4, 5, 6, 7]] = [0.6241109587160757, -3.3608926294469414, -0.868219346841726,
+                            27.59209969944671, 20.154067550477894, -43.48988418106996]
+A[9, [0, 3, 4, 5, 6, 7, 8]] = [0.47766253643826434, -2.4881146199716677, -0.590290826836843,
+                               21.230051448181193, 15.279233632882423, -33.28821096898486,
+                               -0.020331201708508627]
+A[10, [0, 3, 4, 5, 6, 7, 8, 9]] = [
+    -0.9371424300859873, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+    -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196]
+A[11, [0, 3, 4, 5, 6, 7, 8, 9, 10]] = [
+    2.273310147516538, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+    27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+    0.6433927460157636]
+A[12, [0, 5, 6, 7, 8, 9, 10, 11]] = [
+    0.054293734116568765, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+    0.3111643669578199, -0.1521609496625161, 0.20136540080403034, 0.04471061572777259]
+A[13, [0, 6, 7, 8, 9, 10, 11, 12]] = [
+    0.056167502283047954, 0.25350021021662483, -0.2462390374708025, -0.12419142326381637,
+    0.15329179827876568, 0.00820105229563469, 0.007567897660545699, -0.008298]
+A[14, [0, 5, 6, 7, 10, 11, 12, 13]] = [
+    0.03183464816350214, 0.028300909672366776, 0.053541988307438566, -0.05492374857139099,
+    -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456,
+    0.1413124436746325]
+A[15, [0, 5, 6, 7, 8, 12, 13, 14]] = [
+    -0.42889630158379194, -4.697621415361164, 7.683421196062599, 4.06898981839711,
+    0.3567271874552811, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987]
+B = A[N_STAGES, :N_STAGES]
+# B minus the weights of the embedded 5th-order and 3rd-order solutions
+E5 = np.zeros(N_STAGES)
+E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
+    0.01312004499419488, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
+    -0.35032884874997366, 0.3341791187130175, 0.08192320648511571, -0.022355307863886294]
+E3 = np.zeros(N_STAGES)
+E3[[0, 5, 6, 7, 8, 9, 10, 11]] = [
+    -0.18980075407240762, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+    -0.4226823213237919, -0.1521609496625161, 0.20136540080403034, 0.02265179219836082]
+# the step and its two error estimates in one product
+W = np.stack([B, E5, E3])
+# 7th-order interpolant y(t0 + x h) = y0 + x (F0 + (1 - x) (F1 + x (F2 + ... x F6)))
+# with F0 = y1 - y0, F1 = h f0 - F0, F2 = 2 F0 - h (f0 + f1) and F3..F6 = h D K
+D = np.zeros((4, 16))
+D[:, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = [
+    [-8.428938276109013, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+     2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894],
+    [10.427508642579134, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+     -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408],
+    [19.985053242002433, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+     -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279],
+    [-25.69393346270375, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+     93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564],
 ]
-B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-# difference between 5th and embedded 4th order weights
-E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
-# quartic interpolant (Shampine): y(t0 + theta h) = y0 + h K^T P [theta, .., theta^4]
-P = np.array([
-    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
 
 SAFETY = 0.9
 MIN_FACTOR = 0.2
-MAX_FACTOR = 5.0
-# PI controller exponents for an order-5 error estimate
-PI_ALPHA = 0.7 / 5.0
-PI_BETA = 0.4 / 5.0
+MAX_FACTOR = 10.0
+# step-size exponent of the error estimate, which scales as h^8
+ERR_EXPONENT = 1 / 8
 # step budget (accepted plus rejected) of each row
 MAX_STEPS = 1_000_000
-# tolerances of the scaled error norm: ATOL + RTOL * max(|y0|, |y1|) per component
-RTOL = 1e-9
-ATOL = 1e-11
+# tolerances of the scaled error norm: ATOL + RTOL * max(|y0|, |y1|) per
+# component; the interpolant errs about 10x more than the step ends
+RTOL = 3e-11
+ATOL = 3e-13
 
 
 class StepBudgetError(RuntimeError):
@@ -62,8 +114,9 @@ class StepBudgetError(RuntimeError):
 
 @dataclass
 class IntegrationResult:
-    """Accepted-step grid of one row with quartic dense output: step k starts
-    at (ts[k], ys[k]) with size hs[k] and interpolant coefficients qs[k] (N, 4)."""
+    """Accepted-step grid of one row with 7th-order dense output: step k
+    starts at (ts[k], ys[k]) with size hs[k] and interpolant coefficients
+    qs[k] (7, N), the F0..F6 of the interpolant (see D)."""
 
     status: str  # "finished" | "stopped" | "underflow"
     ts: np.ndarray
@@ -82,10 +135,12 @@ class IntegrationResult:
             return self.ys[0].copy()
         # step k covers [ts[k], ts[k+1]]
         k = min(int(np.searchsorted(self.ts, t, side="right")) - 1, len(self.hs) - 1)
-        h = self.hs[k]
-        theta = (t - self.ts[k]) / h
-        p = np.array([theta, theta**2, theta**3, theta**4])
-        return self.ys[k] + h * (self.qs[k] @ p)
+        x = (t - self.ts[k]) / self.hs[k]
+        f = self.qs[k]
+        y = 0.0
+        for j in range(6, -1, -1):
+            y = (y + f[j]) * (1.0 - x if j % 2 else x)
+        return self.ys[k] + y
 
 
 @dataclass
@@ -116,12 +171,11 @@ def row_norms(y: np.ndarray) -> np.ndarray:
 class _Row:
     """Step-control state and accepted-step record of one row."""
 
-    __slots__ = ("t", "h", "err_prev", "status", "ts", "ys", "hs", "qs", "n_rej")
+    __slots__ = ("t", "h", "status", "ts", "ys", "hs", "qs", "n_rej")
 
     def __init__(self, t: float, y: np.ndarray):
         self.t = t
         self.h = 0.0
-        self.err_prev = 1.0
         self.status = None
         self.ts = [t]
         self.ys = [y]
@@ -133,18 +187,23 @@ class _Row:
         n = len(self.hs)
         return IntegrationResult(self.status, np.array(self.ts), np.array(self.ys),
                                  np.array(self.hs),
-                                 np.array(self.qs).reshape(n, self.ys[0].size, 4),
+                                 np.array(self.qs).reshape(n, 7, self.ys[0].size),
                                  n, self.n_rej)
 
 
-def _error_norms(err: np.ndarray, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
-    """Scaled max-norm of each row's error estimate; inf where the step or
-    its error is not finite."""
+def _error_norms(err5: np.ndarray, err3: np.ndarray, y0: np.ndarray,
+                 y1: np.ndarray) -> np.ndarray:
+    """Combined error of each row, e5^2 / sqrt(e5^2 + 0.01 e3^2) of the
+    scaled max-norms e5 and e3 of its 5th- and 3rd-order estimates; inf
+    where the step or its error is not finite."""
     scale = ATOL + RTOL * np.maximum(np.abs(y0), np.abs(y1))
-    with np.errstate(invalid="ignore"):
-        ratio = np.abs(err) / scale
-    finite = np.isfinite(ratio).all(axis=1) & np.isfinite(y1).all(axis=1)
-    return np.where(finite, ratio.max(axis=1), np.inf)
+    with np.errstate(invalid="ignore", over="ignore"):
+        e5 = (np.abs(err5) / scale).max(axis=1)
+        e3 = (np.abs(err3) / scale).max(axis=1)
+        denom = np.hypot(e5, 0.1 * e3)
+        err = e5 * np.divide(e5, denom, out=np.zeros_like(e5), where=denom > 0)
+    finite = np.isfinite(denom) & np.isfinite(y1).all(axis=1)
+    return np.where(finite, err, np.inf)
 
 
 def _initial_steps(f, t0, y0, f0, t_end) -> list[float]:
@@ -170,9 +229,17 @@ def _initial_steps(f, t0, y0, f0, t_end) -> list[float]:
         elif max(d1, d2) <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
-            h1 = (0.01 / max(d1, d2)) ** 0.2
+            h1 = (0.01 / max(d1, d2)) ** ERR_EXPONENT
         hs.append(min(100 * h0, h1, t_end - t0))
     return hs
+
+
+def _stages(f, k: np.ndarray, t: np.ndarray, h: np.ndarray, y: np.ndarray, stages) -> None:
+    """k[:, s] = f(t + C[s] h, y + h sum_j A[s, j] k[:, j]) for each s in
+    stages, in order, on every row."""
+    hc = h[:, None]
+    for s in stages:
+        k[:, s] = np.asarray(f(t + C[s] * h, (y + hc * (A[s, :s] @ k[:, :s])).T)).T
 
 
 def integrate(f, t0: float, y0: np.ndarray, t_end: float, monitor) -> BatchResult:
@@ -195,7 +262,7 @@ def integrate(f, t0: float, y0: np.ndarray, t_end: float, monitor) -> BatchResul
     for row, h in zip(rows, _initial_steps(f, float(t0), y, f0, t_end)):
         row.h = h
 
-    k = np.empty((n, 7, size))
+    k = np.empty((n, len(C), size))
     k[:, 0] = f0
     while True:
         live = []  # rows still stepping; the others hold still with h = 0
@@ -224,32 +291,44 @@ def integrate(f, t0: float, y0: np.ndarray, t_end: float, monitor) -> BatchResul
         t = np.array([row.t for row in rows])
         hc = h[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            for s in range(1, 7):
-                k[:, s] = np.asarray(f(t + C[s] * h, (y + hc * (A[s] @ k[:, :s])).T)).T
-            y_new = y + hc * (B @ k)
-            err_vec = hc * (E @ k)
-        errs = _error_norms(err_vec, y, y_new).tolist()
-        q = k.transpose(0, 2, 1) @ P
+            _stages(f, k, t, h, y, range(1, N_STAGES))
+            step, err5, err3 = (hc[:, None] * (W @ k[:, :N_STAGES])).transpose(1, 0, 2)
+            y_new = y + step
+        errs = _error_norms(err5, err3, y, y_new).tolist()
 
         accepted = []
         for i in live:
             row, err = rows[i], errs[i]
             if err > 1.0:
                 row.n_rej += 1
-                factor = max(MIN_FACTOR, SAFETY * err ** (-0.2)) if np.isfinite(err) else MIN_FACTOR
+                factor = (max(MIN_FACTOR, SAFETY * err ** -ERR_EXPONENT)
+                          if np.isfinite(err) else MIN_FACTOR)
                 row.h *= factor
                 continue
-            # copies: a row's record must not keep the whole batch's arrays alive
-            row.hs.append(row.h)
-            row.qs.append(q[i].copy())
-            row.t = row.t + row.h
-            row.ts.append(row.t)
-            row.ys.append(y_new[i].copy())
             accepted.append(i)
         if not accepted:
             continue
+
+        # the rate at the step's end, then the dense-output stages
+        with np.errstate(over="ignore", invalid="ignore"):
+            k[:, N_STAGES] = np.asarray(f(t + h, y_new.T)).T
+            _stages(f, k, t, h, y, range(N_STAGES + 1, len(C)))
+            q = np.empty((n, 7, size))
+            q[:, 0] = step
+            q[:, 1] = hc * k[:, 0] - step
+            q[:, 2] = 2 * step - hc * (k[:, 0] + k[:, N_STAGES])
+            q[:, 3:] = hc[:, None] * (D @ k)
+        for i in accepted:
+            row = rows[i]
+            # copies: a row's record must not keep the whole batch's arrays alive
+            row.hs.append(row.h)
+            row.qs.append(q[i].copy())
+            # a step clamped to the rest of the span can round past t_end
+            row.t = min(row.t + row.h, t_end)
+            row.ts.append(row.t)
+            row.ys.append(y_new[i].copy())
         y[accepted] = y_new[accepted]
-        k[accepted, 0] = k[accepted, 6]  # FSAL
+        k[accepted, 0] = k[accepted, N_STAGES]  # FSAL
 
         t_acc = np.array([rows[i].t for i in accepted])
         going = np.asarray(monitor(t_acc, y_new[accepted].T), dtype=bool).tolist()
@@ -259,9 +338,7 @@ def integrate(f, t0: float, y0: np.ndarray, t_end: float, monitor) -> BatchResul
                 row.status = "stopped"
                 continue
             err = max(errs[i], 1e-10)  # keep the controller bounded
-            factor = SAFETY * err ** (-PI_ALPHA) * row.err_prev ** PI_BETA
-            row.h = row.h * min(MAX_FACTOR, max(MIN_FACTOR, factor))
-            row.err_prev = err
+            row.h *= min(MAX_FACTOR, max(MIN_FACTOR, SAFETY * err ** -ERR_EXPONENT))
 
     results = []
     while rows:  # each row's step lists go as soon as its arrays exist

@@ -39,7 +39,6 @@ from .symcore import (
     canonical_sym,
     check_psd,
     check_square,
-    check_sym,
     check_u,
     check_x,
     eigenvalues,
@@ -203,7 +202,7 @@ def sigma_integral(beta: np.ndarray, alpha: np.ndarray, t: float) -> np.ndarray:
     matrix exponential and cross-checked on every call against adaptive
     quadrature; a discrepancy above 1e-8 raises."""
     beta = check_square(np.asarray(beta, dtype=float), "beta")
-    alpha = check_sym(np.asarray(alpha, dtype=float), "alpha")
+    alpha = canonical_sym(alpha, "alpha")
     if t < 0:
         raise DomainError("sigma_integral requires t >= 0")
     if t == 0:

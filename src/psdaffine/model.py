@@ -347,19 +347,19 @@ def detruncate(tp: TruncatedParams) -> AffineParams:
 # ---------------------------------------------------------------------------
 
 
-def jump_transform_m(m: AtomicMeasure, u: np.ndarray) -> complex:
-    """sum_k w_k (exp(-tr(u xi_k)) - 1); modulus bounded by 2 sum_k w_k."""
-    u = check_u(u, None)  # a measure has no d of its own
+def jump_transform_m(m: AtomicMeasure, u: np.ndarray, d: int) -> complex:
+    """sum_k w_k (exp(-tr(u xi_k)) - 1) for u in the tube of dimension d
+    (a measure has no d of its own); modulus bounded by 2 sum_k w_k."""
+    u = check_u(u, d)
     total = 0.0 + 0.0j
     for xi, w in m.atoms:
         total += w * (np.exp(-trace_inner(u, xi)) - 1.0)
     return complex(total)
 
 
-def jump_transform_mu(mu: MatrixAtomicMeasure, u: np.ndarray) -> np.ndarray:
-    """sum_k (exp(-tr(u xi_k)) - 1) M_k as a complex symmetric matrix."""
-    u = check_u(u, None)
-    d = u.shape[0]
+def jump_transform_mu(mu: MatrixAtomicMeasure, u: np.ndarray, d: int) -> np.ndarray:
+    """sum_k (exp(-tr(u xi_k)) - 1) M_k as a complex symmetric d x d matrix."""
+    u = check_u(u, d)
     total = np.zeros((d, d), dtype=complex)
     for xi, wm in mu.atoms:
         total += (np.exp(-trace_inner(u, xi)) - 1.0) * wm

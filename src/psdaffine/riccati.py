@@ -216,7 +216,7 @@ def _quadratic_matrix(alpha: np.ndarray) -> np.ndarray:
 
 @dataclass
 class RiccatiSolution:
-    """Solution on the accepted-step grid with quartic dense output.
+    """Solution on the accepted-step grid with 7th-order dense output.
 
     ``t_plus`` is the estimated maximal existence time: +inf when the
     requested horizon was reached, otherwise the last accepted time before

@@ -43,13 +43,20 @@ def check_square(x: np.ndarray, name: str = "x", d: int | None = None) -> np.nda
     return x
 
 
+def _require_symmetric(x: np.ndarray, name: str, rtol: float) -> None:
+    """Raise DomainError unless the finite square x is symmetric within
+    ``rtol`` times max(1, max |x_ij|)."""
+    dev = np.abs(x - x.T).max() if x.size else 0.0
+    # the largest entry matters only once the deviation exceeds rtol
+    if dev > rtol and dev > rtol * float(np.abs(x).max()):
+        raise DomainError(f"{name} is not symmetric (max |x - x.T| = {dev:.3e})")
+
+
 def check_sym(x: np.ndarray, name: str = "x", rtol: float = 0.0) -> np.ndarray:
     """Validate that ``x`` is square, finite and symmetric within ``rtol``
     times max(1, max |x_ij|) (default exact)."""
     x = check_square(x, name)
-    dev = np.abs(x - x.T).max() if x.size else 0.0
-    if dev > rtol * max(1.0, float(np.abs(x).max()) if x.size else 0.0):
-        raise DomainError(f"{name} is not symmetric (max |x - x.T| = {dev:.3e})")
+    _require_symmetric(x, name, rtol)
     return x
 
 
@@ -60,14 +67,22 @@ def canonical_sym(x, name: str) -> np.ndarray:
     return x
 
 
-def check_u(u, d: int | None) -> np.ndarray:
-    """u as a complex array, once it is in the tube S_d^+ + i S_d: d x d (any
-    square size when d is None), finite, Re u and Im u symmetric up to
-    rounding, Re u PSD. Raises DomainError otherwise."""
+def _require_psd(x: np.ndarray, message: str) -> None:
+    """Raise DomainError(message) unless the finite x, already checked
+    symmetric up to rounding, is PSD up to slack (see :func:`is_psd`)."""
+    lam = np.linalg.eigvalsh(x)[0]
+    if lam < 0.0 and lam < -PSD_SLACK * max(1.0, frobenius(x)):
+        raise DomainError(message)
+
+
+def check_u(u, d: int) -> np.ndarray:
+    """u as a complex array, once it is in the tube S_d^+ + i S_d: d x d,
+    finite, Re u and Im u symmetric up to rounding, Re u PSD. Each property
+    is tested once. Raises DomainError otherwise."""
     u = check_square(np.asarray(u, dtype=complex), "u", d)
-    check_sym(u.real, "Re(u)", SYM_RTOL)
-    check_sym(u.imag, "Im(u)", SYM_RTOL)
-    check_psd(u.real, "the transform requires Re(u) PSD")
+    _require_symmetric(u.real, "Re(u)", SYM_RTOL)
+    _require_symmetric(u.imag, "Im(u)", SYM_RTOL)
+    _require_psd(u.real, "the transform requires Re(u) PSD")
     return u
 
 
@@ -75,8 +90,9 @@ def check_x(x, d: int) -> np.ndarray:
     """The initial state x as a float array, once it is in the cone: d x d,
     finite, symmetric up to rounding, PSD. Raises DomainError otherwise."""
     x = check_square(np.asarray(x, dtype=float), "the initial state", d)
-    check_sym(x, "the initial state", SYM_RTOL)
-    return check_psd(x, "the initial state is not PSD")
+    _require_symmetric(x, "the initial state", SYM_RTOL)
+    _require_psd(x, "the initial state is not PSD")
+    return x
 
 
 def sym(entries) -> np.ndarray:
@@ -332,7 +348,7 @@ def riccati_quadratic_real(x: np.ndarray, alpha: np.ndarray) -> float:
     alpha = diag(1, 0) with x = [[1, i], [i, 4]] gives -1.
     """
     x = np.asarray(x, dtype=complex)
-    alpha = check_sym(np.asarray(alpha, dtype=float), "alpha")
+    alpha = canonical_sym(alpha, "alpha")
     if x.shape != alpha.shape:
         raise DomainError(f"dimension mismatch: {x.shape} vs {alpha.shape}")
     val = np.einsum("ij,jk,kl,li->", np.conj(x), x, alpha, x)

@@ -909,16 +909,17 @@ def golden_grid_files(tmp_path, d):
 
 # SHA-256 of stdout (recorded with NumPy 2.4 and OpenBLAS on x86-64, as the
 # Riccati golden digests): a change moves every ODE value the CLI prints.
-# Last re-recorded for the right-hand side on the packed state: the printed
-# numbers moved by at most 6.3e-15 relative to max(1, |x|), and the Monte
-# Carlo estimates and standard errors of compare are unchanged.
+# Last re-recorded for the Dormand-Prince 8(5,3) pair: the printed ODE
+# numbers moved by at most 2.4e-11 relative to max(1, |x|), their error
+# against the 5(4) pair at RTOL 1e-13 fell from at most 2.5e-11 to 8.0e-12,
+# and the Monte Carlo estimates and standard errors of compare are unchanged.
 GOLDEN_CLI = {
     "transform-d2-lyapunov":
-        "beb9da1a550a45fbfda2b4cda0fc01a39ba35128aea1256a9eec292c38745007",
+        "2609ff8ffb15366879fc288b99ff1738b3047d522dd14f23b95635c970b519e3",
     "transform-d3-general":
-        "69fa96c7954f551217107d3683c63334d471ecd8aa63e0865fc21a5a0e53866c",
+        "0c3683d020c8074f2f7056419b088f27cd6c0b5c5e42fdb52b212bbdf20ee475",
     "compare-d2-lyapunov":
-        "393564dfef2aaa06e7aeba5aff2f6289dc43083d78d8ee9f3f8a851881f791c6",
+        "e7d6565d405c8ac78493ad8157fc1802fcfcb5cf282615f7548595532403ebf4",
 }
 
 

@@ -102,6 +102,17 @@ def test_sigma_additivity():
         assert frobenius(lhs - rhs) < 1e-9
 
 
+def test_sigma_accepts_alpha_symmetric_up_to_rounding():
+    # as MBAJDSpec does: alpha symmetric up to SYM_RTOL counts as its symmetric part
+    alpha = np.array([[1.0, 0.3], [0.3 + 1e-16, 1.0]])
+    beta = -0.5 * np.eye(2)
+    spec = MBAJDSpec(d=2, alpha=alpha, beta=beta, p=1.0)
+    got = sigma_integral(beta, alpha, 1.0)
+    assert got.tobytes() == sigma_integral(beta, spec.alpha, 1.0).tobytes()
+    with pytest.raises(DomainError, match="alpha is not symmetric"):
+        sigma_integral(beta, np.array([[1.0, 0.3], [0.3 + 1e-9, 1.0]]), 1.0)
+
+
 def test_sigma_result_psd():
     rng = np.random.default_rng(5)
     for _ in range(10):

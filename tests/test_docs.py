@@ -1,10 +1,11 @@
-"""The README's code names only what the package has."""
+"""The README names only what the package has, and states its numerics as they are."""
 
 import ast
 import re
 from pathlib import Path
 
 import psdaffine
+from psdaffine import _dopri5
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -21,3 +22,9 @@ def test_readme_names_only_existing_functions():
              and node.value.id in aliases}
     assert aliases and names
     assert sorted(n for n in names if not hasattr(psdaffine, n)) == []
+
+
+def test_readme_states_the_integrator_tolerances():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    found = re.findall(r"relative tolerance `([^`]+)`, absolute tolerance `([^`]+)`", text)
+    assert [(float(r), float(a)) for r, a in found] == [(_dopri5.RTOL, _dopri5.ATOL)]

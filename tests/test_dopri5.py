@@ -1,0 +1,118 @@
+"""The Dormand-Prince 8(5,3) pair of ``_dopri5``: its tableau, its order, its
+dense output and its imports."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+from scipy.integrate import solve_ivp
+
+from psdaffine import MBAJDSpec, _dopri5, solve_grid
+from psdaffine.cli import serialize_params
+from psdaffine.riccati import RiccatiRHS
+from conftest import random_admissible, random_interior_u, random_sym
+
+
+def test_tableau_equals_scipy_dop853_coefficients():
+    # SciPy's pure-Python DOP853 tables, read here only: the package keeps
+    # its own constants so that the ODE route never imports SciPy
+    from scipy.integrate._ivp import dop853_coefficients as ref
+    n = ref.N_STAGES
+    pairs = [(_dopri5.C, ref.C), (_dopri5.A, ref.A), (_dopri5.B, ref.B),
+             (_dopri5.E5, ref.E5[:n]), (_dopri5.E3, ref.E3[:n]), (_dopri5.D, ref.D)]
+    assert _dopri5.N_STAGES == n and ref.E5[n] == ref.E3[n] == 0.0
+    for ours, theirs in pairs:
+        assert ours.shape == theirs.shape
+        np.testing.assert_array_max_ulp(ours, theirs, maxulp=1)
+
+
+def test_fixed_steps_show_order_eight(monkeypatch):
+    # y' = M y with a known solution; no step is rejected and none resized, so
+    # each halving of h must cut the error at T by about 2^8
+    m = np.array([[-0.5, 4.0], [-4.0, -0.5]])
+    w, v = np.linalg.eig(m)
+
+    def exact(t, y0):
+        return (v @ np.diag(np.exp(w * t)) @ np.linalg.solve(v, y0)).real
+
+    y0 = np.eye(2)  # two rows, one per column
+    T = 2.0
+    monkeypatch.setattr(_dopri5, "RTOL", 1e300)
+    monkeypatch.setattr(_dopri5, "MIN_FACTOR", 1.0)
+    monkeypatch.setattr(_dopri5, "MAX_FACTOR", 1.0)
+    errs = []
+    for h in (1 / 4, 1 / 8, 1 / 16):
+        monkeypatch.setattr(_dopri5, "_initial_steps",
+                            lambda f, t0, y, f0, t_end, h=h: [h] * y.shape[0])
+        res = _dopri5.integrate(lambda t, y: m @ y, 0.0, y0, T,
+                                monitor=lambda t, y: np.ones(y.shape[1], dtype=bool))
+        assert [r.n_accepted for r in res.rows] == [round(T / h)] * 2
+        assert res.n_rejected == 0
+        errs.append(max(np.abs(r.ys[-1] - exact(T, y0[:, i])).max()
+                        for i, r in enumerate(res.rows)))
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all((orders > 7.5) & (orders < 8.5)), orders
+
+
+def test_last_step_one_ulp_short_of_the_horizon_is_no_underflow():
+    # y' = 1 from y = 1.7: the last step, clamped to the rest of the span
+    # from t < T / 2, lands 1 ulp short of T, and the next step is 1 ulp long
+    T = 0.8685616084774966
+    res = _dopri5.integrate(lambda t, y: np.ones_like(y), 0.0, np.full((1, 1), 1.7), T,
+                            monitor=lambda t, y: np.ones(y.shape[1], dtype=bool))
+    row = res.rows[0]
+    assert 0.0 < row.hs[-1] < 1e-14 * T  # the case this test is about
+    assert row.status == "finished" and row.t_end == T
+    assert abs(row.ys[-1][0] - (1.7 + T)) <= 1e-15
+
+
+# the largest error of the 5(4) pair (RTOL 1e-9, ATOL 1e-11, quartic dense
+# output) at the off-step times below, measured against the same reference
+OFF_STEP_ERROR_5_4 = 2.21e-11
+
+
+def test_dense_output_is_no_less_accurate_than_the_5_4_pair():
+    worst = 0.0
+    for d, general, seed in ((2, False, 1), (2, True, 2), (3, True, 3), (5, False, 4)):
+        rng = np.random.default_rng(seed)
+        params = random_admissible(rng, d, with_gamma=True, general_drift=general)
+        us = [random_interior_u(rng, d), 1j * random_sym(rng, d, 0.5),
+              3 * random_interior_u(rng, d, 2.0)]
+        rhs = RiccatiRHS(params)
+        for u, sol in zip(us, solve_grid(params, us, 2.0)):
+            assert sol.completed
+            for t in (0.3, 0.77, 1.2, 1.9):
+                assert t not in sol.times
+                # the reference steps to t itself: no interpolant in it
+                ref = solve_ivp(rhs, (0.0, t), rhs.pack(0j, u), method="DOP853",
+                                rtol=1e-13, atol=1e-15).y[:, -1]
+                y = rhs.pack(*sol.eval(t))
+                worst = max(worst, np.abs(y - ref).max() / max(1.0, np.abs(ref).max()))
+    assert worst <= OFF_STEP_ERROR_5_4
+
+
+def test_ode_transform_imports_no_scipy(tmp_path):
+    spec = MBAJDSpec(d=2, alpha=np.eye(2), beta=-0.5 * np.eye(2), p=1.0)
+    pfile = tmp_path / "params.json"
+    pfile.write_text(serialize_params(spec.to_affine_params()))
+    ufile = tmp_path / "u.json"
+    ufile.write_text(json.dumps({"u": [{"re": [[1.0, 0.0], [0.0, 1.0]]},
+                                       {"re": [[0.0, 0.0], [0.0, 0.0]],
+                                        "im": [[0.5, 0.1], [0.1, 0.5]]}],
+                                 "times": [0.5, 1.0]}))
+    script = ("import sys\n"
+              "from psdaffine.cli import main\n"
+              f"code = main(['transform', {str(pfile)!r}, {str(ufile)!r}, "
+              "'--method', 'ode', '--out', 'json'])\n"
+              "assert code == 0, code\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -335,27 +337,44 @@ def test_detruncate_re_truncate_round_trip():
 
 def test_jump_transform_m_values():
     m = AtomicMeasure(atoms=((np.eye(2), 1.0),))
-    assert jump_transform_m(m, np.zeros((2, 2), dtype=complex)) == 0.0
-    val = jump_transform_m(m, np.eye(2, dtype=complex))
+    assert jump_transform_m(m, np.zeros((2, 2), dtype=complex), 2) == 0.0
+    val = jump_transform_m(m, np.eye(2, dtype=complex), 2)
     assert val == pytest.approx(np.exp(-2.0) - 1.0)
-    assert jump_transform_m(AtomicMeasure(), np.eye(2, dtype=complex)) == 0.0
+    assert jump_transform_m(AtomicMeasure(), np.eye(2, dtype=complex), 2) == 0.0
 
 
 def test_jump_transform_mu_values():
     wm = np.diag([1.0, 0.0])
     mu = MatrixAtomicMeasure(atoms=((np.eye(2), wm),))
-    np.testing.assert_allclose(jump_transform_mu(mu, np.zeros((2, 2), dtype=complex)),
+    np.testing.assert_allclose(jump_transform_mu(mu, np.zeros((2, 2), dtype=complex), 2),
                                np.zeros((2, 2)))
-    np.testing.assert_allclose(jump_transform_mu(MatrixAtomicMeasure(), np.eye(2) + 0j),
+    np.testing.assert_allclose(jump_transform_mu(MatrixAtomicMeasure(), np.eye(2) + 0j, 2),
                                np.zeros((2, 2)))
-    got = jump_transform_mu(mu, np.eye(2, dtype=complex))
+    got = jump_transform_mu(mu, np.eye(2, dtype=complex), 2)
     np.testing.assert_allclose(got, (np.exp(-2.0) - 1.0) * wm, atol=1e-15)
 
 
 def test_jump_transform_domain_error():
     m = AtomicMeasure(atoms=((np.eye(2), 1.0),))
     with pytest.raises(DomainError):
-        jump_transform_m(m, -np.eye(2) + 0j)
+        jump_transform_m(m, -np.eye(2) + 0j, 2)
+
+
+@pytest.mark.parametrize("measure", ["m", "mu"])
+@pytest.mark.parametrize("empty", [False, True], ids=["atoms", "empty"])
+def test_jump_transform_checks_the_size_of_u(measure, empty):
+    # a measure has no d of its own: the caller's d decides, even with no atoms
+    if measure == "m":
+        call = jump_transform_m
+        meas = AtomicMeasure() if empty else AtomicMeasure(atoms=((np.eye(2), 1.0),))
+    else:
+        call = jump_transform_mu
+        meas = (MatrixAtomicMeasure() if empty
+                else MatrixAtomicMeasure(atoms=((np.eye(2), np.eye(2)),)))
+    with pytest.raises(DomainError, match=re.escape(
+            "dimension does not match the parameter set: u must be d x d with d = 2, "
+            "got shape (3, 3)")):
+        call(meas, np.eye(3) + 0j, 2)
 
 
 def test_jump_transform_bounded_integrand():
@@ -370,8 +389,8 @@ def test_jump_transform_bounded_integrand():
     total_trace = sum(float(np.trace(wm)) for _, wm in mu_atoms)
     for _ in range(100):
         u = random_psd(rng, 2) * rng.uniform(0, 5) + 1j * random_sym(rng, 2, 3.0)
-        assert abs(jump_transform_m(m, u)) <= 2 * total_weight + 1e-12
-        assert frobenius(jump_transform_mu(mu, u)) <= 2 * total_trace + 1e-12
+        assert abs(jump_transform_m(m, u, 2)) <= 2 * total_weight + 1e-12
+        assert frobenius(jump_transform_mu(mu, u, 2)) <= 2 * total_trace + 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,14 @@ def test_riccati_quadratic_counterexample_value():
     assert riccati_quadratic_real(x, alpha) == pytest.approx(-1.0, abs=1e-9)
 
 
+def test_riccati_quadratic_accepts_alpha_symmetric_up_to_rounding():
+    alpha = np.array([[1.0, 0.3], [0.3 + 1e-16, 1.0]])
+    x = np.array([[1.0, 0.2j], [0.2j, 2.0]])
+    assert riccati_quadratic_real(x, alpha) == riccati_quadratic_real(x, symmetrize(alpha))
+    with pytest.raises(DomainError, match="alpha is not symmetric"):
+        riccati_quadratic_real(x, np.array([[1.0, 0.3], [0.3 + 1e-9, 1.0]]))
+
+
 def test_riccati_quadratic_real_psd_cube():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -577,8 +585,7 @@ def test_every_route_raises_the_same_error_for_bad_input(probe):
              lambda: generator_exp(params, u, x)]
     if probe.startswith(("Re u", "Im u", "u ")):
         calls.append(lambda: boundary_limit(params, u, 1.0, n_max=2))
-        if probe != "u of size 3":  # a measure has no d of its own
-            calls.append(lambda: jump_transform_m(params.m, u))
+        calls.append(lambda: jump_transform_m(params.m, u, params.d))
     messages = set()
     for call in calls:
         with pytest.raises(DomainError, match=re.escape(expected)) as info:
