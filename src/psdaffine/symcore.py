@@ -13,6 +13,7 @@ itself.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from functools import reduce
@@ -324,20 +325,88 @@ def sqrt_psd(x: np.ndarray) -> np.ndarray:
     return cone_sqrt(canonical_sym(x, "x"))
 
 
-def mat_exp(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a general square matrix, or of each matrix of a
-    stack (..., d, d) (scaling and squaring, matrix by matrix, so a stacked
-    call has the bits of the single ones)."""
-    # imported here: only the closed form takes exponentials, and loading
-    # scipy.linalg costs every other command about 0.3 s and 28 MB
-    from scipy.linalg import expm
+# Pade scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005):
+# the [m/m] approximant r_m(A) = q_m(-A)^-1 q_m(A), q_m(x) = sum_j b_j x^j,
+# has backward error below the unit roundoff while ||A||_1 <= theta_m
+# (Table 2.3); beyond theta_13, A / 2^s is taken at degree 13 and squared s times.
+_PADE_DEGREES = (3, 5, 7, 9, 13)
+_PADE_THETA = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+               2.097847961257068e0, 5.371920351148152e0)
+_PADE_B = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0,
+        110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+         129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+         40840800.0, 960960.0, 16380.0, 182.0, 1.0),
+}
 
-    a = np.asarray(a, dtype=float)
+
+def _pade_exp(a: np.ndarray, m: int, s: int) -> np.ndarray:
+    """r_m(a / 2^s) squared s times, of one matrix or a stack."""
+    b = _PADE_B[m]
+    if s:
+        a = a * 2.0 ** -s
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    if m == 13:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    else:
+        powers = [eye, a2]  # a^0, a^2, ..., a^(m-1)
+        while len(powers) <= m // 2:
+            powers.append(powers[-1] @ a2)
+        u = a @ sum(b[2 * j + 1] * p for j, p in enumerate(powers))
+        v = sum(b[2 * j] * p for j, p in enumerate(powers))
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+def mat_exp(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a real square matrix, or of each matrix of a
+    stack (..., d, d), by Pade scaling and squaring. Each matrix gets the
+    lowest degree its 1-norm allows, or degree 13 and s squarings; a stack is
+    taken in groups of equal (degree, s), so a stacked call has the bits of
+    the single ones. Raises DomainError on complex, non-square or
+    non-finite input, or a 1-norm that overflows."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        raise DomainError("mat_exp takes real matrices, got complex input")
+    a = a.astype(float, copy=False)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DomainError(f"a must be a square matrix or a stack of them, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise DomainError("mat_exp: non-finite entries")
-    return expm(a)
+    # the 1-norm, the largest column sum, is non-finite for non-finite entries too
+    with np.errstate(over="ignore"):
+        norms = np.abs(a).sum(axis=-2).max(axis=-1)
+    if not np.isfinite(norms).all():
+        raise DomainError("mat_exp: non-finite entries" if not np.isfinite(a).all()
+                          else "mat_exp: the 1-norm overflows")
+    # beyond theta_13, s = ceil(log2(norm / theta_13)): with norm / theta_13 =
+    # mant * 2^e, frexp gives it exactly, the same for a matrix and a stack
+    if a.ndim == 2:
+        deg = bisect.bisect_left(_PADE_THETA, float(norms))
+        if deg < 4:
+            return _pade_exp(a, _PADE_DEGREES[deg], 0)
+        mant, e = math.frexp(float(norms) / _PADE_THETA[-1])
+        return _pade_exp(a, 13, max(e - (mant == 0.5), 0))
+    # one key per matrix: the degree's index below theta_13, else 4 + s
+    mant, e = np.frexp(norms / _PADE_THETA[-1])
+    degree = np.searchsorted(_PADE_THETA, norms)  # beyond theta_13 reads as 5
+    key = np.where(degree >= 4, 4 + np.maximum(e - (mant == 0.5), 0), degree).ravel()
+    flat = a.reshape(-1, *a.shape[-2:])
+    out = np.empty_like(flat)
+    for k in np.unique(key):
+        idx = np.flatnonzero(key == k)
+        out[idx] = _pade_exp(flat[idx], *((_PADE_DEGREES[k], 0) if k < 4 else (13, int(k) - 4)))
+    return out.reshape(a.shape)
 
 
 def riccati_quadratic_real(x: np.ndarray, alpha: np.ndarray) -> float:

@@ -1,17 +1,10 @@
-"""The Dormand-Prince 8(5,3) pair of ``_dopri5``: its tableau, its order, its
-dense output and its imports."""
-
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
+"""The Dormand-Prince 8(5,3) pair of ``_dopri5``: its tableau, its order and
+its dense output."""
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from psdaffine import MBAJDSpec, _dopri5, solve_grid
-from psdaffine.cli import serialize_params
+from psdaffine import _dopri5, solve_grid
 from psdaffine.riccati import RiccatiRHS
 from conftest import random_admissible, random_interior_u, random_sym
 
@@ -92,27 +85,3 @@ def test_dense_output_is_no_less_accurate_than_the_5_4_pair():
                 y = rhs.pack(*sol.eval(t))
                 worst = max(worst, np.abs(y - ref).max() / max(1.0, np.abs(ref).max()))
     assert worst <= OFF_STEP_ERROR_5_4
-
-
-def test_ode_transform_imports_no_scipy(tmp_path):
-    spec = MBAJDSpec(d=2, alpha=np.eye(2), beta=-0.5 * np.eye(2), p=1.0)
-    pfile = tmp_path / "params.json"
-    pfile.write_text(serialize_params(spec.to_affine_params()))
-    ufile = tmp_path / "u.json"
-    ufile.write_text(json.dumps({"u": [{"re": [[1.0, 0.0], [0.0, 1.0]]},
-                                       {"re": [[0.0, 0.0], [0.0, 0.0]],
-                                        "im": [[0.5, 0.1], [0.1, 0.5]]}],
-                                 "times": [0.5, 1.0]}))
-    script = ("import sys\n"
-              "from psdaffine.cli import main\n"
-              f"code = main(['transform', {str(pfile)!r}, {str(ufile)!r}, "
-              "'--method', 'ode', '--out', 'json'])\n"
-              "assert code == 0, code\n"
-              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, cwd=tmp_path, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"

@@ -215,6 +215,45 @@ def test_stacked_mat_exp_equals_per_matrix_calls():
         mat_exp(np.zeros((5, 3, 2)))
 
 
+def _vanloan_block(beta, alpha):
+    """The closed form's block [[beta, 2 alpha], [0, -beta^T]]."""
+    d = len(beta)
+    blk = np.zeros((2 * d, 2 * d))
+    blk[:d, :d], blk[:d, d:], blk[d:, d:] = beta, 2.0 * alpha, -beta.T
+    return blk
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_mat_exp_matches_40_digit_expm_on_vanloan_blocks(d):
+    # the golden-digest model and a random one; the scales take the
+    # 1-norm from about 0.01 (degree 3) to 160 (degree 13 after 5 squarings)
+    rng = np.random.default_rng(22 + d)
+    ones, eye = np.ones((d, d)), np.eye(d)
+    g = rng.standard_normal((d, d))
+    blocks = (_vanloan_block(-0.6 * eye + 0.2 * np.triu(ones, 1), 0.5 * eye + 0.1 * ones),
+              _vanloan_block(0.5 * rng.standard_normal((d, d)) - eye, g @ g.T / d))
+    mpmath.mp.dps = 40
+    for blk in blocks:
+        for scale in (0.005, 0.01, 0.1, 0.3, 0.5, 2.0, 5.0, 20.0):
+            a = scale * blk
+            ref = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
+            assert frobenius(mat_exp(a) - ref) <= 1e-13 * frobenius(ref), (scale, blk)
+
+
+def test_mat_exp_rejects_complex_input():
+    with pytest.raises(DomainError, match="complex"):
+        mat_exp(1j * np.eye(2))
+    with pytest.raises(DomainError, match="complex"):
+        mat_exp(np.zeros((4, 2, 2), dtype=complex))
+
+
+def test_mat_exp_rejects_an_overflowing_1_norm():
+    with pytest.raises(DomainError, match="overflows"):
+        mat_exp(np.full((2, 2), 1e308))
+    with pytest.raises(DomainError, match="overflows"):
+        mat_exp(np.stack([np.eye(2), np.full((2, 2), 1e308)]))
+
+
 # ---------------------------------------------------------------------------
 # quadratic form and trace-form inequalities
 # ---------------------------------------------------------------------------
