@@ -3,17 +3,19 @@ combined 5th/3rd-order error estimate and 7th-order dense output, over a
 batch of independent rows.
 
 Each row keeps its own time, step size, accept or reject decision and
-status, so it takes exactly the steps it would take alone; only the
-right-hand side is evaluated on every row at once, one call per Runge-Kutta
-stage, always on all rows in column order. A step takes 11 calls; once some
-row accepts it, one more gives the rate at the step's end (the first stage
-of the next step) and three more the stages of the dense output. A row that
-finishes, stops or underflows holds still: it steps with h = 0 at its last
-accepted state until the batch ends. The tableau is kept here as NumPy
-constants, so the ODE route imports no SciPy. Kept self-contained so the
-caller can monitor every accepted step and stop a row early; the per-step
-hook, the per-row step control and the rejected-step count are the reason
-this is not delegated to a library solver.
+status, so it takes exactly the steps it would take alone. That state is
+arrays over the rows, and accepted and rejected steps share one controller
+rule, whose power is Python's scalar pow (see _pow). The right-hand side is
+evaluated on every row at once, one call per Runge-Kutta stage, always on
+all rows in column order. A step takes 11 calls; once some row accepts it,
+one more gives the rate at the step's end (the first stage of the next
+step) and three more the stages of the dense output. A row that finishes,
+stops or underflows holds still: it steps with h = 0 at its last accepted
+state until the batch ends. The tableau is kept here as NumPy constants, so
+the ODE route imports no SciPy. Kept self-contained so the caller can
+monitor every accepted step and stop a row early; the per-step hook, the
+per-row step control and the rejected-step count are the reason this is
+not delegated to a library solver.
 """
 
 from __future__ import annotations
@@ -168,29 +170,6 @@ def row_norms(y: np.ndarray) -> np.ndarray:
     return np.sqrt((y[:, None, :] @ y[:, :, None])[:, 0, 0])
 
 
-class _Row:
-    """Step-control state and accepted-step record of one row."""
-
-    __slots__ = ("t", "h", "status", "ts", "ys", "hs", "qs", "n_rej")
-
-    def __init__(self, t: float, y: np.ndarray):
-        self.t = t
-        self.h = 0.0
-        self.status = None
-        self.ts = [t]
-        self.ys = [y]
-        self.hs: list[float] = []
-        self.qs: list[np.ndarray] = []
-        self.n_rej = 0
-
-    def result(self) -> IntegrationResult:
-        n = len(self.hs)
-        return IntegrationResult(self.status, np.array(self.ts), np.array(self.ys),
-                                 np.array(self.hs),
-                                 np.array(self.qs).reshape(n, 7, self.ys[0].size),
-                                 n, self.n_rej)
-
-
 def _error_norms(err5: np.ndarray, err3: np.ndarray, y0: np.ndarray,
                  y1: np.ndarray) -> np.ndarray:
     """Combined error of each row, e5^2 / sqrt(e5^2 + 0.01 e3^2) of the
@@ -206,32 +185,32 @@ def _error_norms(err5: np.ndarray, err3: np.ndarray, y0: np.ndarray,
     return np.where(finite, err, np.inf)
 
 
-def _initial_steps(f, t0, y0, f0, t_end) -> list[float]:
+def _pow(x: np.ndarray, p: float) -> np.ndarray:
+    """x ** p per entry by Python's float power, which is libm's pow, so that
+    the step sizes do not depend on the host: NumPy's vector power rounds the
+    last bit differently on some inputs where it dispatches to AVX512."""
+    return np.array([v ** p for v in x.tolist()])
+
+
+def _initial_steps(f, t0, y0, f0, t_end) -> np.ndarray:
     """Hairer-Norsett-Wanner starting step of each row of y0 (n, N)."""
     scale = ATOL + RTOL * np.abs(y0)
     root_n = max(1, y0.shape[1]) ** 0.5
-    d0s = row_norms(y0 / scale) / root_n
-    d1s = row_norms(f0 / scale) / root_n
-    h0s = []
-    for d0, d1 in zip(d0s.tolist(), d1s.tolist()):
-        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-        h0s.append(min(h0, t_end - t0))
-    # a row whose f0 / scale overflowed probes at h = 0, keeps h = 0 and
-    # reports the underflow
-    h0 = np.array([h0 if h0 > 0.0 else 0.0 for h0 in h0s])
+    d0 = row_norms(y0 / scale) / root_n
+    d1 = row_norms(f0 / scale) / root_n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1),
+                        t_end - t0)
+    # a row whose f0 / scale overflowed probes at h = 0, keeps h = 0 (h1 >= 0)
+    # and reports the underflow
+    h0 = np.where(h0 > 0.0, h0, 0.0)
     f1 = np.asarray(f(t0 + h0, (y0 + h0[:, None] * f0).T), dtype=float).T
     with np.errstate(divide="ignore", invalid="ignore"):
-        d2s = row_norms((f1 - f0) / scale) / root_n / h0
-    hs = []
-    for h0, d1, d2 in zip(h0.tolist(), d1s.tolist(), d2s.tolist()):
-        if h0 == 0.0:
-            h1 = 0.0
-        elif max(d1, d2) <= 1e-15:
-            h1 = max(1e-6, h0 * 1e-3)
-        else:
-            h1 = (0.01 / max(d1, d2)) ** ERR_EXPONENT
-        hs.append(min(100 * h0, h1, t_end - t0))
-    return hs
+        d2 = row_norms((f1 - f0) / scale) / root_n / h0
+        d = np.where(d2 > d1, d2, d1)  # max(d1, d2), which is d1 where d2 is nan
+        h1 = np.where(d <= 1e-15, np.maximum(1e-6, h0 * 1e-3),
+                      _pow(0.01 / d, ERR_EXPONENT))
+    return np.minimum(np.minimum(100 * h0, h1), t_end - t0)
 
 
 def _stages(f, k: np.ndarray, t: np.ndarray, h: np.ndarray, y: np.ndarray, stages) -> None:
@@ -255,92 +234,82 @@ def integrate(f, t0: float, y0: np.ndarray, t_end: float, monitor) -> BatchResul
     """
     y = np.asarray(y0, dtype=float).T.copy(order="C")  # rows (n, N)
     n, size = y.shape
-    f0 = np.asarray(f(np.full(n, float(t0)), y.T), dtype=float).T
+    t0 = float(t0)
+    f0 = np.asarray(f(np.full(n, t0), y.T), dtype=float).T
     if not np.all(np.isfinite(f0)):
         raise FloatingPointError("right-hand side not finite at the initial state")
-    rows = [_Row(float(t0), y[i].copy()) for i in range(n)]
-    for row, h in zip(rows, _initial_steps(f, float(t0), y, f0, t_end)):
-        row.h = h
+    t = np.full(n, t0)
+    h = np.asarray(_initial_steps(f, t0, y, f0, t_end), dtype=float)
+    running = np.ones(n, dtype=bool)
+    status = np.full(n, None, dtype=object)
+    n_rej = np.zeros(n, dtype=int)
+    steps = 0  # steps taken, accepted or rejected, by every row still running
+    # each row's accepted times, states, step sizes and interpolants, as
+    # copies: a row's record must not keep the whole batch's arrays alive
+    records = [([t0], [y[i].copy()], [], []) for i in range(n)]
 
     k = np.empty((n, len(C), size))
     k[:, 0] = f0
     while True:
-        live = []  # rows still stepping; the others hold still with h = 0
-        for i, row in enumerate(rows):
-            if row.status is None:
-                if not row.t < t_end:
-                    row.status = "finished"
-                elif len(row.hs) + row.n_rej > MAX_STEPS:
-                    raise StepBudgetError(
-                        f"step budget of {MAX_STEPS} steps exhausted at t = {row.t:.6g}")
-                else:
-                    # a step clamped to the rest of the span always runs: the
-                    # last one may be 1 ulp long, and so may a whole tiny span
-                    rest = t_end - row.t
-                    if row.h < min(rest, 1e-14 * max(1.0, abs(row.t))):
-                        row.status = "underflow"
-                    row.h = min(row.h, rest)
-            if row.status is None:
-                live.append(i)
-            else:
-                row.h = 0.0
-        if not live:
+        status[running & ~(t < t_end)] = "finished"
+        running &= t < t_end
+        if steps > MAX_STEPS and running.any():
+            raise StepBudgetError(
+                f"step budget of {MAX_STEPS} steps exhausted at t = {t[running.argmax()]:.6g}")
+        # a step clamped to the rest of the span always runs: the last one
+        # may be 1 ulp long, and so may a whole tiny span
+        rest = t_end - t
+        underflow = h < np.minimum(rest, 1e-14 * np.maximum(1.0, np.abs(t)))
+        status[running & underflow] = "underflow"
+        running &= ~underflow
+        if not running.any():
             break
+        # the rows that ended hold still with h = 0
+        h = np.where(running, np.minimum(h, rest), 0.0)
+        steps += 1
 
-        h = np.array([row.h for row in rows])
-        t = np.array([row.t for row in rows])
-        hc = h[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
             _stages(f, k, t, h, y, range(1, N_STAGES))
-            step, err5, err3 = (hc[:, None] * (W @ k[:, :N_STAGES])).transpose(1, 0, 2)
+            step, err5, err3 = (h[:, None, None] * (W @ k[:, :N_STAGES])).transpose(1, 0, 2)
             y_new = y + step
-        errs = _error_norms(err5, err3, y, y_new).tolist()
+        err = _error_norms(err5, err3, y, y_new)
+        accepted = running & (err <= 1.0)
+        n_rej += running & ~accepted
+        # one controller for both outcomes: an error above 1 gives a factor
+        # below SAFETY and an infinite one MIN_FACTOR; the floor keeps 0 out
+        # of the power
+        factor = np.minimum(MAX_FACTOR, np.maximum(
+            MIN_FACTOR, SAFETY * _pow(np.maximum(err, 1e-10), -ERR_EXPONENT)))
 
-        accepted = []
-        for i in live:
-            row, err = rows[i], errs[i]
-            if err > 1.0:
-                row.n_rej += 1
-                factor = (max(MIN_FACTOR, SAFETY * err ** -ERR_EXPONENT)
-                          if np.isfinite(err) else MIN_FACTOR)
-                row.h *= factor
-                continue
-            accepted.append(i)
-        if not accepted:
-            continue
-
-        # the rate at the step's end, then the dense-output stages
-        with np.errstate(over="ignore", invalid="ignore"):
-            k[:, N_STAGES] = np.asarray(f(t + h, y_new.T)).T
-            _stages(f, k, t, h, y, range(N_STAGES + 1, len(C)))
-            q = np.empty((n, 7, size))
-            q[:, 0] = step
-            q[:, 1] = hc * k[:, 0] - step
-            q[:, 2] = 2 * step - hc * (k[:, 0] + k[:, N_STAGES])
-            q[:, 3:] = hc[:, None] * (D @ k)
-        for i in accepted:
-            row = rows[i]
-            # copies: a row's record must not keep the whole batch's arrays alive
-            row.hs.append(row.h)
-            row.qs.append(q[i].copy())
+        if accepted.any():
+            # the rate at the step's end, then the dense-output stages
+            with np.errstate(over="ignore", invalid="ignore"):
+                k[:, N_STAGES] = np.asarray(f(t + h, y_new.T)).T
+                _stages(f, k, t, h, y, range(N_STAGES + 1, len(C)))
+                acc = np.flatnonzero(accepted)
+                sa, ha, k0 = step[acc], h[acc, None], k[acc, 0]
+                q = np.empty((len(acc), 7, size))
+                q[:, 0] = sa
+                q[:, 1] = ha * k0 - sa
+                q[:, 2] = 2 * sa - ha * (k0 + k[acc, N_STAGES])
+                q[:, 3:] = ha[:, None] * (D @ k[acc])
             # a step clamped to the rest of the span can round past t_end
-            row.t = min(row.t + row.h, t_end)
-            row.ts.append(row.t)
-            row.ys.append(y_new[i].copy())
-        y[accepted] = y_new[accepted]
-        k[accepted, 0] = k[accepted, N_STAGES]  # FSAL
-
-        t_acc = np.array([rows[i].t for i in accepted])
-        going = np.asarray(monitor(t_acc, y_new[accepted].T), dtype=bool).tolist()
-        for i, go in zip(accepted, going):
-            row = rows[i]
-            if not go:
-                row.status = "stopped"
-                continue
-            err = max(errs[i], 1e-10)  # keep the controller bounded
-            row.h *= min(MAX_FACTOR, max(MIN_FACTOR, SAFETY * err ** -ERR_EXPONENT))
+            t[acc] = np.minimum(t[acc] + h[acc], t_end)
+            y[acc] = y_new[acc]
+            k[acc, 0] = k[acc, N_STAGES]  # FSAL
+            for j, i in enumerate(acc.tolist()):
+                ts, ys, hs, qs = records[i]
+                ts.append(float(t[i]))
+                ys.append(y[i].copy())
+                hs.append(float(h[i]))
+                qs.append(q[j].copy())
+            stopped = acc[~np.asarray(monitor(t[acc], y[acc].T), dtype=bool)]
+            status[stopped], running[stopped] = "stopped", False
+        h = h * factor
 
     results = []
-    while rows:  # each row's step lists go as soon as its arrays exist
-        results.append(rows.pop(0).result())
+    for row_status, row_rej in zip(status, n_rej.tolist()):
+        ts, ys, hs, qs = records.pop(0)  # each row's step lists go as soon as its arrays exist
+        results.append(IntegrationResult(row_status, np.array(ts), np.array(ys), np.array(hs),
+                                         np.array(qs).reshape(len(hs), 7, size), len(hs), row_rej))
     return BatchResult(results)

@@ -339,8 +339,8 @@ def cmd_transform(args) -> int:
         method = "closed" if spec is not None else "ode"
     if method == "closed":
         if spec is None:
-            print("error: method=closed requires gamma = 0, c = 0, empty mu, "
-                  "a Lyapunov drift and b = 2 p alpha", file=sys.stderr)
+            print(f"error: method=closed requires an MBAJD ({closedform.MBAJDSpec.SHAPE})",
+                  file=sys.stderr)
             return EXIT_FAILURE
         rows = [_transform_row(k, t, "closed", phi, psi, x)
                 for k, t, phi, psi in _closed_exponents(spec, us, times)]
@@ -429,8 +429,8 @@ def cmd_mbajd(args) -> int:
     params = load_params(args.params)
     spec = closedform.MBAJDSpec.from_params(params)
     if spec is None:
-        print("error: parameter set is not an MBAJD (need gamma = 0, c = 0, "
-              "empty mu, Lyapunov drift and b = 2 p alpha)", file=sys.stderr)
+        print(f"error: parameter set is not an MBAJD (need {closedform.MBAJDSpec.SHAPE})",
+              file=sys.stderr)
         return EXIT_FAILURE
     us, times = load_ugrid(args.u)
     _check_inputs(params.d, us)

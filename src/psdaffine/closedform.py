@@ -95,6 +95,10 @@ class MBAJDSpec:
         # largest horizon whose sigma has passed the quadrature witness
         object.__setattr__(self, "_witnessed", 0.0)
 
+    # the parameter sets from_params recognizes, as error messages state them
+    SHAPE = ("gamma = 0, c = 0, empty mu, a Lyapunov drift and b = 2 p alpha "
+             "with p >= (d - 1) / 2")
+
     @classmethod
     def from_params(cls, params: AffineParams) -> MBAJDSpec | None:
         """Recognize b = 2 p alpha with Lyapunov drift, no killing, no mu jumps;

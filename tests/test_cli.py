@@ -674,6 +674,20 @@ def test_mbajd_rejects_non_mbajd(capsys, tmp_path, ugrid_file):
     assert "MBAJD" in err
 
 
+@pytest.mark.parametrize("command", ["mbajd", "transform"])
+def test_non_mbajd_error_states_the_recognized_shape(capsys, tmp_path, ugrid_file, command):
+    # b is not a multiple of alpha
+    params = AffineParams(d=2, alpha=np.eye(2), b=np.diag([2.0, 1.0]),
+                          drift=LyapunovDrift(beta=-np.eye(2)))
+    pfile = tmp_path / "nm.json"
+    pfile.write_text(serialize_params(params))
+    argv = ((command, str(pfile), "--u", str(ugrid_file)) if command == "mbajd"
+            else (command, str(pfile), str(ugrid_file), "--method", "closed"))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert MBAJDSpec.SHAPE in err
+
+
 def test_closed_transform_takes_few_exponentials_per_row(capsys, monkeypatch, tmp_path):
     # one sigma grid per time, shared by the 16 u, and one quadrature witness
     # per command: at most 5 block or flow exponentials per row, counted by

@@ -1,12 +1,19 @@
 """The Dormand-Prince 8(5,3) pair of ``_dopri5``: its tableau, its order and
 its dense output."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from psdaffine import _dopri5, solve_grid
 from psdaffine.riccati import RiccatiRHS
 from conftest import random_admissible, random_interior_u, random_sym
+from test_riccati import GOLDEN_SOLVE, golden_solve_digest
 
 
 def test_tableau_equals_scipy_dop853_coefficients():
@@ -85,3 +92,27 @@ def test_dense_output_is_no_less_accurate_than_the_5_4_pair():
                 y = rhs.pack(*sol.eval(t))
                 worst = max(worst, np.abs(y - ref).max() / max(1.0, np.abs(ref).max()))
     assert worst <= OFF_STEP_ERROR_5_4
+
+
+# NumPy's dispatch targets with AVX512 kernels; on a host without them the
+# variable only warns, and both interpreters run the same kernels
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def test_ode_bits_do_not_depend_on_simd_dispatch():
+    # the golden solves in an interpreter whose NumPy may not use its AVX512
+    # kernels give the bytes they give here; NumPy's vector power rounds the
+    # last bit differently with and without them, so the step control must
+    # not use it
+    cases = sorted(GOLDEN_SOLVE)
+    script = ("import json\n"
+              "from test_riccati import golden_solve_digest\n"
+              f"print(json.dumps([golden_solve_digest(*case) for case in {cases!r}]))\n")
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512, PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), str(tests)]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, cwd=tests, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [golden_solve_digest(*case) for case in cases]

@@ -199,7 +199,8 @@ def test_mat_exp_matches_taylor_squaring_oracle(scale):
 
 
 def test_stacked_mat_exp_equals_per_matrix_calls():
-    # a diagonal slice (taken apart from the Pade path) among general ones
+    # slices from small to large 1-norm and a diagonal one, so that the stack
+    # is taken in several groups of equal degree and squarings
     rng = np.random.default_rng(5)
     a = rng.standard_normal((5, 3, 3)) * np.array([0.1, 1.0, 4.0, 20.0, 1.0])[:, None, None]
     a[4] = np.diag([0.5, -1.0, 2.0])
