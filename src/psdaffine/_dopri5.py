@@ -170,19 +170,18 @@ def row_norms(y: np.ndarray) -> np.ndarray:
     return np.sqrt((y[:, None, :] @ y[:, :, None])[:, 0, 0])
 
 
-def _error_norms(err5: np.ndarray, err3: np.ndarray, y0: np.ndarray,
-                 y1: np.ndarray) -> np.ndarray:
+def _error_norms(est: np.ndarray, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
     """Combined error of each row, e5^2 / sqrt(e5^2 + 0.01 e3^2) of the
-    scaled max-norms e5 and e3 of its 5th- and 3rd-order estimates; inf
-    where the step or its error is not finite."""
-    scale = ATOL + RTOL * np.maximum(np.abs(y0), np.abs(y1))
+    scaled max-norms e5 and e3 of its 5th- and 3rd-order estimates, stacked
+    in est (n, 2, N); inf where the step or its error is not finite. As
+    y1 = y0 + step is not finite where y0 is not, max(|y0|, |y1|) is finite
+    exactly where y1 is; a max does not overflow, so one test covers both."""
+    big = np.maximum(np.abs(y0), np.abs(y1))
     with np.errstate(invalid="ignore", over="ignore"):
-        e5 = (np.abs(err5) / scale).max(axis=1)
-        e3 = (np.abs(err3) / scale).max(axis=1)
+        e5, e3 = (np.abs(est) / (ATOL + RTOL * big)[:, None]).max(axis=2).T
         denom = np.hypot(e5, 0.1 * e3)
         err = e5 * np.divide(e5, denom, out=np.zeros_like(e5), where=denom > 0)
-    finite = np.isfinite(denom) & np.isfinite(y1).all(axis=1)
-    return np.where(finite, err, np.inf)
+    return np.where(np.isfinite(np.maximum(denom, big.max(axis=1))), err, np.inf)
 
 
 def _pow(x: np.ndarray, p: float) -> np.ndarray:
@@ -270,9 +269,10 @@ def integrate(f, t0: float, y0: np.ndarray, t_end: float, monitor) -> BatchResul
 
         with np.errstate(over="ignore", invalid="ignore"):
             _stages(f, k, t, h, y, range(1, N_STAGES))
-            step, err5, err3 = (h[:, None, None] * (W @ k[:, :N_STAGES])).transpose(1, 0, 2)
+            prod = h[:, None, None] * (W @ k[:, :N_STAGES])
+            step = prod[:, 0]
             y_new = y + step
-        err = _error_norms(err5, err3, y, y_new)
+        err = _error_norms(prod[:, 1:], y, y_new)
         accepted = running & (err <= 1.0)
         n_rej += running & ~accepted
         # one controller for both outcomes: an error above 1 gives a factor

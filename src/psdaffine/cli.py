@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -219,18 +220,56 @@ def load_matrix_file(path: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _json_safe(value):
-    """Non-finite floats become null: NaN and Infinity are not JSON."""
+# json.dumps's text of each exact scalar type, in json's order of type tests;
+# non-finite floats become null, as NaN and Infinity are not JSON
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    type(None): lambda _: "null",
+    bool: lambda value: "true" if value else "false",
+    int: int.__repr__,
+    float: lambda value: float.__repr__(value) if math.isfinite(value) else "null",
+}
+
+
+def _json_scalar(value) -> str:
+    """A scalar as json.dumps writes it, by the first type in json's order
+    that it is an instance of (numpy.float64 is one of float)."""
+    encode = next((f for base, f in _JSON_SCALARS.items() if isinstance(value, base)), None)
+    if encode is None:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return encode(value)
+
+
+@functools.lru_cache(maxsize=64)
+def _json_keys(keys: tuple, indent: str) -> tuple[str, ...]:
+    """The text of each (string) key of a dict at the given indent, up to
+    its value: every row of a table has the same keys."""
+    return tuple(f"{indent}{encode_basestring_ascii(k)}: " for k in keys)
+
+
+def _json_text(value, indent: str = "") -> str:
+    """value as json.dumps(value, indent=2) writes it at the given indent,
+    with null for every non-finite float, so the text is strict JSON."""
+    inner, get = indent + "  ", _JSON_SCALARS.get
     if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_json_safe(v) for v in value]
-    return None if isinstance(value, float) and not math.isfinite(value) else value
+        if not value:
+            return "{}"
+        items = [key + (enc(v) if (enc := get(type(v))) else _json_text(v, inner))
+                 for key, v in zip(_json_keys(tuple(value), inner), value.values())]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [inner + (enc(v) if (enc := get(type(v))) else _json_text(v, inner))
+                 for v in value]
+        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+    return _json_scalar(value)
 
 
 def _dump_json(obj, stream) -> None:
-    json.dump(_json_safe(obj), stream, indent=2, allow_nan=False)
-    stream.write("\n")
+    """The one JSON writer of the CLI: the text json.dump(obj, stream, indent=2)
+    writes, with null for non-finite floats, and a newline."""
+    stream.write(_json_text(obj) + "\n")
 
 
 def _emit(rows: list[dict], columns: list[str], fmt: str, stream) -> None:

@@ -37,10 +37,12 @@ from .model import (
     vec_to_sym,
 )
 from .symcore import (
+    _SUBNORMAL_NORM,
     DomainError,
     _project2,
     check_u,
     check_x,
+    cone_certified,
     cone_project,
     eigenvalues,
     frobenius,
@@ -124,13 +126,21 @@ class RiccatiRHS:
         self._const[0] = np.append(sym_to_vec(params.gamma), params.c)
         self._quad = None if frobenius(params.alpha) == 0.0 else _quadratic_matrix(params.alpha)
         self._proj = np.flatnonzero(self.projected) if self.projected.ndim else None
+        # Re psi (p, d, d) from its isometric rows (p, D) by one index
+        iu, ju = np.triu_indices(d)
+        self._unscale = np.where(iu == ju, 1.0, SQRT2)
+        self._gather = np.empty((d, d), dtype=int)
+        self._gather[iu, ju] = self._gather[ju, iu] = np.arange(D)
 
     def _moved_exponents(self, v: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Of projected rows (p, 2, D): the rows whose Re psi leaves the cone,
         and their jump exponents (m, 2, K) at pi(Re psi) + i Im psi, or None
         when every Re psi is in the cone; a row in the cone keeps its own.
-        The analytic 2 x 2 projection on components at d = 2; otherwise the
-        eigenvalues of every row, and one eigh per moved row."""
+        The analytic 2 x 2 projection on components at d = 2. Otherwise one
+        Cholesky certificate with the shifts -1e-12 ||Re psi|| clears every
+        row (each lambda_min is then above 0) unless some norm is 0 or
+        subnormal, or the certificate fails; then the eigenvalues decide,
+        and one eigh projects each moved row."""
         re = v[:, 0]
         if not np.isfinite(re).all():
             raise DomainError("eigendecomposition failed: non-finite entries")
@@ -142,7 +152,10 @@ class RiccatiRHS:
             moved = np.flatnonzero((pa != a) | (pb != b) | (pc != c))
             re = np.stack([pa[moved], SQRT2 * pb[moved], pc[moved]], axis=-1)
         else:
-            x = vec_to_sym(re, self.d)
+            x = (re / self._unscale)[:, self._gather]  # the bits of vec_to_sym
+            norm = np.sqrt(np.einsum("ij,ij->i", re, re))  # v is an isometry
+            if norm.min() >= _SUBNORMAL_NORM and cone_certified(x, -1e-12 * norm):
+                return None, None
             moved = np.flatnonzero(np.linalg.eigvalsh(x)[:, 0] < 0.0)
             if not len(moved):
                 return None, None

@@ -16,7 +16,7 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -198,6 +198,27 @@ def cone_project_sqrt(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def eigenvalues(x: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the symmetric part of real x."""
     return np.linalg.eigvalsh(symmetrize(np.asarray(x, dtype=float)))
+
+
+_eye = cache(np.eye)  # read-only use: x + shift * _eye(d) makes a new array
+
+
+def cone_certified(x: np.ndarray, shift) -> bool:
+    """Whether one stacked Cholesky factorization of x + shift I succeeds,
+    for finite symmetric x (n, d, d) and a shift per matrix, or one for all.
+    When it does, each lambda_min(x) > -shift - (d + 1) d eps (||x|| + |shift|)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed. 2002,
+    Thm. 10.3), so a shift a few 1e-12 ||x|| or more inside an eigenvalue
+    rule decides that rule for the whole stack. False, also for a non-finite
+    shift, leaves every matrix undecided."""
+    shift = np.asarray(shift, dtype=float)
+    if not np.isfinite(shift).all():
+        return False
+    try:
+        np.linalg.cholesky(x + shift[..., None, None] * _eye(x.shape[-1]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 # the d = 2 kernels: analytic formulas on the components of [[a, b], [b, c]],

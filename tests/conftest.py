@@ -10,6 +10,7 @@ from psdaffine import (
     MatrixAtomicMeasure,
 )
 from psdaffine.model import as_general, sym_to_vec
+from psdaffine.symcore import PSD_SLACK
 
 
 def random_orthogonal(rng, d):
@@ -101,3 +102,32 @@ def random_admissible(rng, d, alpha_class="invertible", with_jumps=True,
     mu = random_mu_measure(rng, d, rng.integers(0, 3)) if with_jumps else MatrixAtomicMeasure()
     return AffineParams(d=d, alpha=alpha, b=b, drift=drift, c=0.0, gamma=gamma,
                         m=m, mu=mu)
+
+
+# smallest eigenvalues at the edge of the cone, as (unit, factor): "rel" puts
+# it at factor * ||x||, "floor" at factor * PSD_SLACK * max(1, ||x||), the
+# size of the floor of closedform._jump_rate; "zero" is the zero matrix
+CONE_EDGE_KINDS = (("rel", 0.0), ("rel", 1e-17), ("rel", -1e-17), ("rel", 1e-11),
+                   ("rel", -1e-11), ("floor", 0.5), ("floor", -0.5), ("floor", -1.001),
+                   ("floor", -2.0), ("zero", 0.0))
+# subnormal entries, normal entries whose sums of squares underflow to 0 or
+# are subnormal, ordinary ones, large ones and ones whose sum of squares
+# overflows
+CONE_EDGE_SCALES = (1e-310, 1e-200, 1e-160, 1.0, 1e150, 1e155)
+
+
+def cone_edge_matrix(rng, d, kind, scale):
+    """A symmetric d x d matrix q diag(w) q^T with w[1:] drawn from
+    scale * [0.5, 2] and the smallest eigenvalue w[0] placed by kind (see
+    CONE_EDGE_KINDS), before the rounding of the product."""
+    unit, factor = kind
+    if unit == "zero":
+        return np.zeros((d, d))
+    q = random_orthogonal(rng, d)
+    w = rng.uniform(0.5, 2.0, size=d)
+    w[0] = 0.0
+    norm = float(np.linalg.norm(w)) * scale
+    w *= scale
+    w[0] = factor * (norm if unit == "rel" else PSD_SLACK * max(1.0, norm))
+    x = (q * w) @ q.T
+    return 0.5 * x + 0.5 * x.T

@@ -35,7 +35,7 @@ from psdaffine.cli import (
     params_to_json,
     serialize_params,
 )
-from psdaffine.model import sym_to_vec
+from psdaffine.model import sym_to_vec, validate as validate_params
 
 
 @pytest.fixture
@@ -816,6 +816,67 @@ def test_validate_passes_huge_finite_alpha(capsys, tmp_path):
     assert report["alpha_class"] == "invertible"
     checks = {c["name"]: c for c in report["checks"]}
     assert checks["alpha_psd"]["value"] == 1e308
+
+
+def _json_recipe(obj) -> str:
+    """The JSON text the CLI wrote before it had its own writer: non-finite
+    floats in dicts and lists made null, then json.dump with indent 2."""
+    def safe(value):
+        if isinstance(value, dict):
+            return {k: safe(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [safe(v) for v in value]
+        return None if isinstance(value, float) and not np.isfinite(value) else value
+    return json.dumps(safe(obj), indent=2, allow_nan=False) + "\n"
+
+
+def _written(write, *args) -> str:
+    out = io.StringIO()
+    write(*args, out)
+    return out.getvalue()
+
+
+_AWKWARD_ROW = {"neg_zero": -0.0, "subnormal": 5e-324, "huge": 1e308, "nan": float("nan"),
+                "inf": float("inf"), "neg_inf": -float("inf"), "int": 7, "big_int": -10 ** 30,
+                "true": True, "false": False, "none": None, "np_float": np.float64(0.1),
+                "np_nan": np.float64("nan"), "quote": 'say "hi"', "backslash": "a\\b\\",
+                "non_ascii": "\u00e9\u2603\U0001f600\n\t\x00", 'key "with" \\': 1.5}
+
+
+@pytest.mark.parametrize("obj", [
+    [_AWKWARD_ROW, dict(_AWKWARD_ROW, int=8)],
+    [],
+    {},
+    [[], {}, [[1.5, None]], {"a": {}}],
+    1e-300,
+    "text",
+], ids=["rows", "empty-list", "empty-dict", "nested-empty", "scalar", "string"])
+def test_json_writer_equals_the_json_dump_recipe(obj):
+    assert _written(cli._dump_json, obj) == _json_recipe(obj)
+
+
+def test_json_tables_equal_the_recipe_and_parse_strictly():
+    columns = list(_AWKWARD_ROW) + ["missing"]
+    rows = [_AWKWARD_ROW, {"int": 1}]
+    text = _written(lambda out: cli._emit(rows, columns, "json", out))
+    assert text == _json_recipe([{k: row.get(k) for k in columns} for row in rows])
+    assert json.loads(text, parse_constant=_no_constant)[1]["missing"] is None
+    assert _written(lambda out: cli._emit([], columns, "json", out)) == "[]\n"
+
+
+def test_json_validate_report_equals_the_recipe(capsys, tmp_path, wishart_file):
+    for path in (wishart_file, huge_drift_file(tmp_path)):
+        with np.errstate(over="ignore", invalid="ignore"):  # the huge drift overflows
+            report = validate_params(load_params(path), n_random_pairs=3).to_dict()
+        assert any(isinstance(c["value"], float) for c in report["checks"])
+        code, out, err = run_cli(capsys, "validate", path, "--pairs", "3", "--out", "json")
+        assert out == _json_recipe(report)
+    assert None in [c["value"] for c in json.loads(out)["checks"]]  # a non-finite value
+
+
+def test_json_writer_rejects_what_json_rejects():
+    with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+        cli._dump_json([np.int64(3)], io.StringIO())
 
 
 class _LargestUniformStreams:

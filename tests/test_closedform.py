@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psdaffine import (
@@ -28,8 +28,9 @@ from psdaffine import (
     transform,
 )
 import psdaffine.closedform as cf
-from psdaffine.symcore import symmetrize
-from conftest import random_interior_u, random_psd, random_spd, random_stable_beta, random_sym
+from psdaffine.symcore import PSD_SLACK, eigenvalues, symmetrize
+from conftest import (CONE_EDGE_KINDS, CONE_EDGE_SCALES, cone_edge_matrix, random_interior_u,
+                      random_psd, random_spd, random_stable_beta, random_sym)
 
 
 def basic_spec(d=2, beta=None, p=1.0, atoms=()):
@@ -422,6 +423,39 @@ def test_fresh_spec_rewitnesses_a_passed_pair(monkeypatch):
         mbajd_phi(basic_spec(beta=NON_NORMAL_BETA), u, 1.0)
 
 
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from(CONE_EDGE_SCALES),
+       kinds=st.lists(st.sampled_from(CONE_EDGE_KINDS), min_size=1, max_size=3))
+@example(d=3, seed=0, scale=1.0, kinds=[("floor", -1.001)])  # just below the floor
+def test_jump_rate_raises_exactly_where_the_eigenvalues_say(d, seed, scale, kinds):
+    # psi stacks with Re psi at the edge of the cone: the certificate may
+    # decide a stack, but _jump_rate must raise exactly where the exact rule
+    # eigenvalues(Re psi) >= -PSD_SLACK max(1, ||Re psi||) fails
+    rng = np.random.default_rng(seed)
+    re = np.stack([cone_edge_matrix(rng, d, kind, scale) for kind in kinds])
+    psi = re + 1j * np.stack([random_sym(rng, d) for _ in kinds])
+    m = AtomicMeasure(atoms=((np.eye(d) / d, 0.5),))
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(re, axis=(-2, -1))
+    inside = (eigenvalues(re)[:, 0] >= -PSD_SLACK * np.maximum(1.0, norm)).all()
+    calls = []
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
+        mp.setattr(cf, "_psi", lambda u, e, sig: psi)
+        mp.setattr(cf, "eigenvalues", lambda x: calls.append(x) or eigenvalues(x))
+        if inside:
+            rate = cf._jump_rate(m, None, None, None)
+            assert rate.shape == (len(kinds),)
+        else:
+            with pytest.raises(DomainError, match="requires Re\\(psi\\) PSD"):
+                cf._jump_rate(m, None, None, None)
+    # the certificate decides the clear stacks; the eigenvalues the ones below the floor
+    if all(unit != "floor" or factor > 0.0 for unit, factor in kinds) and (norm < np.inf).all():
+        assert not calls
+    if any(unit == "floor" and factor < -1.0 for unit, factor in kinds):
+        assert calls
+
+
 @pytest.mark.parametrize("t", [-0.5, float("nan")])
 def test_closed_form_rejects_negative_or_nan_time(t):
     spec = basic_spec()
@@ -563,6 +597,33 @@ def test_richardson_cap_raises_quadrature_error(monkeypatch):
     monkeypatch.setattr(cf, "_MAX_DEPTH", cf._BASE_LEVEL)  # no panel may be bisected
     with pytest.raises(cf.QuadratureError, match="failed to converge"):
         mbajd_phi(spec, u, 2.0)
+
+
+def test_sigma_grid_store_is_independent_of_the_request_order():
+    # the same nodes asked for coarse first, fine first, and as repeated ids
+    # mixed with stored ones: bit-identical stacks and one sorted store
+    spec = MBAJDSpec(d=3, alpha=np.diag([1.0, 0.5, 0.2]), beta=-0.3 * np.eye(3)
+                     + np.diag([0.4, 0.1], 1), p=1.0)
+    orders = {
+        "coarse first": [(np.arange(5), 2), (np.arange(17), 4), (np.arange(65), 6)],
+        "fine first": [(np.arange(65), 6), (np.arange(17), 4), (np.arange(5), 2)],
+        "repeated": [(np.array([3, 3, 1]), 2), (np.array([37, 4, 37, 0, 64, 5, 4, 9]), 6),
+                     (np.array([1, 16, 1, 2, 15]), 4), (np.arange(65)[::-1], 6)],
+    }
+    stores, answers = {}, []
+    for name, calls in orders.items():
+        grid = cf._SigmaGrid(spec, 1.5)
+        for ks, level in calls:
+            answers.append((ks << (6 - level), *grid.nodes(ks, level)))
+            answers.append((ks << (6 - level), *grid.nodes(ks, level)))  # found, not rebuilt
+        assert (np.diff(grid.ids) > 0).all()
+        stores[name] = (grid.ids, grid.e, grid.sig)
+    ids, e, sig = want = stores["coarse first"]
+    assert ids.tolist() == [k << (cf._ID_BITS - 6) for k in range(65)]  # s = k t / 2^6
+    for got in stores.values():
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    for at, e_at, sig_at in answers:  # each stack row is the node asked for
+        assert e_at.tobytes() == e[at].tobytes() and sig_at.tobytes() == sig[at].tobytes()
 
 
 def test_grid_drift_from_the_block_exponential_raises(monkeypatch):

@@ -57,6 +57,39 @@ def test_fixed_steps_show_order_eight(monkeypatch):
     assert np.all((orders > 7.5) & (orders < 8.5)), orders
 
 
+def _error_norms_one_estimate_at_a_time(err5, err3, y0, y1):
+    """The combined error norm as two scaled max-norms, one per estimate,
+    and two finiteness tests."""
+    scale = _dopri5.ATOL + _dopri5.RTOL * np.maximum(np.abs(y0), np.abs(y1))
+    with np.errstate(invalid="ignore", over="ignore"):
+        e5 = (np.abs(err5) / scale).max(axis=1)
+        e3 = (np.abs(err3) / scale).max(axis=1)
+        denom = np.hypot(e5, 0.1 * e3)
+        err = e5 * np.divide(e5, denom, out=np.zeros_like(e5), where=denom > 0)
+    return np.where(np.isfinite(denom) & np.isfinite(y1).all(axis=1), err, np.inf)
+
+
+def test_error_norms_of_the_stacked_estimates_keep_every_bit():
+    rng = np.random.default_rng(7)
+    n, size = 40, 6
+    y0 = rng.standard_normal((n, size)) * 10.0 ** rng.integers(-300, 300, (n, 1))
+    est = rng.standard_normal((n, 2, size)) * 10.0 ** rng.integers(-320, 300, (n, 2, 1))
+    y1 = y0 + rng.standard_normal((n, size)) * 1e-3 * np.abs(y0)
+    est[:4, 1, 0] = 0.0  # zero 3rd-order entries, then rows of zero estimates
+    est[4:6] = 0.0
+    for i, value in enumerate((np.inf, -np.inf, np.nan)):  # non-finite steps or errors
+        y1[6 + i, 1] = value
+        est[9 + i, 0, 2] = value
+        est[12 + i, 1, 3] = value
+    y1[15], y0[15] = np.inf, np.inf  # a non-finite start
+    y0[16, 0], y1[16, 0] = 1.7e308, 1.7e308  # finite, near the overflow
+    got = _dopri5._error_norms(est, y0, y1)
+    want = _error_norms_one_estimate_at_a_time(est[:, 0], est[:, 1], y0, y1)
+    assert got.tobytes() == want.tobytes()
+    assert np.isinf(got[6:16]).all() and (got[4:6] == 0.0).all()
+    assert np.isfinite(got).sum() > 20 and (got[16:] > 1.0).any() and (got[16:] <= 1.0).any()
+
+
 def test_last_step_one_ulp_short_of_the_horizon_is_no_underflow():
     # y' = 1 from y = 1.7: the last step, clamped to the rest of the span
     # from t < T / 2, lands 1 ulp short of T, and the next step is 1 ulp long

@@ -35,10 +35,13 @@ from psdaffine import (
     trace_inner,
     transform,
 )
-from psdaffine.model import sym_to_vec, truncation
+from psdaffine.model import sym_to_vec, truncation, vec_to_sym
 from psdaffine.riccati import RiccatiRHS
-from psdaffine.symcore import min_eig, psd_project
+from psdaffine.symcore import cone_project, min_eig, psd_project
 from conftest import (
+    CONE_EDGE_KINDS,
+    CONE_EDGE_SCALES,
+    cone_edge_matrix,
     random_admissible,
     random_interior_u,
     random_m_measure,
@@ -171,6 +174,49 @@ def test_rhs_projected_row_outside_the_cone_oracle(d):
     np.testing.assert_allclose(psi_rate[0], expected, rtol=0.0, atol=1e-13)
     expected_phi = trace_inner(params.b, u) + params.c - jump_transform_m(params.m, e, params.d)
     assert abs(phi_rate[0] - expected_phi) <= 1e-13
+
+
+def _exact_moved_exponents(rhs, v):
+    """The moved rows and their exponents as the eigenvalues decide them:
+    the smallest eigenvalue of every row, and one eigh per moved row."""
+    x = vec_to_sym(v[:, 0], rhs.d)
+    moved = np.flatnonzero(np.linalg.eigvalsh(x)[:, 0] < 0.0)
+    if not len(moved):
+        return None, None
+    re = sym_to_vec(cone_project(x[moved]))
+    return moved, np.concatenate([re[:, None], v[moved, 1:]], axis=1) @ rhs._xi
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(3, 6), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from(CONE_EDGE_SCALES),
+       kinds=st.lists(st.sampled_from(CONE_EDGE_KINDS), min_size=1, max_size=4))
+@example(d=3, seed=19, scale=1e-200, kinds=[("rel", 0.0)])  # a norm that underflows to 0
+def test_moved_exponents_equal_the_eigenvalue_path(d, seed, scale, kinds):
+    # projected rows with Re psi just inside and just outside the cone: the
+    # Cholesky certificate may clear a stack, but the moved rows and their
+    # exponents must be those of the eigenvalue rule, bit for bit
+    rng = np.random.default_rng(seed)
+    rhs = RiccatiRHS(rhs_params(rng, d), projected=True)
+    re = np.stack([cone_edge_matrix(rng, d, kind, scale) for kind in kinds])
+    im = np.stack([random_sym(rng, d) for _ in kinds])
+    v = np.stack([sym_to_vec(re), sym_to_vec(im)], axis=1)
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    for rows in [v] + [v[i:i + 1] for i in range(len(v))] if len(v) > 1 else [v]:
+        calls.clear()
+        with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+            mp.setattr(np.linalg, "eigvalsh", lambda x: calls.append(x) or eigvalsh(x))
+            got = rhs._moved_exponents(rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _exact_moved_exponents(rhs, rows)
+        if want[0] is None:
+            assert got == (None, None)
+        else:
+            assert got[0] is not None and got[0].tolist() == want[0].tolist()
+            assert got[1].tobytes() == want[1].tobytes()
+    # rows clearly inside, at a normal scale, need no eigenvalues
+    if scale in (1.0, 1e150) and set(kinds) <= {("rel", 1e-11), ("floor", 0.5)}:
+        assert not calls
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])

@@ -33,19 +33,23 @@ from psdaffine import (
     transform,
 )
 from psdaffine.symcore import (
+    _SUBNORMAL_NORM,
+    PSD_SLACK,
     _project2,
     _rebuild,
     _spectral,
     _sqrt2,
     _sqrt3,
     CONE3_CERTIFY,
+    cone_certified,
     cone_project,
     cone_project_sqrt,
     cone_sqrt,
     eigenvalues,
     symmetrize,
 )
-from conftest import random_orthogonal, random_psd, random_sym
+from conftest import (CONE_EDGE_KINDS, CONE_EDGE_SCALES, cone_edge_matrix, random_orthogonal,
+                      random_psd, random_sym)
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +519,38 @@ def test_3x3_closed_form_root_certifies_only_accurate_states(kind):
             assert not certified[p], p
         elif w[0] >= 1e-2 * w[2]:
             assert certified[p], p
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from(CONE_EDGE_SCALES))
+def test_cone_certificate_implies_both_eigenvalue_rules(d, seed, scale):
+    # the two rules the certificate decides: lambda_min >= floor with the
+    # shift |floor| / 2 (closedform._jump_rate), and lambda_min >= 0 with the
+    # shift -1e-12 ||x|| for normal norms (riccati's _moved_exponents)
+    rng = np.random.default_rng(seed)
+    x = np.stack([cone_edge_matrix(rng, d, kind, scale) for kind in CONE_EDGE_KINDS])
+    with np.errstate(over="ignore"):  # norms of the 1e155 scale overflow
+        norm = np.linalg.norm(x, axis=(-2, -1))
+    floor = -PSD_SLACK * np.maximum(1.0, norm)
+    lam = np.linalg.eigvalsh(x)[:, 0]
+    normal = (_SUBNORMAL_NORM <= norm) & (norm < np.inf)
+    jump = [cone_certified(m[None], -0.5 * f) for m, f in zip(x, floor)]
+    ode = [bool(ok) and cone_certified(m[None], -1e-12 * n) for m, n, ok in zip(x, norm, normal)]
+    for (unit, factor), lo, fl, n, ok, by_jump, by_ode in zip(
+            CONE_EDGE_KINDS, lam, floor, norm, normal, jump, ode):
+        assert not by_jump or lo >= fl
+        assert not by_ode or lo >= 0.0
+        # the certificate decides the clear cases
+        if n < np.inf and (unit, factor) != ("floor", -0.5):  # the edge of the shift
+            assert by_jump == (unit != "floor" or factor > 0.0)
+        if ok and (unit, factor) == ("rel", 1e-11):
+            assert by_ode
+        if unit == "zero" or factor < 0.0:
+            assert not by_ode
+    # a stack is certified exactly when each of its matrices is
+    assert cone_certified(x, -0.5 * floor) == all(jump)
+    assert cone_certified(x[jump], -0.5 * floor[jump])
 
 
 @settings(max_examples=150, deadline=None)
