@@ -584,8 +584,7 @@ def main(argv=None) -> int:
             print(f"input error: {exc}", file=sys.stderr)
             return EXIT_INPUT
         except (DomainError, riccati.BlowUpError, StepBudgetError,
-                closedform.BranchTrackingError, closedform.QuadratureError,
-                FloatingPointError, ValueError) as exc:
+                closedform.QuadratureError, FloatingPointError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_FAILURE
 

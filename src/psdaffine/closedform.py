@@ -13,19 +13,19 @@ The psi expression is the singular-safe form of
 exp(beta^T t)(u^{-1} + sigma)^{-1} exp(beta t), which also covers u on the
 boundary of the tube; no invertibility of alpha is needed anywhere.
 
-:func:`mbajd_grid` evaluates a u-grid at a list of times on one dyadic
-lattice of [0, t] per time, shared by every u: a node s = k t / 2^L is one
-step h = t / 2^L of E_{s+h} = E_h E_s, sigma_{s+h} = sigma_h + E_h sigma_s E_h^T
-from its left neighbour, and must land on its right one, checked by one stacked
-norm per level. Each time is one pass over the stack of u: batched determinants
-follow each row's log det(I + u sigma_s) on a continuous branch from s = 0 (never
-the principal one), and one adaptive Simpson rule integrates every row's jump rate,
-bisecting the panels that fail their row's test. The quadrature witness of sigma_t
-takes one stacked exponential per Simpson round.
+:func:`mbajd_grid` evaluates a u-grid at a list of times in one pass per time over
+the stack of u. One batched determinant and one stacked Hermitian reduction give the
+log-det on the branch continuous on the tube (never the principal one). One adaptive
+Simpson rule integrates every row's jump rate, bisecting the panels that fail their
+row's test, on one dyadic lattice of [0, t] shared by every u: a node s = k t / 2^L is
+one step h = t / 2^L of E_{s+h} = E_h E_s, sigma_{s+h} = sigma_h + E_h sigma_s E_h^T
+from its left neighbour, and must land on its right one, checked by one stacked norm
+per level. The quadrature witness of sigma_t takes one stacked exponential per round.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 from dataclasses import dataclass, field
 
@@ -50,18 +50,14 @@ from .symcore import (
 )
 
 
-class BranchTrackingError(RuntimeError):
-    """The log-determinant argument could not be followed continuously."""
-
-
 class QuadratureError(RuntimeError):
     """A quadrature failed, or disagreed with the block exponential it
     witnesses, or the sigma grid drifted from it."""
 
 
 _MAX_DEPTH = 30  # finest Simpson panel: width t / 2^_MAX_DEPTH
-_BASE_LEVEL = 4  # 2^4 Simpson panels to start from; the log-det's first s-grid level
-_MAX_LEVEL = 14  # the log-det's finest s-grid level; most panels bisected in one round
+_BASE_LEVEL = 4  # 2^4 Simpson panels to start from
+_MAX_LEVEL = 14  # most panels of one row bisected in one round
 _QUAD_TOL = 1e-10  # Richardson error bound of each panel of the jump integral
 _DRIFT_TOL = 1e-10  # relative gap between a new grid node and its right neighbour
 _ID_BITS = 60  # a sigma grid node s = i t / 2^_ID_BITS; levels up to 60 fit an int64 id
@@ -302,25 +298,29 @@ def _psi(u: np.ndarray, e: np.ndarray, sig: np.ndarray) -> np.ndarray:
     return symmetrize(e.swapaxes(-1, -2) @ np.linalg.solve(np.eye(u.shape[-1]) + u @ sig, u) @ e)
 
 
-def _logdet_continuous(grid: _SigmaGrid, us: np.ndarray) -> np.ndarray:
-    """log det(I + u sigma_t(alpha)) of a stack of u on the branch that is 0 at s = 0:
-    each row's argument is unwrapped on whole grid levels until its increments are
-    small and its total is stable; a persistent jump of pi or more is an error."""
-    logdet, live, prev_total = np.empty(len(us), dtype=complex), np.arange(len(us)), np.nan
-    for level in range(_BASE_LEVEL, _MAX_LEVEL + 1):
-        sig = grid.nodes(np.arange(2 ** level + 1), level)[1]
-        z = np.linalg.det(np.eye(grid.spec.d) + us[live, None] @ sig)
-        if np.min(np.abs(z)) < 1e-300:
-            raise BranchTrackingError("determinant vanished along the trajectory")
-        args = np.unwrap(np.angle(z))
-        total = args[:, -1] - args[:, 0]  # angle(z[:, 0]) = 0 since det = 1 at s = 0
-        ok = (np.max(np.abs(np.diff(args)), axis=1) < np.pi / 4) & \
-            (np.abs(total - prev_total) < 1e-9 * (1.0 + np.abs(total)))
-        logdet[live[ok]] = np.log(np.abs(z[ok, -1])) + 1j * total[ok]
-        live, prev_total = live[~ok], total[~ok]
-        if not len(live):
-            return logdet
-    raise BranchTrackingError("argument increments above pi persisted under grid refinement")
+def _logdet(us: np.ndarray, sig_t: np.ndarray, t: float) -> np.ndarray:
+    """log det(I + u sigma_t) of a stack of u on the branch continuous on the tube:
+    cmath's log of z = det(I + u sigma_t) (libm bits, whatever NumPy's SIMD dispatch)
+    plus the 2 pi i k that brings arg z within pi / 4 of theta = sum_j atan(mu_j), as
+    z = det(L)^2 prod_j (1 + i mu_j) for sigma_t = R R^T, I + R^T Re(u) R = L L^T and
+    mu = eig(L^-1 R^T Im(u) R L^-T)."""
+    with np.errstate(all="ignore"):
+        z = np.linalg.det(np.eye(len(sig_t)) + us @ sig_t)
+        try:
+            w, q = np.linalg.eigh(sig_t)
+            r = q * np.sqrt(np.maximum(w, 0.0))
+            l_inv = np.linalg.inv(np.linalg.cholesky(np.eye(len(r)) + r.T @ us.real @ r))
+            theta = np.arctan(np.linalg.eigvalsh(
+                l_inv @ (r.T @ us.imag @ r) @ l_inv.swapaxes(-1, -2))).sum(axis=1)
+        except np.linalg.LinAlgError:
+            theta = np.nan
+    if not (np.isfinite(z).all() and np.isfinite(theta).all()):
+        raise DomainError(f"det(I + u sigma_t(alpha)) is not finite at t = {t}")
+    logdet = np.array([cmath.log(v) for v in z.tolist()])
+    logdet += 2j * np.pi * np.rint((theta - logdet.imag) / (2.0 * np.pi))
+    if (np.abs(theta - logdet.imag) > np.pi / 4).any():
+        raise DomainError(f"the argument of det(I + u sigma_t(alpha)) is unresolved at t = {t}")
+    return logdet
 
 
 def _jump_rate(m: AtomicMeasure, u: np.ndarray, e: np.ndarray, sig: np.ndarray) -> np.ndarray:
@@ -351,7 +351,7 @@ def mbajd_grid(spec: MBAJDSpec, us, times) -> tuple[np.ndarray, np.ndarray]:
     of shape (len(us), len(times)) and (len(us), len(times), d, d).
 
     Every u must pass symcore.check_u. The quadrature witness runs once, at the
-    largest time; each time takes one pass over the stack of u on one sigma grid.
+    largest time; only the jump integral builds a sigma lattice.
     """
     us = _checked(spec, us, times)
     phi = np.zeros((len(us), len(times)), dtype=complex)
@@ -361,7 +361,7 @@ def mbajd_grid(spec: MBAJDSpec, us, times) -> tuple[np.ndarray, np.ndarray]:
             psi[:, j] = us
             continue
         grid = _SigmaGrid(spec, float(times[j]))
-        phi[:, j] = spec.p * _logdet_continuous(grid, us)
+        phi[:, j] = spec.p * _logdet(us, grid.sig_t, grid.t)
         if not spec.m.is_empty:  # the jump integral, each panel within _QUAD_TOL
             phi[:, j] -= _adaptive_simpson(
                 lambda rows, ks, lv: _jump_rate(spec.m, us[rows], *grid.nodes(ks, lv)),

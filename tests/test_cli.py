@@ -36,6 +36,7 @@ from psdaffine.cli import (
     serialize_params,
 )
 from psdaffine.model import sym_to_vec, validate as validate_params
+from test_dopri5 import NO_AVX512
 
 
 @pytest.fixture
@@ -621,15 +622,31 @@ def test_simulate_poisson_overflow_named_error(capsys, tmp_path, ugrid_file):
     assert "smaller dt" in err
 
 
-def test_transform_branch_tracking_failure_exits_one(capsys, tmp_path, wishart_file):
+def _closed_transform(capsys, tmp_path, wishart_file, u, t):
     ufile = tmp_path / "u.json"
-    ufile.write_text(json.dumps({"u": [{"re": (1e-3 * np.eye(2)).tolist(),
-                                        "im": (1e5 * np.eye(2)).tolist()}],
-                                 "times": [2.0]}))
-    code, out, err = run_cli(capsys, "transform", wishart_file, str(ufile),
-                             "--method", "closed", "--out", "json")
+    ufile.write_text(json.dumps({"u": [{"re": u.real.tolist(), "im": u.imag.tolist()}],
+                                 "times": [t]}))
+    return run_cli(capsys, "transform", wishart_file, str(ufile),
+                   "--method", "closed", "--out", "json")
+
+
+def test_transform_at_high_frequency_is_the_continuous_log(capsys, tmp_path, wishart_file):
+    # sigma_2 = 2 (1 - e^-2) I, so det(I + u sigma_2) = (1 + 2 (1 - e^-2) u0)^2 with
+    # u0 in the right half-plane: phi = 2 Log(1 + 2 (1 - e^-2) u0), principal
+    u0 = 1e-3 + 1e5j
+    code, out, err = _closed_transform(capsys, tmp_path, wishart_file, u0 * np.eye(2), 2.0)
+    assert_clean_exit(code, out, err, 0)
+    row = json.loads(out, parse_constant=_no_constant)[0]
+    want = 2.0 * np.log(1.0 + 2.0 * (1.0 - np.exp(-2.0)) * u0)
+    assert row["status"] == "ok"
+    assert abs(complex(row["phi_re"], row["phi_im"]) - want) <= 1e-13 * abs(want)
+
+
+def test_transform_with_an_overflowing_determinant_exits_one(capsys, tmp_path, wishart_file):
+    code, out, err = _closed_transform(capsys, tmp_path, wishart_file, 1e300 * np.eye(2), 2.0)
     assert_clean_exit(code, out, err, 1)
-    assert err == "error: argument increments above pi persisted under grid refinement\n"
+    assert out == ""
+    assert err == "error: det(I + u sigma_t(alpha)) is not finite at t = 2.0\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1045,18 +1062,22 @@ def test_cli_golden_bits(capsys, tmp_path, case):
 # SHA-256 of the closed form's stdout on the same u-grid (recorded with NumPy
 # 2.4 and OpenBLAS on x86-64; the matrix exponential is symcore's own): the
 # batched drift check and witness only decide whether a command fails, so no
-# printed closed-form bit may move. Last re-recorded for the NumPy Pade
-# exponential, which moved the printed numbers by at most 8.9e-16 absolute.
+# printed closed-form bit may move. Last re-recorded when the log of the
+# determinant z = det(I + u sigma_t) moved from NumPy's vector log, complex abs
+# and arctan2, whose bits depend on the SIMD dispatch, to cmath.log (libm): 15
+# phi_re values moved by at most 119 ulps (4.4e-16 absolute, where phi is near 0),
+# one phi_im value by 2 ulps and 17 transform values by at most 5 ulps (2.2e-16
+# absolute); psi did not move.
 GOLDEN_CLOSED = {
     "d2-one-atom":
-        "6c9505bb5382a0ed5417333c0f2930cd1cfae1d244e087a507c1dbe083c91ef2",
+        "fb12a68953b05ba565a1cd60f88afc1f72eed133336c5580e66cf1e8bf78e902",
     "d3-no-jumps":
-        "381661342a7c39f67f3e1a5e128dcf357f3e14e3a68d4d2b8086aec86c42ae52",
+        "7392643feddd22262f8907b979b9960a002a235eb450cde9ef60b953e3549d77",
 }
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN_CLOSED))
-def test_closed_form_golden_bits(capsys, tmp_path, case):
+def closed_form_golden_digest(tmp_path, case):
+    """SHA-256 of the closed-form transform's stdout on the golden u-grid."""
     d = int(case[1])
     ones, eye = np.ones((d, d)), np.eye(d)
     atoms = ((0.3 * eye + 0.05 * ones, 0.8),) if case.endswith("one-atom") else ()
@@ -1064,9 +1085,35 @@ def test_closed_form_golden_bits(capsys, tmp_path, case):
                      beta=-0.6 * eye + 0.2 * np.triu(ones, 1), p=0.5 * d,
                      m=AtomicMeasure(atoms=atoms))
     ufile, xfile = golden_grid_files(tmp_path, d)
-    code, out, err = run_cli(capsys, "transform",
-                             write_params(tmp_path, "golden.json", spec.to_affine_params()),
-                             ufile, "--x", xfile, "--method", "closed",
-                             "--out", "json" if d == 2 else "csv")
-    assert code == 0, err
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_CLOSED[case]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["transform",
+                     write_params(tmp_path, "golden.json", spec.to_affine_params()),
+                     ufile, "--x", xfile, "--method", "closed",
+                     "--out", "json" if d == 2 else "csv"])
+    assert code == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CLOSED))
+def test_closed_form_golden_bits(tmp_path, case):
+    assert closed_form_golden_digest(tmp_path, case) == GOLDEN_CLOSED[case]
+
+
+def test_closed_form_bits_do_not_depend_on_simd_dispatch(tmp_path):
+    # the golden digests in an interpreter whose NumPy may not use its AVX512
+    # kernels: NumPy's vector log, complex abs and arctan2 round differently
+    # with and without them, so the log-determinant takes the log of z from cmath
+    cases = sorted(GOLDEN_CLOSED)
+    script = ("import json, pathlib, sys\n"
+              "from test_cli import closed_form_golden_digest\n"
+              "tmp = pathlib.Path(sys.argv[1])\n"
+              f"print(json.dumps([closed_form_golden_digest(tmp, case) for case in {cases!r}]))\n")
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512, PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), str(tests)]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
+                          text=True, env=env, cwd=tests, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [GOLDEN_CLOSED[case] for case in cases]

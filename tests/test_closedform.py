@@ -1,5 +1,7 @@
+import cmath
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +32,8 @@ from psdaffine import (
 import psdaffine.closedform as cf
 from psdaffine.symcore import PSD_SLACK, eigenvalues, symmetrize
 from conftest import (CONE_EDGE_KINDS, CONE_EDGE_SCALES, cone_edge_matrix, random_interior_u,
-                      random_psd, random_spd, random_stable_beta, random_sym)
+                      random_orthogonal, random_psd, random_spd, random_stable_beta,
+                      random_sym)
 
 
 def basic_spec(d=2, beta=None, p=1.0, atoms=()):
@@ -249,6 +252,65 @@ def test_mbajd_phi_imaginary_part_not_principal():
     assert abs(phi - sol.phi_at(t)) < 1e-7
 
 
+@pytest.mark.parametrize("d, sign, k", [(3, 1.0, 1), (3, -1.0, -1), (5, 1.0, 1),
+                                         (5, -1.0, -1), (7, 1.0, 2), (7, -1.0, -2)])
+def test_mbajd_phi_winds_k_times_past_the_principal_branch(d, sign, k):
+    # alpha = I, beta = 0: sigma_t = 2 t I, and for u = q (eps I + i diag(w)) q^T,
+    # log det(I + u sigma_t) = sum_j Log(1 + 2 t (eps + i w_j)) with every factor
+    # in the right half-plane. Its argument lies within d pi / 2 of 0, so d = 3
+    # and d = 5 wind at most once past the cut, and d = 7 can wind twice
+    rng = np.random.default_rng(d)
+    q, w, t = random_orthogonal(rng, d), sign * rng.uniform(5.0, 50.0, d), 2.0
+    u = csym(symmetrize(0.05 * q @ q.T), symmetrize(q @ np.diag(w) @ q.T))
+    spec = MBAJDSpec(d=d, alpha=np.eye(d), beta=np.zeros((d, d)), p=(d - 1) / 2)
+    logdet = mbajd_phi(spec, u, t) / spec.p
+    want = sum(cmath.log(1.0 + 2.0 * t * (0.05 + 1j * wj)) for wj in w)
+    assert abs(logdet - want) <= 1e-13 * abs(want)
+    principal = np.log(np.linalg.det(np.eye(d) + u @ sigma_integral(spec.beta, spec.alpha, t)))
+    assert (logdet.imag - principal.imag) / (2.0 * np.pi) == pytest.approx(k, abs=1e-12)
+
+
+def _logdet_reference(u, sig):
+    """log det(I + u sig) to 40 digits: the principal logs of the eigenvalues of
+    I + u sig, which all have real part at least 1."""
+    with mpmath.workdps(40):
+        m = mpmath.eye(len(sig)) + mpmath.matrix(u.tolist()) * mpmath.matrix(sig.tolist())
+        return complex(mpmath.fsum(mpmath.log(e) for e in mpmath.eig(m, left=False, right=False)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_logdet_matches_a_40_digit_reference(d):
+    # sigma_t positive definite: for a rank-deficient sigma_t at |Im u| = 1e5 the
+    # value moves by about |u| eps under a rounding of sigma_t itself
+    rng = np.random.default_rng(d)
+    sig = random_spd(rng, d)
+    v = rng.standard_normal(d)
+    us = []
+    for re in (random_spd(rng, d), np.outer(v, v), np.zeros((d, d))):
+        for scale in (0.0, 1.0, 30.0, 1e5):
+            im = random_sym(rng, d)
+            us.append(re + 1j * scale * im / np.abs(im).max())
+    got = cf._logdet(np.array(us), sig, 1.0)
+    for u, value in zip(us, got):
+        ref = _logdet_reference(u, sig)
+        assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+def test_logdet_raises_on_an_overflowing_determinant():
+    spec = basic_spec(beta=-0.5 * np.eye(2))
+    with pytest.raises(DomainError, match=r"^det\(I \+ u sigma_t\(alpha\)\) is not finite "
+                                          r"at t = 2.0$"):
+        mbajd_grid(spec, [np.eye(2) + 0j, 1e300 * np.eye(2) + 0j], [1.0, 2.0])
+
+
+def test_logdet_raises_where_determinant_and_reduction_disagree(monkeypatch):
+    # a determinant off by a sign is half a turn from the reduction's argument
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda m: -det(m))
+    with pytest.raises(DomainError, match="unresolved at t = 1.5"):
+        mbajd_phi(basic_spec(), np.eye(2) + 0.5j * np.eye(2), 1.5)
+
+
 @pytest.mark.parametrize("w", [17.0, 20.0, 100.0, 400.0])
 def test_mbajd_phi_at_high_frequency_matches_the_ode(w):
     # near s = 0 the jump rate turns at a rate of about w^2: the quadrature
@@ -279,8 +341,7 @@ def test_closed_form_matches_the_ode(d, rank_one_alpha, n_atoms, kind, freq, see
     im_u = random_sym(rng, d)
     u = re_u + 1j * freq * im_u / np.abs(im_u).max()
     T = rng.uniform(0.3, 1.5)
-    named = (cf.BranchTrackingError, cf.QuadratureError, DomainError, BlowUpError,
-             StepBudgetError)
+    named = (cf.QuadratureError, DomainError, BlowUpError, StepBudgetError)
     try:
         phi, psi = mbajd_grid(spec, [u], [T])
     except named:
@@ -576,7 +637,7 @@ def test_unstable_beta_matches_a_refined_grid_or_raises(monkeypatch):
         spec = basic_spec(beta=beta, atoms=atoms)
         return mbajd_grid(spec, us, [2.0])
 
-    named = (cf.BranchTrackingError, cf.QuadratureError, DomainError)
+    named = (cf.QuadratureError, DomainError)
     try:
         phi, psi = phi_psi()
     except named:
@@ -636,11 +697,27 @@ def test_grid_drift_from_the_block_exponential_raises(monkeypatch):
         e, sig = correct(beta, alpha, t)
         return (e, sig) if t >= 1.0 else (e, sig * (1.0 + 1e-7))
 
-    spec = basic_spec(beta=NON_NORMAL_BETA)
-    mbajd_phi(spec, np.eye(2) + 0j, 1.0)
+    spec = basic_spec(beta=NON_NORMAL_BETA, atoms=((np.eye(2), 0.5),))  # the jump
+    mbajd_phi(spec, np.eye(2) + 0j, 1.0)  # integral is what builds the lattice
     monkeypatch.setattr(cf, "_vanloan", off_below_one)
     with pytest.raises(cf.QuadratureError, match="sigma grid drifted"):
         mbajd_phi(spec, np.eye(2) + 0j, 1.0)
+
+
+def test_only_the_jump_integral_builds_the_sigma_lattice(monkeypatch):
+    grids = []
+
+    class Recorded(cf._SigmaGrid):
+        def __init__(self, *args):
+            super().__init__(*args)
+            grids.append(self)
+
+    monkeypatch.setattr(cf, "_SigmaGrid", Recorded)
+    us = [np.eye(2) + 0.5j * np.eye(2), csym(np.zeros((2, 2)), [[3.0, 1.0], [1.0, -2.0]])]
+    mbajd_grid(basic_spec(beta=NON_NORMAL_BETA), us, [0.5, 1.0])
+    assert [g.ids.tolist() for g in grids] == [[0, 1 << cf._ID_BITS]] * 2  # s = 0 and t
+    mbajd_grid(basic_spec(beta=NON_NORMAL_BETA, atoms=((np.eye(2), 0.5),)), us, [1.0])
+    assert len(grids[-1].ids) > 2 ** (cf._BASE_LEVEL + 2)
 
 
 def _drift_stacks():
