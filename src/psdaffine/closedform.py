@@ -16,24 +16,22 @@ boundary of the tube; no invertibility of alpha is needed anywhere.
 :func:`mbajd_grid` evaluates a u-grid at a list of times in one pass per time over
 the stack of u. One batched determinant and one stacked Hermitian reduction give the
 log-det on the branch continuous on the tube (never the principal one). One adaptive
-Simpson rule integrates every row's jump rate, bisecting the panels that fail their
-row's test, on one dyadic lattice of [0, t] shared by every u: a node s = k t / 2^L is
-one step h = t / 2^L of E_{s+h} = E_h E_s, sigma_{s+h} = sigma_h + E_h sigma_s E_h^T
-from its left neighbour, and must land on its right one, checked by one stacked norm
-per level. The quadrature witness of sigma_t takes one stacked exponential per round.
+Gauss-Kronrod rule (G7K15) integrates every row's jump rate from panels graded toward
+s = 0, where psi turns over a layer of width about 1 / (4 |u|^2 |alpha|); exp(beta s)
+and sigma_s at the union of a round's nodes come from one stacked block exponential.
+The quadrature witness of sigma_t takes one stacked exponential per round.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import AtomicMeasure, AffineParams, LyapunovDrift
 from .symcore import (
-    _SUBNORMAL_NORM,
     PSD_SLACK,
     DomainError,
     canonical_sym,
@@ -51,16 +49,24 @@ from .symcore import (
 
 
 class QuadratureError(RuntimeError):
-    """A quadrature failed, or disagreed with the block exponential it
-    witnesses, or the sigma grid drifted from it."""
+    """A quadrature failed, or disagreed with the block exponential it witnesses."""
 
 
-_MAX_DEPTH = 30  # finest Simpson panel: width t / 2^_MAX_DEPTH
-_BASE_LEVEL = 4  # 2^4 Simpson panels to start from
-_MAX_LEVEL = 14  # most panels of one row bisected in one round
-_QUAD_TOL = 1e-10  # Richardson error bound of each panel of the jump integral
-_DRIFT_TOL = 1e-10  # relative gap between a new grid node and its right neighbour
-_ID_BITS = 60  # a sigma grid node s = i t / 2^_ID_BITS; levels up to 60 fit an int64 id
+_MAX_DEPTH = 30  # most bisections of a starting panel
+_MAX_LEVEL = 12  # most panels of one row bisected in one round: 2^_MAX_LEVEL
+_QUAD_TOL = 1e-10  # bound on |K15 - G7| of each panel of the jump integral
+
+# G7K15 (Piessens et al., QUADPACK, 1983), as float64: the Kronrod nodes of [-1, 1]
+# ascending, their weights, and the weights of the Gauss nodes, the odd-indexed ones
+_XK = np.array([0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
+                0.5860872354676911, 0.4058451513773972, 0.20778495500789848])
+_XK = np.concatenate([-_XK, [0.0], _XK[::-1]])
+_WK = np.array([0.022935322010529224, 0.06309209262997856, 0.10479001032225019,
+                0.14065325971552592, 0.1690047266392679, 0.19035057806478542,
+                0.20443294007529889, 0.20948214108472782])
+_WK = np.concatenate([_WK, _WK[-2::-1]])
+_WG = np.array([0.1294849661688697, 0.27970539148927664, 0.3818300505051189, 0.4179591836734694])
+_WG = np.concatenate([_WG, _WG[-2::-1]])
 
 
 @dataclass(frozen=True)
@@ -135,67 +141,62 @@ def flow_omega(beta: np.ndarray, x: np.ndarray, t: float | np.ndarray) -> np.nda
     return symmetrize(e @ np.asarray(x, dtype=float) @ e.swapaxes(-1, -2))
 
 
-def _adaptive_simpson(f, t: float, tol: float, n: int) -> np.ndarray:
-    """Adaptive Simpson quadrature over [0, t] of n rows of array-valued integrands
-    f(rows, ks, level), given stacked at the nodes k t / 2^level of rows. From
-    2^_BASE_LEVEL panels a row on, each round bisects every panel whose
-    |S_fine - S_coarse| / 15, a max over components, exceeds tol; the others add
-    S_fine + (S_fine - S_coarse) / 15 to their row's total in panel order, so no
-    row depends on another. A non-finite estimate raises at once."""
-    level, ks = _BASE_LEVEL + 2, np.arange(2 ** (_BASE_LEVEL + 2) + 1)
-    row, first = np.divmod(4 * np.arange(n << _BASE_LEVEL), len(ks) - 1)  # 4 intervals a panel
-    v = f(np.repeat(np.arange(n), len(ks)), np.tile(ks, n), level)
-    v = v.reshape((n, len(ks)) + v.shape[1:])[row[:, None], first[:, None] + np.arange(5)]
-    total = np.zeros((n,) + v.shape[2:], dtype=v.dtype)
-    while True:
-        h = t / 2 ** level
-        coarse = 2.0 * h / 3.0 * (v[:, 0] + 4.0 * v[:, 2] + v[:, 4])
-        fine = h / 3.0 * (v[:, 0] + 4.0 * (v[:, 1] + v[:, 3]) + 2.0 * v[:, 2] + v[:, 4])
-        err = np.abs(fine - coarse).reshape(len(v), -1).max(axis=1) / 15.0
+def _adaptive_simpson(f, t: float, tol: float, k) -> np.ndarray:
+    """Adaptive G7K15 quadrature over [0, t] of len(k) rows of array-valued integrands
+    f(rows, s), given stacked at the nodes s of rows. Row r starts from the panels
+    [0, t 2^-k_r] and [t 2^-j, t 2^(1-j)], j = k_r, ..., 1. Each round bisects every
+    panel whose |K15 - G7|, a max over components, exceeds tol, and adds the others'
+    K15 to their row's total in panel order, so no row depends on another. It raises on
+    a non-finite estimate, and before a round bisects over 2^_MAX_LEVEL panels of one
+    row, which bounds memory per row. (The benchmark's tracer hooks the rule by the
+    name of the Simpson rule it replaced.)"""
+    row = np.repeat(np.arange(len(k)), np.asarray(k) + 1)
+    b = np.concatenate([np.ldexp(t, np.arange(-kr, 1)) for kr in k])
+    a = np.where(np.diff(row, prepend=-1) > 0, 0.0, b / 2.0)
+    total = None
+    for depth in range(_MAX_DEPTH + 1):
+        c, h = (a + b) / 2.0, (b - a)[:, None] / 2.0
+        v = f(np.repeat(row, 15), (c[:, None] + h * _XK).ravel())
+        shape, v = v.shape[1:], v.reshape(len(row), 15, -1)
+        kron = h * (v * _WK[:, None]).sum(axis=1)
+        err = np.abs(kron - h * (v[:, 1::2] * _WG[:, None]).sum(axis=1)).max(axis=1)
         if not np.isfinite(err).all():
-            k = first[~np.isfinite(err)][0]
+            p = np.flatnonzero(~np.isfinite(err))[0]
             raise QuadratureError(f"adaptive quadrature met a non-finite integrand "
-                                  f"on [{k * h:.6g}, {(k + 4) * h:.6g}]")
+                                  f"on [{a[p]:.6g}, {b[p]:.6g}]")
         done = err <= tol
-        np.add.at(total, row[done], (fine + (fine - coarse) / 15.0)[done])
+        total = np.zeros((len(k), kron.shape[1]), kron.dtype) if total is None else total
+        np.add.at(total, row[done], kron[done])
         if done.all():
-            return total
-        if level - 2 >= _MAX_DEPTH or np.bincount(row[~done]).max() > 2 ** _MAX_LEVEL:
+            return total.reshape((len(k),) + shape)
+        if depth == _MAX_DEPTH or np.bincount(row[~done]).max() > 2 ** _MAX_LEVEL:
             raise QuadratureError("adaptive quadrature failed to converge")
-        v, row, first, level = v[~done], row[~done], 2 * first[~done], level + 1
-        mid = f(np.repeat(row, 4), (first[:, None] + [1, 3, 5, 7]).ravel(), level)
-        # the halves' nodes: v0 m0 v1 m1 v2 | v2 m2 v3 m3 v4
-        v = np.concatenate([v, mid.reshape((len(v), 4) + v.shape[2:])], axis=1)
-        v = v[:, [0, 5, 1, 6, 2, 2, 7, 3, 8, 4]].reshape((2 * len(v), 5) + v.shape[2:])
-        row, first = np.repeat(row, 2), (first[:, None] + [0, 4]).ravel()
+        a, b, c, row = a[~done], b[~done], c[~done], np.repeat(row[~done], 2)
+        a, b = np.column_stack([a, c]).ravel(), np.column_stack([c, b]).ravel()
 
 
-def _vanloan(beta: np.ndarray, alpha: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """exp(beta t) and sigma_t(alpha) from one block matrix exponential."""
+def _vanloan(beta: np.ndarray, alpha: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    """exp(beta t) and sigma_t(alpha) from one block matrix exponential; an
+    array of times t gives their stacks, from one stacked exponential."""
     d = beta.shape[0]
-    blk = np.zeros((2 * d, 2 * d))
-    blk[:d, :d] = beta
-    blk[:d, d:] = 2.0 * alpha
-    blk[d:, d:] = -beta.T
-    e = mat_exp(blk * t)
-    # top-right block is int_0^t e^{beta (t-s)} 2 alpha e^{-beta^T s} ds;
-    # multiplying by e^{beta^T t} (the transpose of the top-left block)
-    # turns it into 2 int_0^t e^{beta r} alpha e^{beta^T r} dr
-    return e[:d, :d], symmetrize(e[:d, d:] @ e[:d, :d].T)
+    blk = np.block([[beta, 2.0 * alpha], [np.zeros_like(beta), -beta.T]])
+    e = mat_exp(blk * np.asarray(t, dtype=float)[..., None, None])
+    # the top-right block is int_0^t e^{beta (t-s)} 2 alpha e^{-beta^T s} ds; times e^{beta^T t},
+    # the transpose of the top-left block, it is 2 int_0^t e^{beta r} alpha e^{beta^T r} dr
+    e_t = e[..., :d, :d]
+    return e_t, symmetrize(e[..., :d, d:] @ e_t.swapaxes(-1, -2))
 
 
 def _witness(beta: np.ndarray, alpha: np.ndarray, t: float, sig: np.ndarray) -> None:
-    """Raise unless adaptive quadrature of 2 omega_s(alpha) over [0, t]
-    agrees with sig to 1e-8 relative. Each Simpson round takes the flow at
-    all of its nodes s from one stacked exponential of beta s; none comes
-    from the sigma grid's step products, which this witnesses."""
-    quad = _adaptive_simpson(lambda _, ks, lv: 2.0 * flow_omega(beta, alpha, ks * t / 2 ** lv),
-                             t, 1e-11 * max(1.0, frobenius(alpha)), 1)[0]
+    """Raise unless adaptive quadrature of 2 omega_s(alpha) over [0, t] agrees with
+    sig to 1e-8 relative. Each round takes the flow at all of its nodes s from one
+    stacked exponential of beta s, not from the block exponential this witnesses."""
+    quad = _adaptive_simpson(lambda _, s: 2.0 * flow_omega(beta, alpha, s),
+                             t, 1e-11 * max(1.0, frobenius(alpha)), [1])[0]
     disc = frobenius(sig - quad)
     if disc > 1e-8 * max(1.0, frobenius(sig)):
-        raise QuadratureError(
-            f"sigma_integral cross-check failed: block-exponential and "
-            f"quadrature differ by {disc:.3e}")
+        raise QuadratureError(f"sigma_integral cross-check failed: block-exponential and "
+                              f"quadrature differ by {disc:.3e}")
 
 
 def sigma_integral(beta: np.ndarray, alpha: np.ndarray, t: float) -> np.ndarray:
@@ -213,89 +214,22 @@ def sigma_integral(beta: np.ndarray, alpha: np.ndarray, t: float) -> np.ndarray:
     return sig
 
 
-class _SigmaGrid:
-    """exp(beta s) and sigma_s(alpha) at the nodes s = k t / 2^level, each
-    stored once, in stacks ordered by s = i t / 2^_ID_BITS under the integer
-    id i. It starts from s = 0 and s = t, the direct block exponential. The
-    witness runs once per spec and new largest horizon."""
-
-    def __init__(self, spec: MBAJDSpec, t: float):
-        self.spec, self.t = spec, t
-        self.e_t, self.sig_t = _vanloan(spec.beta, spec.alpha, t)
-        if t > spec._witnessed:  # no t-dependent failure beyond what one horizon shows
-            _witness(spec.beta, spec.alpha, t, self.sig_t)
-            object.__setattr__(spec, "_witnessed", t)
-        self.ids = np.array([0, 1 << _ID_BITS])
-        self.e = np.stack([np.eye(spec.d), self.e_t])
-        self.sig = np.stack([np.zeros_like(self.sig_t), self.sig_t])
-        self.step = functools.cache(lambda level: _vanloan(spec.beta, spec.alpha, t / 2 ** level))
-
-    def nodes(self, ks: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
-        """The nodes at k t / 2^level for k in ks, stacked."""
-        return self._at(np.asarray(ks) << (_ID_BITS - level))
-
-    def _at(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The nodes of the given ids, stacked, found by binary search (the
-        store holds both ends of [0, t], so every id has a position). Missing
-        ones are built first, coarsest level first with one stacked product
-        per level: node k of its level, k odd, is one step of t / 2^level
-        from node k - 1 and must land on node k + 1, so its bits never depend
-        on the order of the calls."""
-        pos = np.searchsorted(self.ids, ids)
-        stored = self.ids[pos] == ids
-        if not stored.all():
-            new = np.unique(ids[~stored])
-            level = _ID_BITS + 1 - np.frexp(new & -new)[1]  # where the id's k is odd
-            for lv in np.unique(level).tolist():
-                self._build(new[level == lv], lv)
-            pos = np.searchsorted(self.ids, ids)
-        return self.e[pos], self.sig[pos]
-
-    def _build(self, ids: np.ndarray, level: int) -> None:
-        """Store the nodes of ascending ids whose k is odd at this level, each
-        one step from its left neighbour, once all of them land on their right
-        ones."""
-        h = 1 << (_ID_BITS - level)
-        e_h, sig_h = self.step(level)
-        e_prev, sig_prev = self._at(ids - h)
-        e, sig = e_h @ e_prev, symmetrize(sig_h + e_h @ sig_prev @ e_h.T)
-        now, want = symmetrize(sig_h + e_h @ sig @ e_h.T), self._at(ids + h)[1]
-        bad = np.flatnonzero(_drifted(now, want))
-        if len(bad):
-            raise QuadratureError(f"sigma grid drifted from the block exponential at "
-                                  f"t = {self.t} by {frobenius(now[bad[0]] - want[bad[0]]):.3e}")
-        at = np.searchsorted(self.ids, ids)
-        self.ids, self.e, self.sig = (np.insert(old, at, add, axis=0) for old, add in
-                                      ((self.ids, ids), (self.e, e), (self.sig, sig)))
-
-    def psi(self, us: np.ndarray) -> np.ndarray:
-        """psi(t, u) of a stack of u; raises when some I + u sigma_t is near singular."""
-        if (np.linalg.cond(np.eye(self.spec.d) + us @ self.sig_t) > 1e12).any():
-            raise DomainError(f"I + u sigma_t(alpha) is near singular at t = {self.t}")
-        return _psi(us, self.e_t, self.sig_t)
+def _horizon(spec: MBAJDSpec, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """_vanloan at t, witnessed once per spec and new largest horizon."""
+    e_t, sig_t = _vanloan(spec.beta, spec.alpha, t)
+    if t > spec._witnessed:  # no t-dependent failure beyond what one horizon shows
+        _witness(spec.beta, spec.alpha, t, sig_t)
+        object.__setattr__(spec, "_witnessed", t)
+    return e_t, sig_t
 
 
-def _drifted(now: np.ndarray, want: np.ndarray) -> np.ndarray:
-    """Which nodes of a stack fail frobenius(now - want) <= _DRIFT_TOL * max(1,
-    frobenius(want)). One stacked norm of each side passes a node whose two
-    norms are finite and normal (the sums of squares too) and whose gap is
-    below its bound by 1e-12 relative, more than the two summation orders can
-    differ by for d below about 90; frobenius decides every other node, as
-    it decides them one by one."""
-    diff = now - want
-    with np.errstate(over="ignore"):
-        gap, scale = np.linalg.norm(diff, axis=(-2, -1)), np.linalg.norm(want, axis=(-2, -1))
-    normal = ((_SUBNORMAL_NORM <= gap) & (gap < np.inf)
-              & (_SUBNORMAL_NORM <= scale) & (scale < np.inf))
-    drifted = ~(normal & (gap <= (1.0 - 1e-12) * _DRIFT_TOL * np.maximum(1.0, scale)))
-    for i in np.flatnonzero(drifted):
-        drifted[i] = not frobenius(diff[i]) <= _DRIFT_TOL * max(1.0, frobenius(want[i]))
-    return drifted
-
-
-def _psi(u: np.ndarray, e: np.ndarray, sig: np.ndarray) -> np.ndarray:
-    """exp(beta^T s)(I + u sigma_s)^{-1} u exp(beta s) of stacked u and nodes."""
-    return symmetrize(e.swapaxes(-1, -2) @ np.linalg.solve(np.eye(u.shape[-1]) + u @ sig, u) @ e)
+def _psi(u: np.ndarray, e: np.ndarray, sig: np.ndarray, t: float | None = None) -> np.ndarray:
+    """exp(beta^T s)(I + u sigma_s)^{-1} u exp(beta s) of stacked u and nodes; at a
+    time t, raises when some I + u sigma_t is near singular."""
+    m = np.eye(u.shape[-1]) + u @ sig
+    if t is not None and (np.linalg.cond(m) > 1e12).any():
+        raise DomainError(f"I + u sigma_t(alpha) is near singular at t = {t}")
+    return symmetrize(e.swapaxes(-1, -2) @ np.linalg.solve(m, u) @ e)
 
 
 def _logdet(us: np.ndarray, sig_t: np.ndarray, t: float) -> np.ndarray:
@@ -303,20 +237,25 @@ def _logdet(us: np.ndarray, sig_t: np.ndarray, t: float) -> np.ndarray:
     cmath's log of z = det(I + u sigma_t) (libm bits, whatever NumPy's SIMD dispatch)
     plus the 2 pi i k that brings arg z within pi / 4 of theta = sum_j atan(mu_j), as
     z = det(L)^2 prod_j (1 + i mu_j) for sigma_t = R R^T, I + R^T Re(u) R = L L^T and
-    mu = eig(L^-1 R^T Im(u) R L^-T)."""
+    mu = eig(L^-1 R^T Im(u) R L^-T). Where z overflows (u = 1e300 I), log z is
+    2 sum_j log L_jj + sum_j log(1 + i mu_j) from the same factors."""
     with np.errstate(all="ignore"):
         z = np.linalg.det(np.eye(len(sig_t)) + us @ sig_t)
         try:
             w, q = np.linalg.eigh(sig_t)
             r = q * np.sqrt(np.maximum(w, 0.0))
-            l_inv = np.linalg.inv(np.linalg.cholesky(np.eye(len(r)) + r.T @ us.real @ r))
-            theta = np.arctan(np.linalg.eigvalsh(
-                l_inv @ (r.T @ us.imag @ r) @ l_inv.swapaxes(-1, -2))).sum(axis=1)
+            chol = np.linalg.cholesky(np.eye(len(r)) + r.T @ us.real @ r)
+            l_inv = np.linalg.inv(chol)
+            mu = np.linalg.eigvalsh(l_inv @ (r.T @ us.imag @ r) @ l_inv.swapaxes(-1, -2))
+            theta = np.arctan(mu).sum(axis=1)
         except np.linalg.LinAlgError:
             theta = np.nan
-    if not (np.isfinite(z).all() and np.isfinite(theta).all()):
-        raise DomainError(f"det(I + u sigma_t(alpha)) is not finite at t = {t}")
     logdet = np.array([cmath.log(v) for v in z.tolist()])
+    for i in np.flatnonzero(~np.isfinite(z) & np.isfinite(theta)):  # theta = nan: no factors
+        logdet[i] = (2.0 * sum(map(math.log, np.diagonal(chol[i]).tolist()))
+                     + sum(cmath.log(1.0 + 1j * m) for m in mu[i].tolist()))
+    if not (np.isfinite(logdet).all() and np.isfinite(theta).all()):
+        raise DomainError(f"det(I + u sigma_t(alpha)) is not finite at t = {t}")
     logdet += 2j * np.pi * np.rint((theta - logdet.imag) / (2.0 * np.pi))
     if (np.abs(theta - logdet.imag) > np.pi / 4).any():
         raise DomainError(f"the argument of det(I + u sigma_t(alpha)) is unresolved at t = {t}")
@@ -336,6 +275,28 @@ def _jump_rate(m: AtomicMeasure, u: np.ndarray, e: np.ndarray, sig: np.ndarray) 
     return sum(w * (np.exp(-np.einsum("nij,ji->n", psi, xi)) - 1.0) for xi, w in m.atoms)
 
 
+def _jump_integral(spec: MBAJDSpec, us: np.ndarray, t: float) -> np.ndarray:
+    """int_0^t sum_k w_k (exp(-tr(psi(s, u) xi_k)) - 1) ds of every u, each panel within
+    _QUAD_TOL. Near s = 0, psi ~ u - 2 s u alpha u turns over a layer 1 / (4 |u|^2 |alpha|)
+    wide, below a coarse panel's first node, so each u's panels start graded toward 0 until
+    that node ((1 - x_15) / 2 of the width) lies within about a layer of 0; none narrower
+    than t 2^-k_max, where |rate| <= 2 sum_k w_k lets any panel pass."""
+    w_max = max(w for _, w in spec.m.atoms)  # 2^k_max = 4 t sum_k w_k / _QUAD_TOL, in logs
+    k_max = max(0, math.ceil(2.0 + math.log2(t) + math.log2(w_max) - math.log2(_QUAD_TOL)
+                             + math.log2(sum(w / w_max for _, w in spec.m.atoms))))
+    with np.errstate(all="ignore"):  # |u|^2 = inf at u = 1e300 I asks for k_max
+        k = np.log2(t * frobenius(spec.alpha) * (1.0 - _XK[-1])
+                    * np.linalg.norm(us, axis=(-2, -1)) ** 2)
+        k = np.fmin(np.fmax(np.ceil(k), 1.0), k_max).astype(int)
+
+    def rate(rows, s):
+        nodes, at = np.unique(s, return_inverse=True)
+        e, sig = _vanloan(spec.beta, spec.alpha, nodes)
+        return _jump_rate(spec.m, us[rows], e[at], sig[at])
+
+    return _adaptive_simpson(rate, t, _QUAD_TOL, k)
+
+
 def _checked(spec: MBAJDSpec, us, times) -> np.ndarray:
     """The u stacked as a complex array, once each u is in the tube and each
     time is t >= 0."""
@@ -351,22 +312,21 @@ def mbajd_grid(spec: MBAJDSpec, us, times) -> tuple[np.ndarray, np.ndarray]:
     of shape (len(us), len(times)) and (len(us), len(times), d, d).
 
     Every u must pass symcore.check_u. The quadrature witness runs once, at the
-    largest time; only the jump integral builds a sigma lattice.
+    largest time.
     """
     us = _checked(spec, us, times)
     phi = np.zeros((len(us), len(times)), dtype=complex)
     psi = np.empty((len(us), len(times), spec.d, spec.d), dtype=complex)
     for j in sorted(range(len(times)), key=lambda j: -times[j]) if len(us) else ():
-        if times[j] == 0:
+        t = float(times[j])
+        if t == 0:
             psi[:, j] = us
             continue
-        grid = _SigmaGrid(spec, float(times[j]))
-        phi[:, j] = spec.p * _logdet(us, grid.sig_t, grid.t)
-        if not spec.m.is_empty:  # the jump integral, each panel within _QUAD_TOL
-            phi[:, j] -= _adaptive_simpson(
-                lambda rows, ks, lv: _jump_rate(spec.m, us[rows], *grid.nodes(ks, lv)),
-                grid.t, _QUAD_TOL, len(us))
-        psi[:, j] = grid.psi(us)
+        e_t, sig_t = _horizon(spec, t)
+        phi[:, j] = spec.p * _logdet(us, sig_t, t)
+        if not spec.m.is_empty:
+            phi[:, j] -= _jump_integral(spec, us, t)
+        psi[:, j] = _psi(us, e_t, sig_t, t)
     return phi, psi
 
 
@@ -374,8 +334,8 @@ def mbajd_psi(spec: MBAJDSpec, u: np.ndarray, t: float) -> np.ndarray:
     """psi(t, u) in the singular-safe form exp(beta^T t)(I + u sigma)^{-1} u exp(beta t):
     the psi of :func:`mbajd_grid` from one block exponential at t (plus the
     witness at a new largest horizon), with no log-det or jump integral."""
-    us = _checked(spec, [u], [t])
-    return us[0].copy() if t == 0 else _SigmaGrid(spec, float(t)).psi(us)[0]
+    us, t = _checked(spec, [u], [t]), float(t)
+    return us[0].copy() if t == 0 else _psi(us, *_horizon(spec, t), t)[0]
 
 
 def mbajd_phi(spec: MBAJDSpec, u: np.ndarray, t: float) -> complex:

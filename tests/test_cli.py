@@ -11,6 +11,7 @@ import time
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -642,11 +643,54 @@ def test_transform_at_high_frequency_is_the_continuous_log(capsys, tmp_path, wis
     assert abs(complex(row["phi_re"], row["phi_im"]) - want) <= 1e-13 * abs(want)
 
 
-def test_transform_with_an_overflowing_determinant_exits_one(capsys, tmp_path, wishart_file):
+def test_transform_with_an_overflowing_determinant_gives_its_log(capsys, tmp_path,
+                                                                 wishart_file):
+    # det(I + u sigma_2) = (1 + 2 (1 - e^-2) 1e300)^2 overflows, its log does not
     code, out, err = _closed_transform(capsys, tmp_path, wishart_file, 1e300 * np.eye(2), 2.0)
+    assert_clean_exit(code, out, err, 0)
+    assert err == ""
+    row = json.loads(out, parse_constant=_no_constant)[0]
+    with mpmath.workdps(30):
+        want = float(2 * mpmath.log(1 + 2 * (1 - mpmath.exp(-2)) * mpmath.mpf(1e300)))
+    assert abs(row["phi_re"] - want) <= 1e-13 * want
+    assert (row["value_re"], row["value_im"]) == (0.0, 0.0)
+
+
+def test_transform_with_an_overflowing_determinant_and_a_jump(capsys, tmp_path):
+    # |u|^2 overflows, so the jump integral starts from its finest graded panels
+    spec = MBAJDSpec(d=2, alpha=np.eye(2), beta=-0.5 * np.eye(2), p=1.0,
+                     m=AtomicMeasure(atoms=((np.eye(2), 1.0),)))
+    pfile = write_params(tmp_path, "jump.json", spec.to_affine_params())
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code, out, err = _closed_transform(capsys, tmp_path, pfile, 1e300 * np.eye(2), 2.0)
+    assert_clean_exit(code, out, err, 0)
+    assert err == "" and not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+    row = json.loads(out, parse_constant=_no_constant)[0]
+    assert np.isfinite([row["phi_re"], row["phi_im"]]).all()
+
+
+def test_transform_whose_jump_integral_cannot_converge_exits_one(capsys, tmp_path):
+    # rank-one alpha = e1 e1^T: psi_22 = i 1e7 e^-s, so the jump rate turns about
+    # 1.4e6 times over [0, 2]; the per-row panel cap must end the quadrature with
+    # its named error long before its rounds outgrow memory
+    spec = MBAJDSpec(d=2, alpha=np.diag([1.0, 0.0]), beta=-0.5 * np.eye(2), p=1.0,
+                     m=AtomicMeasure(atoms=((np.eye(2), 1.0),)))
+    pfile = write_params(tmp_path, "osc.json", spec.to_affine_params())
+    code, out, err = _closed_transform(capsys, tmp_path, pfile, 1e7j * np.eye(2), 2.0)
     assert_clean_exit(code, out, err, 1)
-    assert out == ""
-    assert err == "error: det(I + u sigma_t(alpha)) is not finite at t = 2.0\n"
+    assert "failed to converge" in err
+
+
+def test_transform_with_an_overflowing_jump_weight_sum_exits_one(capsys, tmp_path):
+    # the weights sum to inf: the cap k_max stays finite, and the rate's
+    # overflow is the named quadrature error
+    spec = MBAJDSpec(d=2, alpha=np.eye(2), beta=-0.5 * np.eye(2), p=1.0,
+                     m=AtomicMeasure(atoms=((np.eye(2), 1e308), (np.eye(2), 1e308))))
+    pfile = write_params(tmp_path, "heavy.json", spec.to_affine_params())
+    code, out, err = _closed_transform(capsys, tmp_path, pfile, np.eye(2) + 0j, 2.0)
+    assert_clean_exit(code, out, err, 1)
+    assert "non-finite integrand" in err
 
 
 # ---------------------------------------------------------------------------
@@ -706,9 +750,9 @@ def test_non_mbajd_error_states_the_recognized_shape(capsys, tmp_path, ugrid_fil
 
 
 def test_closed_transform_takes_few_exponentials_per_row(capsys, monkeypatch, tmp_path):
-    # one sigma grid per time, shared by the 16 u, and one quadrature witness
-    # per command: at most 5 block or flow exponentials per row, counted by
-    # matrix, since the witness takes a stack of them per Simpson round
+    # one jump quadrature per time, shared by the 16 u, and one quadrature
+    # witness per command: at most 5 block or flow exponentials per row of the
+    # 64, counted by matrix, since each quadrature round takes a stack of them
     import psdaffine.closedform as cf
     rng = np.random.default_rng(23)
     q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
@@ -1061,16 +1105,18 @@ def test_cli_golden_bits(capsys, tmp_path, case):
 
 # SHA-256 of the closed form's stdout on the same u-grid (recorded with NumPy
 # 2.4 and OpenBLAS on x86-64; the matrix exponential is symcore's own): the
-# batched drift check and witness only decide whether a command fails, so no
-# printed closed-form bit may move. Last re-recorded when the log of the
-# determinant z = det(I + u sigma_t) moved from NumPy's vector log, complex abs
-# and arctan2, whose bits depend on the SIMD dispatch, to cmath.log (libm): 15
-# phi_re values moved by at most 119 ulps (4.4e-16 absolute, where phi is near 0),
-# one phi_im value by 2 ulps and 17 transform values by at most 5 ulps (2.2e-16
-# absolute); psi did not move.
+# quadrature witness only decides whether a command fails, so no printed
+# closed-form bit may move. d2-one-atom was last re-recorded when the
+# jump integral moved from adaptive Simpson on a dyadic sigma lattice to
+# adaptive G7K15 on a graded start: its phi values moved by at most 1.3e-12
+# relative to max(1, |phi|) and now lie within 1.4e-17 of the same rule at
+# _QUAD_TOL = 1e-15, the transform values by at most 6.9e-13; psi did not move.
+# d3-no-jumps was last re-recorded when the log of z = det(I + u sigma_t) moved
+# from NumPy's vector log, complex abs and arctan2, whose bits depend on the
+# SIMD dispatch, to cmath.log (libm).
 GOLDEN_CLOSED = {
     "d2-one-atom":
-        "fb12a68953b05ba565a1cd60f88afc1f72eed133336c5580e66cf1e8bf78e902",
+        "a2162825c05ad17e8873672ab63ee6aee9e9ec97931be1a3090fd723fd31ea14",
     "d3-no-jumps":
         "7392643feddd22262f8907b979b9960a002a235eb450cde9ef60b953e3549d77",
 }

@@ -297,10 +297,29 @@ def test_logdet_matches_a_40_digit_reference(d):
 
 
 def test_logdet_raises_on_an_overflowing_determinant():
+    # sigma_2 = 2 (1 - e^-2) I: at u = 1.5e308 I the reduction I + R^T Re(u) R
+    # overflows along with det(I + u sigma_2), so no factor gives the log
     spec = basic_spec(beta=-0.5 * np.eye(2))
     with pytest.raises(DomainError, match=r"^det\(I \+ u sigma_t\(alpha\)\) is not finite "
                                           r"at t = 2.0$"):
-        mbajd_grid(spec, [np.eye(2) + 0j, 1e300 * np.eye(2) + 0j], [1.0, 2.0])
+        mbajd_grid(spec, [np.eye(2) + 0j, 1.5e308 * np.eye(2) + 0j], [1.0, 2.0])
+
+
+def test_logdet_of_an_overflowing_determinant_comes_from_the_reduction():
+    # at u = 1e300 I, det(I + u sigma_t) = (1 + 2 (1 - e^-t) 1e300)^2 overflows but
+    # its log does not; the other row keeps the bits it has alone
+    spec = basic_spec(beta=-0.5 * np.eye(2))
+    times = [1.0, 2.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi, _ = mbajd_grid(spec, [np.eye(2) + 0j, 1e300 * np.eye(2) + 0j], times)
+    for j, t in enumerate(times):
+        with mpmath.workdps(30):
+            want = float(2 * mpmath.log(1 + 2 * (1 - mpmath.exp(-t)) * mpmath.mpf(1e300)))
+        assert phi[1, j].imag == 0.0
+        assert abs(phi[1, j].real - want) <= 1e-13 * want
+        assert phi[0, j].tobytes() == np.complex128(
+            mbajd_phi(spec, np.eye(2) + 0j, t)).tobytes()
 
 
 def test_logdet_raises_where_determinant_and_reduction_disagree(monkeypatch):
@@ -356,6 +375,46 @@ def test_closed_form_matches_the_ode(d, rank_one_alpha, n_atoms, kind, freq, see
     assert phi is not None
     assert abs(phi[0, 0] - sol.phi_at(T)) <= 1e-8 * max(1.0, abs(sol.phi_at(T)))
     assert frobenius(psi[0, 0] - sol.psi_at(T)) <= 1e-8 * max(1.0, frobenius(sol.psi_at(T)))
+
+
+def test_jump_integral_caps_the_graded_start(monkeypatch):
+    # |u|^2 = inf at u = 1e300 I: that row starts from panels down to width
+    # t 2^-k_max, k_max = ceil(log2(4 t sum_k w_k / _QUAD_TOL)), and no finer
+    spec = basic_spec(beta=-0.5 * np.eye(2), atoms=((np.eye(2), 1.0),))
+    starts = []
+    correct = cf._adaptive_simpson
+    monkeypatch.setattr(cf, "_adaptive_simpson",
+                        lambda f, t, tol, k: starts.append(k) or correct(f, t, tol, k))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi, _ = mbajd_grid(spec, [np.eye(2) + 0j, 1e300 * np.eye(2) + 0j], [2.0])
+    assert np.isfinite(phi).all()
+    assert starts[-1].tolist() == [1, np.ceil(np.log2(4 * 2.0 * 1.0 / cf._QUAD_TOL))]
+
+
+def _boundary_layer_phi(u0, t):
+    """phi at u = u0 I of basic_spec(beta = -I/2, one atom xi = I, w = 1), to 30
+    digits: sigma_s = 2 (1 - e^-s) I and psi(s) = e^-s u0 / (1 + u0 sigma_s) I, so
+    phi = 2 log(1 + 2 u0 (1 - e^-t)) - int_0^t (exp(-2 psi(s)) - 1) ds, the integral
+    split at layer 2^k, layer = 1 / (4 |u0|^2)."""
+    with mpmath.workdps(30):
+        u = mpmath.mpc(u0)
+        layer = 1 / (4 * abs(u) ** 2)
+        points = [0] + [layer * 2 ** k for k in range(200) if layer * 2 ** k < t] + [t]
+        jump = mpmath.quad(lambda s: mpmath.exp(-2 * mpmath.exp(-s) * u / (
+            1 + 2 * u * (1 - mpmath.exp(-s)))) - 1, points)
+        return complex(2 * mpmath.log(1 + 2 * u * (1 - mpmath.exp(-t))) - jump)
+
+
+@pytest.mark.parametrize("t", [0.25, 1.0, 2.0])
+@pytest.mark.parametrize("u0", [400j, 1e3j, 1e-3 + 1e4j, 1e-3 + 1e5j])
+def test_jump_integral_resolves_the_boundary_layer_at_zero(u0, t):
+    # near s = 0 the jump rate falls from exp(-2 u0) - 1 to about -1 over a layer
+    # of width about 1 / (4 |u0|^2), below the first node of a coarse panel,
+    # where G7 and K15 agree to 1e-14 while both miss the layer's 1e-6 at 400i
+    spec = basic_spec(beta=-0.5 * np.eye(2), atoms=((np.eye(2), 1.0),))
+    want = _boundary_layer_phi(u0, t)
+    assert abs(mbajd_phi(spec, u0 * np.eye(2), t) - want) <= 1e-12 * abs(want)
 
 
 def test_mbajd_phi_with_jumps_matches_ode():
@@ -546,7 +605,7 @@ def test_witness_runs_once_per_new_horizon(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the grid call: one sigma grid per time, shared by every u
+# the grid call: one quadrature per time, shared by every u
 # ---------------------------------------------------------------------------
 
 
@@ -642,135 +701,53 @@ def test_unstable_beta_matches_a_refined_grid_or_raises(monkeypatch):
         phi, psi = phi_psi()
     except named:
         return
-    # Simpson's error is O(h^4): 4x finer panels meet a 4^4 x smaller bound
-    monkeypatch.setattr(cf, "_BASE_LEVEL", cf._BASE_LEVEL + 2)
-    monkeypatch.setattr(cf, "_QUAD_TOL", cf._QUAD_TOL / 4 ** 4)
+    monkeypatch.setattr(cf, "_QUAD_TOL", cf._QUAD_TOL / 1e4)
     fine_phi, fine_psi = phi_psi()
     assert np.max(np.abs(phi - fine_phi) / np.maximum(1.0, np.abs(fine_phi))) <= 1e-10
     assert psi.tobytes() == fine_psi.tobytes()
 
 
-def test_richardson_cap_raises_quadrature_error(monkeypatch):
+def test_convergence_cap_raises_quadrature_error(monkeypatch):
     import psdaffine.closedform as cf
     spec = basic_spec(beta=NON_NORMAL_BETA, atoms=((np.eye(2), 0.5),))
     u = np.eye(2) + 0.5j * np.eye(2)
     mbajd_phi(spec, u, 2.0)  # converges under the default cap
-    monkeypatch.setattr(cf, "_MAX_DEPTH", cf._BASE_LEVEL)  # no panel may be bisected
+    monkeypatch.setattr(cf, "_MAX_DEPTH", 0)  # no starting panel may be bisected
     with pytest.raises(cf.QuadratureError, match="failed to converge"):
         mbajd_phi(spec, u, 2.0)
 
 
-def test_sigma_grid_store_is_independent_of_the_request_order():
-    # the same nodes asked for coarse first, fine first, and as repeated ids
-    # mixed with stored ones: bit-identical stacks and one sorted store
-    spec = MBAJDSpec(d=3, alpha=np.diag([1.0, 0.5, 0.2]), beta=-0.3 * np.eye(3)
-                     + np.diag([0.4, 0.1], 1), p=1.0)
-    orders = {
-        "coarse first": [(np.arange(5), 2), (np.arange(17), 4), (np.arange(65), 6)],
-        "fine first": [(np.arange(65), 6), (np.arange(17), 4), (np.arange(5), 2)],
-        "repeated": [(np.array([3, 3, 1]), 2), (np.array([37, 4, 37, 0, 64, 5, 4, 9]), 6),
-                     (np.array([1, 16, 1, 2, 15]), 4), (np.arange(65)[::-1], 6)],
-    }
-    stores, answers = {}, []
-    for name, calls in orders.items():
-        grid = cf._SigmaGrid(spec, 1.5)
-        for ks, level in calls:
-            answers.append((ks << (6 - level), *grid.nodes(ks, level)))
-            answers.append((ks << (6 - level), *grid.nodes(ks, level)))  # found, not rebuilt
-        assert (np.diff(grid.ids) > 0).all()
-        stores[name] = (grid.ids, grid.e, grid.sig)
-    ids, e, sig = want = stores["coarse first"]
-    assert ids.tolist() == [k << (cf._ID_BITS - 6) for k in range(65)]  # s = k t / 2^6
-    for got in stores.values():
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
-    for at, e_at, sig_at in answers:  # each stack row is the node asked for
-        assert e_at.tobytes() == e[at].tobytes() and sig_at.tobytes() == sig[at].tobytes()
+def test_panel_cap_raises_before_an_unresolvable_row_grows():
+    # an integrand that alternates node by node fails on every panel; without
+    # the per-row cap of 2^_MAX_LEVEL bisected panels a round, the row would
+    # double its panels each round up to 2^_MAX_DEPTH
+    seen = []
+
+    def fail_everywhere(rows, s):
+        seen.append(len(s))
+        return np.where(np.arange(len(s)) % 2 == 0, 1.0, -1.0)[:, None]
+
+    with pytest.raises(cf.QuadratureError, match="failed to converge"):
+        cf._adaptive_simpson(fail_everywhere, 1.0, 1e-10, [1])
+    assert max(seen) <= 15 * 2 ** (cf._MAX_LEVEL + 1)
+    assert len(seen) < cf._MAX_DEPTH
 
 
-def test_grid_drift_from_the_block_exponential_raises(monkeypatch):
-    # a block exponential that is off at the half steps (but right at t)
-    # must end in a named error, not in a value from a drifted grid
-    import psdaffine.closedform as cf
-    correct = cf._vanloan
-
-    def off_below_one(beta, alpha, t):
-        e, sig = correct(beta, alpha, t)
-        return (e, sig) if t >= 1.0 else (e, sig * (1.0 + 1e-7))
-
-    spec = basic_spec(beta=NON_NORMAL_BETA, atoms=((np.eye(2), 0.5),))  # the jump
-    mbajd_phi(spec, np.eye(2) + 0j, 1.0)  # integral is what builds the lattice
-    monkeypatch.setattr(cf, "_vanloan", off_below_one)
-    with pytest.raises(cf.QuadratureError, match="sigma grid drifted"):
-        mbajd_phi(spec, np.eye(2) + 0j, 1.0)
-
-
-def test_only_the_jump_integral_builds_the_sigma_lattice(monkeypatch):
-    grids = []
-
-    class Recorded(cf._SigmaGrid):
-        def __init__(self, *args):
-            super().__init__(*args)
-            grids.append(self)
-
-    monkeypatch.setattr(cf, "_SigmaGrid", Recorded)
-    us = [np.eye(2) + 0.5j * np.eye(2), csym(np.zeros((2, 2)), [[3.0, 1.0], [1.0, -2.0]])]
-    mbajd_grid(basic_spec(beta=NON_NORMAL_BETA), us, [0.5, 1.0])
-    assert [g.ids.tolist() for g in grids] == [[0, 1 << cf._ID_BITS]] * 2  # s = 0 and t
-    mbajd_grid(basic_spec(beta=NON_NORMAL_BETA, atoms=((np.eye(2), 0.5),)), us, [1.0])
-    assert len(grids[-1].ids) > 2 ** (cf._BASE_LEVEL + 2)
-
-
-def _drift_stacks():
-    """now, want stacks (d = 3) with gaps below, at and just above the bound,
-    non-finite entries, entries near 1e155 (sums of squares overflow) and
-    subnormal ones (sums of squares underflow)."""
-    rng = np.random.default_rng(24)
-    base = [random_spd(rng, 3) for _ in range(4)]
-    for w in base:
-        w[1, 1] = 0.0  # the gap below sits alone in this entry, so it is exact
-    now, want = [], []
-
-    def node(w, gap=0.0, scale=1.0):
-        w = scale * w
-        n = w.copy()
-        n[1, 1] = gap
-        now.append(n)
-        want.append(w)
-
-    for w in base:
-        bound = cf._DRIFT_TOL * max(1.0, frobenius(w))
-        for gap in (0.0, 0.3 * bound, bound * (1.0 - 2e-12), bound * (1.0 - 1e-13),
-                    np.nextafter(bound, 0.0), bound, np.nextafter(bound, np.inf), 2.0 * bound):
-            node(w, gap)
-    for scale in (1e150, 1e155, 1e160, 1e-160, 1e-170, 1e-310):
-        for rel in (0.0, 1e-11, 1e-9):
-            node(base[0], rel * scale * frobenius(base[0]), scale)
-    for value in (np.inf, -np.inf, np.nan):
-        node(base[1], value)
-        node(base[2] * 1e155, value)
-    node(base[3], 5e-324)
-    bad = base[3].copy()
-    bad[0, 2] = np.inf
-    node(bad)
-    return np.array(now), np.array(want)
-
-
-def test_batched_drift_check_decides_as_frobenius_node_by_node(monkeypatch):
-    now, want = _drift_stacks()
-    with np.errstate(invalid="ignore"):  # inf - inf
-        per_node = [not frobenius(n - w) <= cf._DRIFT_TOL * max(1.0, frobenius(w))
-                    for n, w in zip(now, want)]
-        assert True in per_node and False in per_node
-        assert cf._drifted(now, want).tolist() == per_node
-    # ordinary nodes, with gaps at 0.3 times their bound, never reach frobenius
-    calls = []
-    monkeypatch.setattr(cf, "frobenius", lambda x: calls.append(x) or frobenius(x))
-    assert not cf._drifted(now[1:32:8], want[1:32:8]).any()
-    assert calls == []
+def test_high_frequency_row_keeps_its_bits_in_a_grid():
+    # a 1e4 i row starts from about 20 graded panels, the ordinary rows from 2;
+    # sharing each round's stacked block exponential must not move its bits
+    rng = np.random.default_rng(25)
+    spec = basic_spec(beta=NON_NORMAL_BETA, atoms=((random_psd(rng, 2) + 0.1 * np.eye(2), 0.5),))
+    us = [random_interior_u(rng, 2) for _ in range(15)]
+    us.insert(7, 1e-3 * np.eye(2) + 1e4j * np.eye(2))
+    phi, _ = mbajd_grid(spec, us, [1.0])
+    assert np.isfinite(phi).all()
+    for k in (7, 0, 15):
+        assert phi[k, 0].tobytes() == np.complex128(mbajd_phi(spec, us[k], 1.0)).tobytes()
 
 
 def test_witness_checks_every_node_of_a_batched_round(monkeypatch):
-    # the flow is off only at s > t/2; those nodes share each Simpson round's
+    # the flow is off only at s > t/2; those nodes share each round's
     # stacked call with correct ones, and the witness must still see them
     t = 1.0
     rounds = []
