@@ -2,7 +2,7 @@
 sets, generalized Riccati transforms, closed-form MBAJD/Wishart formulas and
 Monte Carlo cross-checks."""
 
-from ._dopri5 import StepBudgetError
+from ._dopri5 import NoDenseOutputError, StepBudgetError
 from .closedform import (
     MBAJDSpec,
     flow_omega,

@@ -9,13 +9,17 @@ rule, whose power is Python's scalar pow (see _pow). The right-hand side is
 evaluated on every row at once, one call per Runge-Kutta stage, always on
 all rows in column order. A step takes 11 calls; once some row accepts it,
 one more gives the rate at the step's end (the first stage of the next
-step) and three more the stages of the dense output. A row that finishes,
-stops or underflows holds still: it steps with h = 0 at its last accepted
-state until the batch ends. The tableau is kept here as NumPy constants, so
-the ODE route imports no SciPy. Kept self-contained so the caller can
-monitor every accepted step and stop a row early; the per-step hook, the
-per-row step control and the rejected-step count are the reason this is
-not delegated to a library solver.
+step). The dense output of a step takes three more stages, which run after
+the loop in waves for the accepted steps that keep it: every step, or the
+steps that hold a requested time. Wave w holds the w-th kept step of every
+row, so the calls still go to all rows. A row that finishes, stops or
+underflows holds still: it steps with h = 0 at its last accepted state
+until the batch ends, and sits there in a wave that holds no step of it.
+The tableau is kept here as NumPy constants, so the ODE route imports no
+SciPy. Kept self-contained so the caller can monitor every accepted step
+and stop a row early; the per-step hook, the per-row step control and the
+rejected-step count are the reason this is not delegated to a library
+solver.
 """
 
 from __future__ import annotations
@@ -114,17 +118,24 @@ class StepBudgetError(RuntimeError):
     """A row used up its step budget before reaching the end time."""
 
 
+class NoDenseOutputError(ValueError):
+    """Evaluation inside a step that kept no dense output: the integration
+    was asked for other times."""
+
+
 @dataclass
 class IntegrationResult:
     """Accepted-step grid of one row with 7th-order dense output: step k
-    starts at (ts[k], ys[k]) with size hs[k] and interpolant coefficients
-    qs[k] (7, N), the F0..F6 of the interpolant (see D)."""
+    starts at (ts[k], ys[k]) with size hs[k]. qs[j] (7, N) holds the F0..F6
+    of the interpolant (see D) of step dense[j]: of every step, or of the
+    steps that hold a requested time."""
 
     status: str  # "finished" | "stopped" | "underflow"
     ts: np.ndarray
     ys: np.ndarray
     hs: np.ndarray  # kept, not derived: ts[k+1] - ts[k] is rounded
     qs: np.ndarray
+    dense: np.ndarray  # ascending step indices of qs
     n_accepted: int
     n_rejected: int
 
@@ -133,12 +144,19 @@ class IntegrationResult:
         return float(self.ts[-1])
 
     def eval(self, t: float) -> np.ndarray:
+        """The state at t: ys[0] up to ts[0], the interpolant of the step
+        that holds t after it, and that of the last step past t_end. Raises
+        NoDenseOutputError where that step kept no dense output."""
         if not len(self.hs) or t <= self.ts[0]:
             return self.ys[0].copy()
         # step k covers [ts[k], ts[k+1]]
         k = min(int(np.searchsorted(self.ts, t, side="right")) - 1, len(self.hs) - 1)
+        pos = int(np.searchsorted(self.dense, k))
+        if pos == len(self.dense) or self.dense[pos] != k:
+            raise NoDenseOutputError(
+                f"no dense output at t = {t}: step {k} holds no requested time")
         x = (t - self.ts[k]) / self.hs[k]
-        f = self.qs[k]
+        f = self.qs[pos]
         y = 0.0
         for j in range(6, -1, -1):
             y = (y + f[j]) * (1.0 - x if j % 2 else x)
@@ -220,7 +238,42 @@ def _stages(f, k: np.ndarray, t: np.ndarray, h: np.ndarray, y: np.ndarray, stage
         k[:, s] = np.asarray(f(t + C[s] * h, (y + hc * (A[s, :s] @ k[:, :s])).T)).T
 
 
-def integrate(f, t0: float, y0: np.ndarray, t_end: float, monitor) -> BatchResult:
+DENSE_STAGES = range(N_STAGES + 1, len(C))
+
+
+def _dense_waves(f, kept: list, records: list, t: np.ndarray, y: np.ndarray) -> None:
+    """Append to each row's records the interpolants F0..F6 of its kept
+    steps, (step index, stages 0-12, increment), as wave after wave of the
+    three dense stages on every row: wave w holds the w-th kept step of each
+    row, at the time, size and state of its start, and a row with no w-th
+    kept step sits at its last state t, y with h = 0, as a held row does in
+    the loop."""
+    n, size = y.shape
+    for w in range(max(map(len, kept), default=0)):
+        rows = [i for i in range(n) if len(kept[i]) > w]
+        tw, hw, yw = t.copy(), np.zeros(n), y.copy()
+        kw = np.zeros((n, len(C), size))
+        step = np.empty((len(rows), size))
+        for j, i in enumerate(rows):
+            idx, kw[i, :N_STAGES + 1], step[j] = kept[i][w]
+            kept[i][w] = None  # a step's stages go once its wave has them
+            ts, ys, hs, _, dense = records[i]
+            tw[i], hw[i], yw[i] = ts[idx], hs[idx], ys[idx]
+            dense.append(idx)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _stages(f, kw, tw, hw, yw, DENSE_STAGES)
+            k, hc = kw[rows], hw[rows, None]
+            q = np.empty((len(rows), 7, size))
+            q[:, 0] = step
+            q[:, 1] = hc * k[:, 0] - step
+            q[:, 2] = 2 * step - hc * (k[:, 0] + k[:, N_STAGES])
+            q[:, 3:] = hc[:, None] * (D @ k)
+        for j, i in enumerate(rows):
+            records[i][3].append(q[j].copy())
+
+
+def integrate(f, t0: float, y0: np.ndarray, t_end: float, monitor,
+              t_out=None) -> BatchResult:
     """Integrate y' = f(t, y) from t0 to t_end for every column of y0 (N, n).
 
     As in scipy's ``solve_ivp(vectorized=True)``, states are columns:
@@ -230,6 +283,14 @@ def integrate(f, t0: float, y0: np.ndarray, t_end: float, monitor) -> BatchResul
     the rows that accepted a step and returns one bool per row; False stops
     that row (status "stopped") with the step kept. Each row has its own
     budget of MAX_STEPS steps; a row that exceeds it raises StepBudgetError.
+
+    Every accepted step gets dense output unless ``t_out`` gives the times
+    to be read. Then only the steps that hold one of them do: a step
+    [t_old, t_new] holds every t_out in it, both ends included, which is
+    the step lookup of IntegrationResult.eval up to t_end. A time at or
+    before t0 needs no step. The values at those times have the bits of
+    the full dense output, with three fewer right-hand-side calls per
+    accepted step.
     """
     y = np.asarray(y0, dtype=float).T.copy(order="C")  # rows (n, N)
     n, size = y.shape
@@ -243,9 +304,14 @@ def integrate(f, t0: float, y0: np.ndarray, t_end: float, monitor) -> BatchResul
     status = np.full(n, None, dtype=object)
     n_rej = np.zeros(n, dtype=int)
     steps = 0  # steps taken, accepted or rejected, by every row still running
-    # each row's accepted times, states, step sizes and interpolants, as
-    # copies: a row's record must not keep the whole batch's arrays alive
-    records = [([t0], [y[i].copy()], [], []) for i in range(n)]
+    # each row's accepted times, states, step sizes, interpolants and their
+    # step indices, as copies: a row's record must not keep the whole
+    # batch's arrays alive
+    records = [([t0], [y[i].copy()], [], [], []) for i in range(n)]
+    if t_out is not None:
+        t_out = np.sort(np.asarray(t_out, dtype=float).ravel())
+        t_out = t_out[t_out > t0]
+    kept = [[] for _ in range(n)]  # per row: (step index, stages 0-12, increment)
 
     k = np.empty((n, len(C), size))
     k[:, 0] = f0
@@ -282,34 +348,34 @@ def integrate(f, t0: float, y0: np.ndarray, t_end: float, monitor) -> BatchResul
             MIN_FACTOR, SAFETY * _pow(np.maximum(err, 1e-10), -ERR_EXPONENT)))
 
         if accepted.any():
-            # the rate at the step's end, then the dense-output stages
+            acc = np.flatnonzero(accepted)
+            # the rate at the step's end
             with np.errstate(over="ignore", invalid="ignore"):
                 k[:, N_STAGES] = np.asarray(f(t + h, y_new.T)).T
-                _stages(f, k, t, h, y, range(N_STAGES + 1, len(C)))
-                acc = np.flatnonzero(accepted)
-                sa, ha, k0 = step[acc], h[acc, None], k[acc, 0]
-                q = np.empty((len(acc), 7, size))
-                q[:, 0] = sa
-                q[:, 1] = ha * k0 - sa
-                q[:, 2] = 2 * sa - ha * (k0 + k[acc, N_STAGES])
-                q[:, 3:] = ha[:, None] * (D @ k[acc])
+            t_old = t[acc]
             # a step clamped to the rest of the span can round past t_end
             t[acc] = np.minimum(t[acc] + h[acc], t_end)
             y[acc] = y_new[acc]
-            k[acc, 0] = k[acc, N_STAGES]  # FSAL
-            for j, i in enumerate(acc.tolist()):
-                ts, ys, hs, qs = records[i]
+            holds = (np.ones(len(acc), dtype=bool) if t_out is None else
+                     np.searchsorted(t_out, t[acc], side="right")
+                     > np.searchsorted(t_out, t_old))
+            for i, keep in zip(acc.tolist(), holds.tolist()):
+                ts, ys, hs, _, _ = records[i]
                 ts.append(float(t[i]))
                 ys.append(y[i].copy())
                 hs.append(float(h[i]))
-                qs.append(q[j].copy())
+                if keep:
+                    kept[i].append((len(hs) - 1, k[i, :N_STAGES + 1].copy(), step[i].copy()))
             stopped = acc[~np.asarray(monitor(t[acc], y[acc].T), dtype=bool)]
             status[stopped], running[stopped] = "stopped", False
+            k[acc, 0] = k[acc, N_STAGES]  # FSAL
         h = h * factor
 
+    _dense_waves(f, kept, records, t, y)
     results = []
     for row_status, row_rej in zip(status, n_rej.tolist()):
-        ts, ys, hs, qs = records.pop(0)  # each row's step lists go as soon as its arrays exist
-        results.append(IntegrationResult(row_status, np.array(ts), np.array(ys), np.array(hs),
-                                         np.array(qs).reshape(len(hs), 7, size), len(hs), row_rej))
+        ts, ys, hs, qs, dense = records.pop(0)  # each row's lists go as soon as its arrays exist
+        results.append(IntegrationResult(
+            row_status, np.array(ts), np.array(ys), np.array(hs),
+            np.array(qs).reshape(len(qs), 7, size), np.array(dense, dtype=int), len(hs), row_rej))
     return BatchResult(results)

@@ -356,7 +356,8 @@ def _ode_rows(k, u, sol, times, x):
 
 def _transform_rows_ode(params, us, times, x):
     t_max = max(times) if times else 0.0
-    sols = riccati.solve_grid(params, us, t_max) if t_max > 0 else [None] * len(us)
+    sols = (riccati.solve_grid(params, us, t_max, times=times) if t_max > 0
+            else [None] * len(us))
     return [row for k, (u, sol) in enumerate(zip(us, sols))
             for row in _ode_rows(k, u, sol, times, x)]
 

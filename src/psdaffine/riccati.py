@@ -262,7 +262,10 @@ class RiccatiSolution:
         return float(self.times[-1])
 
     def eval(self, t: float) -> tuple[complex, np.ndarray]:
-        """Dense-output (phi, psi) at any t in [0, t_end]."""
+        """Dense-output (phi, psi) at any t in [0, t_end]. A solution of
+        :func:`solve_grid` with ``times`` has dense output at those times
+        only: inside a step that holds none of them this raises
+        :class:`_dopri5.NoDenseOutputError`."""
         if t < 0 or t > self.t_end * (1 + 1e-12) + 1e-300:
             raise ValueError(f"t = {t} outside the computed interval [0, {self.t_end}]")
         y = self._result.eval(min(t, self.t_end))
@@ -308,11 +311,13 @@ def _solution(rhs: RiccatiRHS, u0: np.ndarray, res: _dopri5.IntegrationResult,
                            _rhs=rhs, _result=res)
 
 
-def _solve_rows(params, us: list, T: float, projected=None) -> list[RiccatiSolution]:
+def _solve_rows(params, us: list, T: float, projected=None,
+                times=None) -> list[RiccatiSolution]:
     """One batched integration from every checked u in us, of the projected
     system where its flag in projected (by default, :func:`_interior`'s
     route) is set and of the direct one elsewhere; each row takes the steps
-    it takes alone."""
+    it takes alone. With times, the dense output covers only those times
+    (see :func:`_dopri5.integrate`)."""
     if T <= 0:
         raise ValueError("T must be positive")
     if not us:
@@ -328,7 +333,7 @@ def _solve_rows(params, us: list, T: float, projected=None) -> list[RiccatiSolut
         return ~(_dopri5.row_norms(y[:n_psi].T) >= _BLOWUP_NORM)
 
     y0 = rhs.pack(np.zeros(len(us)), np.stack(us))
-    res = _dopri5.integrate(rhs, 0.0, y0.T, T, monitor=monitor)
+    res = _dopri5.integrate(rhs, 0.0, y0.T, T, monitor=monitor, t_out=times)
     return [_solution(rhs, u, r, not p and min_eig(u.real) > 0, degenerate)
             for u, p, r in zip(us, projected, res.rows)]
 
@@ -450,12 +455,18 @@ def _interior(u0: np.ndarray) -> bool:
     return min_eig(u0.real) > _PD_TOL * max(1.0, frobenius(u0.real))
 
 
-def solve_grid(params: AffineParams, us, T: float) -> list[RiccatiSolution]:
+def solve_grid(params: AffineParams, us, T: float, times=None) -> list[RiccatiSolution]:
     """Solve from every u in us up to T in one batched integration: each u is
     routed by :func:`_interior` to a row of the direct system when Re(u) is
     positive definite and of the projected one otherwise. Each solution is
-    bit for bit the one-row solve."""
-    return _solve_rows(params, [check_u(u, params.d) for u in us], T)
+    bit for bit the one-row solve.
+
+    With ``times``, each solution's dense output covers only those times,
+    which saves three right-hand-side calls per step; ``eval`` there gives
+    the bits of the full dense output, and ``eval`` inside a step that holds
+    none of them raises :class:`_dopri5.NoDenseOutputError`. ``times``, ``phi``,
+    ``psi`` and the diagnostics do not change."""
+    return _solve_rows(params, [check_u(u, params.d) for u in us], T, times=times)
 
 
 def transform_grid(params: AffineParams, us, x: np.ndarray, T: float) -> list[complex]:
@@ -468,7 +479,7 @@ def transform_grid(params: AffineParams, us, x: np.ndarray, T: float) -> list[co
     if T == 0:
         return [complex(np.exp(-trace_inner(u, x))) for u in us]
     values = []
-    for sol in _solve_rows(params, us, T):
+    for sol in _solve_rows(params, us, T, times=[T]):
         if not sol.completed:
             raise BlowUpError(sol.diagnostics.t_plus)
         phi_t, psi_t = sol.eval(T)

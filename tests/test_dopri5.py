@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy.integrate import solve_ivp
 
 from psdaffine import _dopri5, solve_grid
@@ -149,3 +150,52 @@ def test_ode_bits_do_not_depend_on_simd_dispatch():
                           env=env, cwd=tests, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [golden_solve_digest(*case) for case in cases]
+
+
+def test_requested_times_skip_the_dense_stages_of_each_step():
+    # y' = y^2 from y = 1 (stopped by the monitor before its blow-up at t = 1)
+    # and from y = 0.3 (finishes at T). The loop makes 11 calls per batch
+    # step, one more where some row accepts (the steps the monitor sees) and
+    # 2 at the start; the dense stages take 3 calls per wave, whose number is
+    # the most steps that one row keeps: every accepted step without t_out,
+    # the steps that hold a requested time with it. A time inside a step
+    # that holds none raises, and so does one past a stopped row's end
+    y0 = np.array([[1.0, 0.3]])
+    T = 1.5
+    times = [0.5, T]
+
+    def run(**kwargs):
+        calls = {"rhs": 0, "monitor": 0}
+
+        def f(t, y):
+            calls["rhs"] += 1
+            return y * y
+
+        def monitor(t, y):
+            calls["monitor"] += 1
+            return y[0] < 1e3
+        return _dopri5.integrate(f, 0.0, y0, T, monitor, **kwargs), calls
+
+    full, full_calls = run()
+    part, part_calls = run(t_out=times)
+    assert [r.status for r in part.rows] == ["stopped", "finished"]
+    batch_steps = max(r.n_accepted + r.n_rejected for r in full.rows)
+    loop_calls = 2 + 11 * batch_steps + full_calls["monitor"]
+    assert part_calls["monitor"] == full_calls["monitor"] > 10
+    assert full_calls["rhs"] == loop_calls + 3 * max(r.n_accepted for r in full.rows)
+    assert [len(r.dense) for r in part.rows] == [1, 2]
+    assert part_calls["rhs"] == loop_calls + 3 * 2
+    for full_row, row in zip(full.rows, part.rows):
+        assert row.ts.tobytes() == full_row.ts.tobytes()
+        assert full_row.dense.tolist() == list(range(len(full_row.hs)))
+        assert len(row.qs) == len(row.dense)
+        for t in times:
+            if t <= row.t_end:
+                assert row.eval(t).tobytes() == full_row.eval(t).tobytes()
+        t = 0.5 * (row.ts[1] + row.ts[2])  # inside the second step, before 0.5
+        assert t < 0.5
+        with pytest.raises(_dopri5.NoDenseOutputError, match="no dense output"):
+            row.eval(t)
+        assert row.eval(0.0).tobytes() == row.ys[0].tobytes()
+    with pytest.raises(_dopri5.NoDenseOutputError):
+        part.rows[0].eval(T)

@@ -18,6 +18,7 @@ from psdaffine import (
     LyapunovDrift,
     MatrixAtomicMeasure,
     MBAJDSpec,
+    NoDenseOutputError,
     TruncatedParams,
     boundary_limit,
     csym,
@@ -711,6 +712,58 @@ def test_grid_rows_that_stop_early_equal_one_row_solves(d, cs, cs_boundary, seed
         if c > 0.55:
             assert not grid_sol.completed
             assert grid_sol.diagnostics.t_plus == pytest.approx(0.5 / c, rel=1e-2)
+
+
+@settings(max_examples=10, deadline=None)
+@given(d=st.sampled_from([2, 3]), stop_early=st.booleans(), n_rows=st.integers(1, 5),
+       n_interior=st.integers(0, 3), n_boundaries=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_grid_with_times_equals_the_full_dense_output(d, stop_early, n_rows, n_interior,
+                                                      n_boundaries, seed):
+    # dense output at the requested times only: T, interior times and exact
+    # step boundaries of the full solve, on grids of direct and projected
+    # rows, with the rows of test_grid_rows_that_stop_early_equal_one_row_solves
+    # (alpha = -I) that stop at their own blow-up times; inside a step that
+    # holds none of the times, eval raises
+    rng = np.random.default_rng(seed)
+    T = 1.0
+    if stop_early:
+        params = AffineParams(d=d, alpha=-np.eye(d), b=np.zeros((d, d)),
+                              drift=LyapunovDrift(beta=np.zeros((d, d))),
+                              m=AtomicMeasure(atoms=((0.5 * np.eye(d), 0.4),)))
+        e1 = np.diag(np.eye(d)[0]) + 0j
+        us = [c * (np.eye(d) if direct else e1) + 0j
+              for c, direct in zip(rng.uniform(0.2, 4.0, n_rows), rng.integers(0, 2, n_rows))]
+    else:
+        params = random_admissible(rng, d, with_gamma=True, general_drift=bool(seed % 2))
+        us = [random_interior_u(rng, d) if direct else 1j * random_sym(rng, d, 0.5)
+              for direct in rng.integers(0, 2, n_rows)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateAlphaWarning)
+        full = solve_grid(params, us, T)
+        steps = np.concatenate([sol.times[1:] for sol in full])
+        times = [T, *rng.uniform(0.0, T, n_interior), *rng.choice(steps, n_boundaries)]
+        part = solve_grid(params, us, T, times=times)
+    def bits(*arrays):
+        return b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+
+    for full_sol, sol in zip(full, part):
+        assert bits(sol.times, sol.phi, sol.psi) == bits(full_sol.times, full_sol.phi,
+                                                         full_sol.psi)
+        assert sol.completed == full_sol.completed
+        assert dataclasses.astuple(sol.diagnostics) == dataclasses.astuple(full_sol.diagnostics)
+        for t in times:
+            if t <= full_sol.t_end:
+                assert bits(*sol.eval(t)) == bits(*full_sol.eval(t))
+            else:
+                with pytest.raises(ValueError, match="outside the computed interval"):
+                    sol.eval(t)
+        ts = sol.times
+        free = [k for k in range(len(ts) - 1)
+                if not any(ts[k] <= t <= ts[k + 1] for t in times)]
+        for k in free[:2]:
+            with pytest.raises(NoDenseOutputError, match="no dense output"):
+                sol.eval(0.5 * (ts[k] + ts[k + 1]))
 
 
 @pytest.mark.parametrize("T", [0.0065620964067675544, 1e-320, 1e-15, 0.021680811759271574])

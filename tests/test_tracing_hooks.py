@@ -4,13 +4,18 @@ silently drop its traced metrics. These tests only read perfbench/."""
 
 import importlib
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _hook_targets():
@@ -75,3 +80,50 @@ def test_d3_simulation_calls_the_hooked_cone_kernels(monkeypatch):
     outside = states[np.linalg.eigvalsh(states)[:, 0] < 0.0]
     assert len(outside) and set(map(bytes, outside)) <= set(projected)
     assert len(projected) < len(states) // 2  # most states are certified
+
+
+TRACED_RUN = """
+import contextlib, io, json, sys
+import tracing
+tracer = tracing.Tracer()
+import psdaffine.cli as cli
+tracing.install(tracer)
+params, ugrid = sys.argv[1:]
+argvs = [["transform", params, ugrid, "--method", "ode"],
+         ["compare", params, "--u", ugrid, "-T", "0.5", "--paths", "200", "--dt", "0.0625",
+          "--allowance", "1"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in argvs]
+metrics, missing = tracing.metrics(tracer, 1.0, len(argvs))
+print(json.dumps({"codes": codes, "missing": missing,
+                  "metrics": {k: v[0] for k, v in metrics.items()}}))
+"""
+
+
+def test_traced_ode_commands_reach_the_integrator_and_the_writer(tmp_path):
+    # the tracer wraps the right-hand side as rhs(t, y) and counts the steps
+    # of what integrate returns: an ODE transform and a compare under it must
+    # exit 0 and show nonzero steps and emit time, not fail inside the hooks
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({
+        "version": 1, "d": 2, "alpha": [[1.0, 0.0], [0.0, 1.0]], "b": [[2.0, 0.0], [0.0, 2.0]],
+        "drift": {"type": "lyapunov", "beta": [[-0.5, 0.0], [0.0, -0.5]]}, "c": 0.0,
+        "gamma": [[0.0, 0.0], [0.0, 0.0]],
+        "m": {"atoms": [{"xi": [[1.0, 0.0], [0.0, 1.0]], "weight": 0.5}]},
+        "mu": {"atoms": []}}))
+    ugrid = tmp_path / "ugrid.json"
+    ugrid.write_text(json.dumps({"u": [{"re": [[1.0, 0.0], [0.0, 1.0]]},
+                                       {"re": [[0.0, 0.0], [0.0, 0.0]],
+                                        "im": [[0.5, 0.0], [0.0, 0.5]]}],
+                                 "times": [0.0, 0.25, 0.5]}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "perfbench")]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", TRACED_RUN, str(params), str(ugrid)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["codes"] == [0, 0] and out["missing"] == []
+    assert out["metrics"]["dopri5.steps_accepted"] > 0
+    assert out["metrics"]["cli.emit_s"] > 0
+    assert out["metrics"]["trace.missing_hooks"] == 0
