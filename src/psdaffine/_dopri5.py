@@ -101,6 +101,11 @@ D[:, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = [
      -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564],
 ]
 
+# the stages the dense stages and the interpolant read (0 and 5-12; F1 and F2
+# read stages 0 and 12), the only ones an accepted step keeps for them
+KEPT_STAGES = np.flatnonzero(A[N_STAGES + 1:, :N_STAGES + 1].any(axis=0)
+                             | D[:, :N_STAGES + 1].any(axis=0))
+
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
@@ -243,7 +248,7 @@ DENSE_STAGES = range(N_STAGES + 1, len(C))
 
 def _dense_waves(f, kept: list, records: list, t: np.ndarray, y: np.ndarray) -> None:
     """Append to each row's records the interpolants F0..F6 of its kept
-    steps, (step index, stages 0-12, increment), as wave after wave of the
+    steps, (step index, KEPT_STAGES, increment), as wave after wave of the
     three dense stages on every row: wave w holds the w-th kept step of each
     row, at the time, size and state of its start, and a row with no w-th
     kept step sits at its last state t, y with h = 0, as a held row does in
@@ -255,7 +260,7 @@ def _dense_waves(f, kept: list, records: list, t: np.ndarray, y: np.ndarray) -> 
         kw = np.zeros((n, len(C), size))
         step = np.empty((len(rows), size))
         for j, i in enumerate(rows):
-            idx, kw[i, :N_STAGES + 1], step[j] = kept[i][w]
+            idx, kw[i, KEPT_STAGES], step[j] = kept[i][w]
             kept[i][w] = None  # a step's stages go once its wave has them
             ts, ys, hs, _, dense = records[i]
             tw[i], hw[i], yw[i] = ts[idx], hs[idx], ys[idx]
@@ -311,7 +316,7 @@ def integrate(f, t0: float, y0: np.ndarray, t_end: float, monitor,
     if t_out is not None:
         t_out = np.sort(np.asarray(t_out, dtype=float).ravel())
         t_out = t_out[t_out > t0]
-    kept = [[] for _ in range(n)]  # per row: (step index, stages 0-12, increment)
+    kept = [[] for _ in range(n)]  # per row: (step index, KEPT_STAGES, increment)
 
     k = np.empty((n, len(C), size))
     k[:, 0] = f0
@@ -365,7 +370,7 @@ def integrate(f, t0: float, y0: np.ndarray, t_end: float, monitor,
                 ys.append(y[i].copy())
                 hs.append(float(h[i]))
                 if keep:
-                    kept[i].append((len(hs) - 1, k[i, :N_STAGES + 1].copy(), step[i].copy()))
+                    kept[i].append((len(hs) - 1, k[i, KEPT_STAGES], step[i].copy()))
             stopped = acc[~np.asarray(monitor(t[acc], y[acc].T), dtype=bool)]
             status[stopped], running[stopped] = "stopped", False
             k[acc, 0] = k[acc, N_STAGES]  # FSAL

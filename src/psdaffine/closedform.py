@@ -225,9 +225,12 @@ def _horizon(spec: MBAJDSpec, t: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _psi(u: np.ndarray, e: np.ndarray, sig: np.ndarray, t: float | None = None) -> np.ndarray:
     """exp(beta^T s)(I + u sigma_s)^{-1} u exp(beta s) of stacked u and nodes; at a
-    time t, raises when some I + u sigma_t is near singular."""
-    m = np.eye(u.shape[-1]) + u @ sig
-    if t is not None and (np.linalg.cond(m) > 1e12).any():
+    time t, raises when some I + u sigma_t is near singular or not finite (a
+    condition number that is not at most 1e12, NaN included)."""
+    # a non-finite m fails the check at t, and makes a node's integrand non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.eye(u.shape[-1]) + u @ sig
+    if t is not None and not (np.linalg.cond(m) <= 1e12).all():
         raise DomainError(f"I + u sigma_t(alpha) is near singular at t = {t}")
     return symmetrize(e.swapaxes(-1, -2) @ np.linalg.solve(m, u) @ e)
 

@@ -12,7 +12,9 @@ the jump count of each atom is Poisson with the intensity frozen at the
 step's start (w_k dt for constant atoms, tr(M_k X) dt for state-dependent
 ones). Killing is out of scope: simulation requires c = 0, gamma = 0. One
 kernel (_advance) steps a block of paths at every d, as component rows
-(d, d, n), one contiguous array per matrix entry. Only its cone step, which
+(d, d, n), one contiguous array per matrix entry. Its drift, of either kind,
+and its jumps are one product each on the flattened rows (d * d, n), by
+matrices built once per parameter set (_Scheme). Only its cone step, which
 projects the new states and returns their square roots as the next step's
 sqrt(X), depends on d (_cone_step): the analytic 2 x 2 projection and
 square root at d = 2; at d = 3 the closed-form root of symcore._sqrt3 on the
@@ -47,7 +49,7 @@ from functools import reduce
 
 import numpy as np
 
-from .model import AffineParams, LinearDrift, LyapunovDrift
+from .model import AffineParams
 from .symcore import DomainError, _project2, _sqrt2, _sqrt3, check_psd, check_u, check_x, spectrum
 # the per-layer benchmark hooks the eigh cone kernels of the d >= 3 step under these two names
 from .symcore import cone_project_sqrt as _project_psd_batch, cone_sqrt as _sqrt_psd_batch
@@ -217,29 +219,32 @@ def _check_conservative(params: AffineParams):
 
 @dataclass(frozen=True)
 class _Scheme:
-    """Step-invariant inputs of the Euler update, derived once from params."""
+    """Step-invariant inputs of the Euler update, derived once from params;
+    drift and sites act on flattened component rows (d * d, n)."""
 
     b: np.ndarray
-    drift: LinearDrift
+    drift: np.ndarray        # (d * d, d * d): column (k, l) is B((E_kl + E_lk) / 2)
     sigma: np.ndarray        # Sigma^T Sigma = alpha
-    m_sites: np.ndarray      # (n_m, d, d)
+    sites: np.ndarray        # (d * d, n_atoms): column k is atom k, m atoms first
     m_rates: np.ndarray      # (n_m,)
-    mu_sites: np.ndarray     # (n_mu, d, d)
     mu_weights: np.ndarray   # (n_mu, d, d)
 
     @classmethod
     def of(cls, params: AffineParams) -> _Scheme:
         d = params.d
-        return cls(b=params.b, drift=params.drift,
+        # on symmetric X, sum_kl X_kl (E_kl + E_lk) / 2 = X: one apply of either drift kind
+        unit = np.eye(d * d).reshape(d * d, d, d)
+        images = params.drift.apply(0.5 * (unit + unit.swapaxes(1, 2)))
+        atoms = [xi for xi, _ in params.m.atoms] + [xi for xi, _ in params.mu.atoms]
+        return cls(b=params.b, drift=images.reshape(d * d, d * d).T.copy(),
                    sigma=diffusion_factor(params.alpha),
-                   m_sites=np.array([xi for xi, _ in params.m.atoms]).reshape(-1, d, d),
+                   sites=np.array(atoms).reshape(-1, d * d).T.copy(),
                    m_rates=np.array([w for _, w in params.m.atoms], dtype=float),
-                   mu_sites=np.array([xi for xi, _ in params.mu.atoms]).reshape(-1, d, d),
                    mu_weights=np.array([wm for _, wm in params.mu.atoms]).reshape(-1, d, d))
 
     @property
     def n_atoms(self) -> int:
-        return len(self.m_sites) + len(self.mu_sites)
+        return self.sites.shape[1]
 
 
 def _rows2(a, b, c) -> np.ndarray:
@@ -278,32 +283,24 @@ def _advance(x: np.ndarray, root: np.ndarray, normals: np.ndarray, uniforms: np.
     states, their square roots (from the cone step that projects them), the
     jump counts and the intensities integrated over the step (both
     (n_atoms, n)); raises NonFiniteStateError when a new state is not finite.
-    The products by Sigma and by a Lyapunov beta are one BLAS product each
-    over all paths; every other sum runs over its index in order."""
+    The drift and the jumps are one BLAS product each over all paths, by
+    the scheme's drift and sites, and so is the product by Sigma; every other
+    sum runs over its index in order."""
     d, n = len(x), x.shape[-1]
-    n_m = len(scheme.m_sites)
+    n_m = len(scheme.m_rates)
     # y[j, i] = (sqrt(X) G)[i, j], so that z[k, i] = (sqrt(X) G Sigma)[i, k]
     y = reduce(np.add, (root[:, l] * normals[l, :, None] for l in range(d)))
     z = (scheme.sigma.T @ y.reshape(d, -1)).reshape(d, d, n) * np.sqrt(dt)
-    if isinstance(scheme.drift, LyapunovDrift):
-        bx = (scheme.drift.beta @ x.reshape(d, -1)).reshape(d, d, n)
-        drift = bx + bx.swapaxes(0, 1)
-    else:
-        drift = scheme.drift.apply(np.ascontiguousarray(x.transpose(2, 0, 1))).transpose(1, 2, 0)
+    drift = (scheme.drift @ x.reshape(d * d, n)).reshape(d, d, n)
     x_new = x + (scheme.b[..., None] + drift) * dt + z.swapaxes(0, 1) + z
     lam = np.empty((scheme.n_atoms, n))
     lam[:n_m] = (scheme.m_rates * dt)[:, None]
-    if len(scheme.mu_sites):  # tr(W X) = sum_i sum_l W[i, l] X[l, i]
+    if len(scheme.mu_weights):  # tr(W X) = sum_i sum_l W[i, l] X[l, i]
         w = scheme.mu_weights[..., None]
         half = reduce(np.add, (w[:, :, l] * x[l] for l in range(d)))
         lam[n_m:] = np.maximum(reduce(np.add, (half[:, i] for i in range(d))), 0.0) * dt
     counts = _poisson_from_uniform(lam, uniforms)
-    for block, sites in ((counts[:n_m], scheme.m_sites), (counts[n_m:], scheme.mu_sites)):
-        if len(sites):  # sum_k counts_k xi_k, from 0
-            jumps = np.zeros_like(x_new)
-            for count, xi in zip(block, sites):
-                jumps += count * xi[..., None]
-            x_new += jumps
+    x_new += (scheme.sites @ counts).reshape(d, d, n)
     h = 0.5 * x_new
     x_new = h + h.swapaxes(0, 1)
     if not np.isfinite(x_new).all():

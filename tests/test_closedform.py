@@ -211,6 +211,14 @@ def test_psi_and_grid_share_the_near_singular_check():
         mbajd_grid(spec, [u], [0.5])
 
 
+def test_psi_raises_where_i_plus_u_sigma_overflows():
+    # I + u sigma_2 holds inf + nan i, whose condition number is NaN: the
+    # check fails it instead of returning an all-NaN psi
+    spec = MBAJDSpec(d=2, alpha=np.eye(2), beta=-0.5 * np.eye(2), p=1.0)
+    with pytest.raises(DomainError, match="near singular"):
+        mbajd_psi(spec, 1.5e308 * np.eye(2) + 0j, 2.0)
+
+
 # ---------------------------------------------------------------------------
 # phi (log-det branch and jump quadrature)
 # ---------------------------------------------------------------------------

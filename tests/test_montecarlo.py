@@ -294,17 +294,25 @@ def test_d3_cone_step_passes_certified_states_and_projects_the_rest_by_eigh():
     assert _cone_step(x)[0] is x
 
 
-@pytest.mark.parametrize("n_atoms", [0, 1, 2])
-@pytest.mark.parametrize("general", [False, True])
-def test_d3_step_matches_a_per_path_reference(general, n_atoms):
+# d = 3 cases keep their ids [general-n_atoms]; d = 2 ones are [d2-general-n_atoms]
+@pytest.mark.parametrize("d, general, n_atoms", [
+    pytest.param(d, general, n_atoms, id=("d2-" if d == 2 else "") + f"{general}-{n_atoms}")
+    for d in (2, 3) for general in (False, True) for n_atoms in (0, 1, 2)])
+def test_d3_step_matches_a_per_path_reference(d, general, n_atoms):
     # the component-row step against the scheme written out one matrix at a
     # time, X + (b + B(X)) dt + sqrt(X) G Sigma sqrt(dt) + (...)^T + sum_k
-    # N_k xi_k and then psd_project, on the same states and draws
+    # N_k xi_k and then psd_project, on the same states and draws; at d = 2 it
+    # is the one check of the step's drift and jump matrices that does not use them
     rng = np.random.default_rng(300 + 10 * general + n_atoms)
-    d, n, dt = 3, 64, 0.1
+    n, dt = 64, 0.1
     params = dataclasses.replace(
         random_admissible(rng, d, with_jumps=False, general_drift=general),
         m=random_m_measure(rng, d, n_atoms), mu=random_mu_measure(rng, d, n_atoms))
+    if d == 2:  # a skew part in beta, so that B is not its own adjoint as with a symmetric beta
+        skew = LyapunovDrift(beta=np.array([[0.0, 0.7], [-0.7, 0.0]]))
+        params = dataclasses.replace(params, drift=(
+            GeneralDrift(matrix=params.drift.matrix + skew.as_matrix(), d=d) if general
+            else LyapunovDrift(beta=params.drift.beta + skew.beta)))
     # interior states, and small near-boundary ones that the step pushes out of the cone
     xs = symmetrize(np.stack([random_spd(rng, d, 1e-3, 1.0) * 10.0 ** rng.uniform(-3, 1)
                               for _ in range(n)]))
@@ -570,10 +578,16 @@ def golden_params(d):
 # with one eigh on the other states alone: over the three d = 3 runs, terminal
 # states moved by at most 3.3e-14 relative, intensity integrals by at most
 # 1.1e-14 relative and those estimates by at most 1.3e-14 absolute; the jump
-# counts did not change.
+# counts did not change. These two and the four of GOLDEN_CHUNKED were
+# re-recorded when the step began to take its drift (of either kind) and its
+# jumps as one product each, by matrices on flattened component rows: over
+# the six runs, terminal states moved by at most 1.7e-8 relative at d = 2
+# and 1.9e-14 at d = 3, intensity integrals by at most 1.7e-9 and 4.7e-15
+# relative, and those estimates by at most 5.9e-11 absolute (3.2e-10
+# relative) and 2.8e-15 absolute; the jump counts did not change.
 GOLDEN = {
-    2: "15215249003867692abf1de5ca82daae56d0cd7c1f229c28d0fea64eb3421af7",
-    3: "ed1478b8810ee1166abcb5fc7f083db5be54f95ac781c95f4bb52e0743e5dc2d",
+    2: "c20d14ccad5a362ed8b5b64b851fe54df1b65e09c762b33ac9c130cfeb26a45f",
+    3: "0b5dbed4c27e940a9f93ad21e3e0c15501b5529bccb3a04c8cc6cb3e644bbcbc",
 }
 
 
@@ -596,12 +610,13 @@ def test_simulate_paths_golden_bits(monkeypatch, d):
 # The same digest over 600 steps: two full draw chunks and a partial one, in
 # 25-path blocks, rounded up to whole antithetic pairs. They equal the
 # digests of drawing each path's whole stream at once. The d = 3 ones were
-# re-recorded with GOLDEN[3], for the closed-form cone step (moves above).
+# re-recorded with GOLDEN[3], for the closed-form cone step, and all four
+# with GOLDEN, for the one-product drift and jumps (moves above).
 GOLDEN_CHUNKED = {
-    (2, False): "fa15bb6122a9b931b4b0b49f3e4f0d757e31f96ccfab88bbff387820668ec985",
-    (2, True): "e7b3ad840dc87e09c1c5cde206f35c24f35ee1bae8a1456e379b1916fc089b09",
-    (3, False): "04640ae197112daac0e592cb5519448d74b9b79b3f63a6c05742927e05133673",
-    (3, True): "402b08e147fd9fa48148df4dc12e92872819521c3bfabd2cbb5a4424eae085e1",
+    (2, False): "59e5feb504fda9bc85d39b85ce5fa27b8212bd3db20605187f4071376d81717a",
+    (2, True): "017f96124481a2704572ad42f96a9bc6a7a46d979687b84b366b1748b4db65f5",
+    (3, False): "f825826b05b69c4a896ac62848406b4c7a7db2513754c7e2baf3298249bbaeb5",
+    (3, True): "1a11f5def82b7d5e458434ff32d3842a324befca0b02e649cc651b84a636c932",
 }
 
 
