@@ -17,11 +17,13 @@ and its jumps are one product each on the flattened rows (d * d, n), by
 matrices built once per parameter set (_Scheme). Only its cone step, which
 projects the new states and returns their square roots as the next step's
 sqrt(X), depends on d (_cone_step): the analytic 2 x 2 projection and
-square root at d = 2; at d = 3 the closed-form root of symcore._sqrt3 on the
-states it certifies (smallest eigenvalue at least CONE3_CERTIFY = 1e-3 times
-the largest), which pass the projection unchanged, and one eigh per state on
-the rest (11% of path-steps on the mc-general-d3 benchmark model); one eigh
-per state at d >= 4. A simulation takes at most _MAX_PATH_STEPS path-steps.
+square root at d = 2; at d = 3 the closed form of symcore._cone3, which
+passes the states it certifies (smallest eigenvalue at least CONE3_CERTIFY =
+1e-3 times the largest) unchanged with Franca's root and splits the smallest
+eigenpair off those with one negative eigenvalue or a worse condition (11%
+of path-steps on the mc-general-d3 benchmark model), with one eigh per state
+on the few it leaves (0.014%); one eigh per state at d >= 4. A simulation
+takes at most _MAX_PATH_STEPS path-steps.
 
 Randomness is Philox counter streams keyed by (seed, stream tag), one
 Gaussian stream and one jump stream per path, so results are bit-identical
@@ -50,7 +52,7 @@ from functools import reduce
 import numpy as np
 
 from .model import AffineParams
-from .symcore import DomainError, _project2, _sqrt2, _sqrt3, check_psd, check_u, check_x, spectrum
+from .symcore import DomainError, _cone3, _project2, _sqrt2, check_psd, check_u, check_x, spectrum
 # the per-layer benchmark hooks the eigh cone kernels of the d >= 3 step under these two names
 from .symcore import cone_project_sqrt as _project_psd_batch, cone_sqrt as _sqrt_psd_batch
 
@@ -157,36 +159,39 @@ def _poisson_from_uniform(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# where a new Philox stream starts: counter 0, then an empty buffer
-# (buffer_pos 4 of 4), has_uint32 0 and uinteger 0
-_STREAM_START = [0] * 8 + [4, 0, 0]
-
-
 class _Streams:
     """The streams of one path block, drawn through one Philox generator.
 
     A Philox stream is its key and counter (Salmon et al., SC 2011), so the
-    generator moves to stream tag by setting its state: key (seed, tag) and
-    the words of _STREAM_START, where a new Philox(key=(seed, tag)) starts.
-    save(slot) keeps where a stream stopped, for the next chunk of its
-    draws, in 11 words of one uint64 array: the counter, the buffer,
-    buffer_pos, has_uint32 and uinteger. The state is one dict of Python
-    ints, which the Philox state setter reads faster than arrays."""
+    generator moves to stream tag by setting its state: key (seed, tag), and
+    either where a new Philox(key=(seed, tag)) starts (counter 0, an empty
+    buffer: buffer_pos 4 of 4, has_uint32 0, uinteger 0) or where save(slot)
+    left the stream, for the next chunk of its draws, in 11 words of one
+    uint64 array: the counter, the buffer, buffer_pos, has_uint32 and
+    uinteger. Each of the two states is one dict of Python ints, built once,
+    which the Philox state setter reads faster than arrays; a new stream
+    changes only its key word."""
 
     def __init__(self, seed: int, n_slots: int):
-        key = [int(seed), 0]
-        self.gen = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
-        self.state = {"bit_generator": "Philox", "state": {"key": key}}
+        key = np.array([int(seed), 0], dtype=np.uint64)
+        self.gen = np.random.Generator(np.random.Philox(key=key))
+        self.fresh, self.resumed = ({"bit_generator": "Philox",
+                                     "state": {"key": [int(seed), 0], "counter": [0] * 4},
+                                     "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0,
+                                     "uinteger": 0} for _ in range(2))
         self.saved = np.empty((n_slots, 11), dtype=np.uint64)
 
     def at(self, tag: int, slot: int, resume: bool) -> np.random.Generator:
         """The generator at the start of stream tag, or where save(slot) left it."""
-        state = self.state
-        words = self.saved[slot].tolist() if resume else _STREAM_START
+        if resume:
+            state = self.resumed
+            words = self.saved[slot].tolist()
+            state["state"]["counter"] = words[:4]
+            state["buffer"] = words[4:8]
+            state["buffer_pos"], state["has_uint32"], state["uinteger"] = words[8:]
+        else:
+            state = self.fresh
         state["state"]["key"][1] = tag
-        state["state"]["counter"] = words[:4]
-        state["buffer"] = words[4:8]
-        state["buffer_pos"], state["has_uint32"], state["uinteger"] = words[8:]
         self.gen.bit_generator.state = state
         return self.gen
 
@@ -194,16 +199,6 @@ class _Streams:
         state = self.gen.bit_generator.state
         self.saved[slot] = (state["state"]["counter"].tolist() + state["buffer"].tolist()
                             + [state["buffer_pos"], state["has_uint32"], state["uinteger"]])
-
-
-def _gauss_tag(p: int, antithetic: bool) -> int | None:
-    """Stream tag of path p's Gaussian draws. A plain path p owns stream 2p.
-    The pair (2k, 2k + 1) of antithetic sampling shares stream 2k, drawn once
-    for the even path and negated for the odd one, which has no stream of
-    its own; blocks start at an even path, so they hold whole pairs."""
-    if not antithetic:
-        return 2 * p
-    return None if p % 2 else p
 
 
 # ---------------------------------------------------------------------------
@@ -255,23 +250,23 @@ def _rows2(a, b, c) -> np.ndarray:
 def _cone_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The projection onto the cone of states on component rows (d, d, n), and
     its square roots: the analytic _project2 and _sqrt2 at d = 2; at d = 3,
-    the closed-form _sqrt3 on the states it certifies, which pass through the
-    projection unchanged (as the same array when all do), and one eigh per
-    state (_project_psd_batch) on the rest alone; one eigh per state at d >= 4."""
+    the closed form _cone3, which passes the states it certifies through
+    unchanged (as the same array when all do) and splits those with one
+    negative eigenvalue or a worse condition, and one eigh per state
+    (_project_psd_batch) on the states it leaves alone; one eigh per state
+    at d >= 4."""
     if len(x) == 2:
         a, b, c = _project2(x[0, 0], x[0, 1], x[1, 1])
         return _rows2(a, b, c), _rows2(*_sqrt2(a, b, c))
     if len(x) != 3:
         proj, root = _project_psd_batch(x.transpose(2, 0, 1))
         return proj.transpose(1, 2, 0), root.transpose(1, 2, 0)
-    root, certified = _sqrt3(x)
-    rest = np.flatnonzero(~certified)
+    proj, root, rest = _cone3(x)
     if len(rest):
-        proj, rest_root = _project_psd_batch(x[..., rest].transpose(2, 0, 1))
-        x = x.copy()
-        x[..., rest] = proj.transpose(1, 2, 0)
+        rest_proj, rest_root = _project_psd_batch(x[..., rest].transpose(2, 0, 1))
+        proj[..., rest] = rest_proj.transpose(1, 2, 0)
         root[..., rest] = rest_root.transpose(1, 2, 0)
-    return x, root
+    return proj, root
 
 
 def _advance(x: np.ndarray, root: np.ndarray, normals: np.ndarray, uniforms: np.ndarray,
@@ -342,23 +337,25 @@ def _simulate_block(params: AffineParams, x0: np.ndarray, dt: float, n_steps: in
     root = np.broadcast_to(root[..., None], x.shape)
     counts = np.zeros((n_atoms, n))
     intens = np.zeros((n_atoms, n))
+    # a plain path p owns Gaussian stream 2p; the pair (2k, 2k + 1) of
+    # antithetic sampling shares stream 2k, drawn once for the even path and
+    # negated for the odd one, which has no stream of its own. Blocks and
+    # stages start at an even path, so they hold whole pairs
+    stride = 1 + antithetic
     for start in range(0, n_steps, chunk):
         steps = min(chunk, n_steps - start)
-        keep = start + steps < n_steps  # a later chunk continues these streams
+        resume, keep = start > 0, start + steps < n_steps  # keep: a later chunk continues
+        rows_n, rows_u = list(stage_n[::stride, :steps]), list(stage_u[:, :steps])
         for lo in range(0, n, len(stage_n)):
             hi = min(lo + len(stage_n), n)
-            for i in range(lo, hi):
-                tag = _gauss_tag(paths[i], antithetic)
-                if tag is not None:
-                    streams.at(tag, 2 * i, start > 0).standard_normal(
-                        out=stage_n[i - lo, :steps])
-                    if keep:
-                        streams.save(2 * i)
+            for i, p, out in zip(range(lo, hi, stride), paths[lo:hi:stride], rows_n):
+                streams.at((2 // stride) * p, 2 * i, resume).standard_normal(out=out)
+                if keep:
+                    streams.save(2 * i)
             normals[:steps, ..., lo:hi] = np.moveaxis(stage_n[:hi - lo, :steps], 0, -1)
             if n_atoms:
-                for i in range(lo, hi):
-                    streams.at(2 * paths[i] + 1, 2 * i + 1, start > 0).random(
-                        out=stage_u[i - lo, :steps])
+                for i, p, out in zip(range(lo, hi), paths[lo:hi], rows_u):
+                    streams.at(2 * p + 1, 2 * i + 1, resume).random(out=out)
                     if keep:
                         streams.save(2 * i + 1)
                 uniforms[:steps, ..., lo:hi] = np.moveaxis(stage_u[:hi - lo, :steps], 0, -1)

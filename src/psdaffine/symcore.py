@@ -159,10 +159,13 @@ def trace_inner(x: np.ndarray, y: np.ndarray):
 # per matrix; the checked sqrt_psd, psd_project and min_eig below take
 # outside input. The cone step of the Monte Carlo kernel takes a projection
 # and the next step's square root from the analytic _project2 and _sqrt2 on
-# components at d = 2; at d = 3 from the closed-form _sqrt3 on component rows
-# for the states it certifies (l3 >= CONE3_CERTIFY l1, which pass the
-# projection unchanged) and from one eigh (cone_project_sqrt) for the rest;
-# from one eigh at d >= 4.
+# components at d = 2; at d = 3 from the closed-form _cone3 on component rows,
+# with no eigh: the states it certifies (l3 >= CONE3_CERTIFY l1) pass the
+# projection unchanged with Franca's root, and those with l2 >= CONE3_CERTIFY
+# l1 > l3 (one negative eigenvalue, or inside the cone but worse conditioned)
+# are split off their smallest eigenpair; one eigh (cone_project_sqrt) takes
+# the few it leaves (0.014% of mc-general-d3's path-steps) and every state at
+# d >= 4.
 # ---------------------------------------------------------------------------
 
 
@@ -263,52 +266,141 @@ def _project2(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, 
 # where the closed form's root is within about 2e-13 relative of the exact one
 # (at 1e6 it is 3e-9, while eigh stays near 1e-12)
 CONE3_CERTIFY = 1e-3
+# _cone3 splits a state when the trace of the adjugate of X - l3 I,
+# (l1 - l3)(l2 - l3), is at least this share of (l1 - l3)^2 (at 3e-4 the
+# root is off by up to 1.4e-12 relative)
+CONE3_GAP = 1e-3
 # entries (i, j), i <= j, of a 3 x 3 state: the diagonal, then (0, 1), (0, 2), (1, 2)
 _UPPER3 = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+_FULL3 = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])  # _UPPER3 index of entry (i, j)
+_ROW3, _COL3 = np.array(_UPPER3).T
+_OFF_TWICE = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])  # tr(X Y) = _OFF_TWICE @ (x * y) on _UPPER3
+# Cephes' rational asin on [0, 1/2] (Moshier, Methods and Programs for
+# Mathematical Functions, 1989): asin t = t + t z P(z) / Q(z), z = t^2
+_ASIN_P = (4.253011369004428248960e-3, -6.019598008014123785661e-1, 5.444622390564711410273e0,
+           -1.626247967210700244449e1, 1.956261983317594739197e1, -8.198089802484824371615e0)
+_ASIN_Q = (1.0, -1.474091372988853791896e1, 7.049610280856842141659e1,
+           -1.471791292232726029859e2, 1.395105614657485689735e2, -4.918853881490881290097e1)
+_PIO2_LO = 6.123233995736765886130e-17  # pi / 2 - float(pi / 2)
 
 
-def _sqrt3(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Square roots of the symmetric 3 x 3 states on component rows x
-    (3, 3, n), and the mask of the certified states, whose closed-form
-    eigenvalues are finite with l3 >= CONE3_CERTIFY * l1 > 0; the roots of
-    the other states are not defined.
+def _acos(x: np.ndarray) -> np.ndarray:
+    """arccos of x in [-1, 1] from + - * / and sqrt, which round the same
+    whatever SIMD kernels NumPy dispatches: acos x = pi/2 - asin x for
+    |x| <= 1/2, acos |x| = 2 asin sqrt((1 - |x|) / 2) beyond."""
+    a = np.abs(x)
+    big = a > 0.5
+    t = np.where(big, np.sqrt(0.5 * (1.0 - a)), a)
+    z = t * t
+    p, q = (reduce(lambda acc, k: acc * z + k, coef) for coef in (_ASIN_P, _ASIN_Q))
+    s = t + t * (z * p / q)
+    return np.where(big, np.where(x > 0.0, 2.0 * s, math.pi - 2.0 * s),
+                    (0.5 * math.pi - np.copysign(s, x)) + _PIO2_LO)
 
-    Each state is first scaled by an exact even power of two that brings its
-    largest entry into [1/4, 1), so no cube over- or underflows. The
-    eigenvalues l1 >= l2 >= l3 come from the trigonometric closed form (Smith,
-    CACM 4(4), 1961). With s_k = sqrt(l_k) and the sums i1, i2, i3 of their
-    products, the root is U = ((i1^2 - i2) X - X^2 + i1 i3 I) / (i1 i2 - i3)
-    (Franca, Comput. Math. Appl. 18(5), 1989), where i1^2 - i2 = tr X + i2 and
-    i1 i2 - i3 = (s1 + s2)(s1 + s3)(s2 + s3) are sums of positive terms."""
-    big = reduce(np.maximum, (np.abs(x[i, j]) for i, j in _UPPER3))
-    e = np.maximum(np.frexp(big)[1], -1022)
+
+def _spectrum3(x: np.ndarray):
+    """The components (a, b, c, d, f, g) of the symmetric 3 x 3 states on
+    component rows x (3, 3, n), as rows (6, n) of a new array, each state
+    scaled by an exact even power of two 2^-e that brings its largest entry
+    into [1/4, 1), so no cube over- or underflows; e; the eigenvalues
+    l1 >= l2 >= l3 of the scaled states by the trigonometric closed form
+    (Smith, CACM 4(4), 1961); and the mask of the certified states, whose
+    eigenvalues are finite with l3 >= CONE3_CERTIFY * l1 > 0."""
+    s = x[_ROW3, _COL3]
+    e = np.maximum(np.frexp(np.abs(s).max(axis=0))[1], -1022)
     e += e & 1
-    scale = np.ldexp(1.0, -e)
-    a, b, c, d, f, g = (x[i, j] * scale for i, j in _UPPER3)
-    # the states that are not certified may divide by 0 or take roots of negatives
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        tr = a + b + c
-        q = tr / 3.0
-        aq, bq, cq = a - q, b - q, c - q
-        dd, ff, gg = d * d, f * f, g * g
-        p = np.sqrt((aq * aq + bq * bq + cq * cq + 2.0 * (dd + ff + gg)) / 6.0)
-        det = aq * (bq * cq - gg) - d * (d * cq - g * f) + f * (d * g - bq * f)
+    s *= np.ldexp(1.0, -e)
+    a, b, c, d, f, g = s
+    tr = a + b + c
+    q = tr / 3.0
+    aq, bq, cq = a - q, b - q, c - q
+    p = np.sqrt((aq * aq + bq * bq + cq * cq + 2.0 * (d * d + f * f + g * g)) / 6.0)
+    det = aq * (bq * cq - g * g) - d * (d * cq - g * f) + f * (d * g - bq * f)
+    with np.errstate(divide="ignore", invalid="ignore"):
         r = np.where(p > 0.0, det / (2.0 * p * p * p), 0.0)
-        phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
-        l1 = q + 2.0 * p * np.cos(phi)
-        l3 = q + 2.0 * p * np.cos(phi + 2.0 * math.pi / 3.0)
-        certified = (l3 >= CONE3_CERTIFY * l1) & (l3 > 0.0) & (l1 < np.inf)
-        s1, s2, s3 = np.sqrt(l1), np.sqrt(tr - l1 - l3), np.sqrt(l3)
+    phi = _acos(np.clip(r, -1.0, 1.0)) / 3.0
+    l1 = q + 2.0 * p * np.cos(phi)
+    l3 = q + 2.0 * p * np.cos(phi + 2.0 * math.pi / 3.0)
+    certified = (l3 >= CONE3_CERTIFY * l1) & (l3 > 0.0) & (l1 < np.inf)
+    return s, e, (l1, tr - l1 - l3, l3), certified
+
+
+def _franca3(s, s1, s2, s3, up) -> np.ndarray:
+    """Component rows (3, 3, n) of up times the root U = ((i1^2 - i2) X - X^2
+    + i1 i3 I) / (i1 i2 - i3) of the states X with components s, from the
+    sums i1, i2, i3 of products of the roots s1, s2, s3 of their
+    eigenvalues (Franca, Comput. Math. Appl. 18(5), 1989); i1^2 - i2 =
+    tr X + i2 and i1 i2 - i3 = (s1 + s2)(s1 + s3)(s2 + s3) are sums of
+    positive terms."""
+    a, b, c, d, f, g = s
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         i2 = s1 * s2 + s1 * s3 + s2 * s3
-        k1, k0 = tr + i2, (s1 + s2 + s3) * (s1 * s2 * s3)
-        inv = np.ldexp(1.0, e // 2) / ((s1 + s2) * (s1 + s3) * (s2 + s3))
+        k1, k0 = (a + b + c) + i2, (s1 + s2 + s3) * (s1 * s2 * s3)
+        inv = up / ((s1 + s2) * (s1 + s3) * (s2 + s3))
+        dd, ff, gg = d * d, f * f, g * g
         u00 = (k1 * a - (a * a + dd + ff) + k0) * inv
         u11 = (k1 * b - (dd + b * b + gg) + k0) * inv
         u22 = (k1 * c - (ff + gg + c * c) + k0) * inv
         u01 = (k1 * d - (a * d + d * b + f * g)) * inv
         u02 = (k1 * f - (a * f + d * g + f * c)) * inv
         u12 = (k1 * g - (d * f + b * g + g * c)) * inv
-    return np.array([[u00, u01, u02], [u01, u11, u12], [u02, u12, u22]]), certified
+    return np.array([[u00, u01, u02], [u01, u11, u12], [u02, u12, u22]])
+
+
+def _sqrt3(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Franca's roots of the 3 x 3 states on component rows x (3, 3, n) and
+    the mask of the certified states, the only ones whose roots are defined."""
+    s, e, (l1, l2, l3), certified = _spectrum3(x)
+    with np.errstate(invalid="ignore"):
+        root = _franca3(s, np.sqrt(l1), np.sqrt(l2), np.sqrt(l3), np.ldexp(1.0, e // 2))
+    return root, certified
+
+
+def _cone3(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The projection onto the cone of the 3 x 3 states on component rows x
+    (3, 3, n), their roots, and the indices of the states left undefined.
+
+    Certified states pass unchanged (as the same array x when all do). The
+    others with l2 >= CONE3_CERTIFY l1 > 0 are split, on their gathered
+    lanes, as X = P + l3 v3 v3^T: the adjugate of X - l3 I, whose columns
+    are cross products of its rows, is (l1 - l3)(l2 - l3) v3 v3^T (Kopp,
+    Int. J. Mod. Phys. C 19, 2008), and l3 is taken again as the Rayleigh
+    quotient of v3, which the trigonometric form loses when l2 and l3 are
+    small. The projection is P where l3 < 0, X otherwise; the root is
+    Franca's of P (s3 = 0) plus sqrt(l3) v3 v3^T where l3 >= 0. Left over:
+    two non-positive eigenvalues, l2 < CONE3_CERTIFY l1, an adjugate trace
+    below CONE3_GAP (l1 - l3)^2, a non-finite spectrum."""
+    s, e, (l1, l2, l3), certified = _spectrum3(x)
+    with np.errstate(invalid="ignore"):
+        s1, s2, s3 = np.sqrt(l1), np.sqrt(l2), np.sqrt(l3)
+    up = np.ldexp(1.0, e // 2)
+    rest = np.flatnonzero(~certified)
+    if not len(rest):
+        return x, _franca3(s, s1, s2, s3, up), rest
+    lanes = rest[(l2[rest] >= CONE3_CERTIFY * l1[rest]) & (l2[rest] > 0.0) & (l1[rest] < np.inf)]
+    comps, w3 = s[:, lanes], l3[lanes]
+    a, b, c, d, f, g = comps
+    aa, bb, cc = a - w3, b - w3, c - w3
+    adj = np.array([bb * cc - g * g, aa * cc - f * f, aa * bb - d * d,
+                    f * g - d * cc, d * g - f * bb, d * f - aa * g])
+    ok = adj[0] + adj[1] + adj[2] >= CONE3_GAP * (l1[lanes] - w3) ** 2
+    lanes, comps, adj, w3 = lanes[ok], comps[:, ok], adj[:, ok], w3[ok]
+    col = adj[_FULL3[:, np.argmax(adj[:3], axis=0)], np.arange(len(lanes))]
+    v = col / np.sqrt((col * col).sum(axis=0))
+    vv = v[_ROW3] * v[_COL3]
+    rq = _OFF_TWICE @ (comps * vv)
+    split = comps - rq * vv
+    s[:, lanes] = split
+    s2[lanes], s3[lanes] = np.sqrt(l2[lanes] + (w3 - rq)), 0.0
+    proj = x.copy()
+    neg = rq < 0.0
+    proj[..., lanes[neg]] = (split[:, neg] * np.ldexp(1.0, e[lanes[neg]]))[_FULL3]
+    root = _franca3(s, s1, s2, s3, up)
+    inside = lanes[~neg]
+    root[..., inside] += (np.sqrt(rq[~neg]) * up[inside] * vv[:, ~neg])[_FULL3]
+    left = ~certified
+    left[lanes] = False
+    return proj, root, np.flatnonzero(left)
 
 
 def spectrum(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,13 @@
 import dataclasses
 import hashlib
+import json
+import os
 import pickle
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -46,8 +51,10 @@ from psdaffine.montecarlo import (
     _rows2,
     _Scheme,
 )
+from test_dopri5 import NO_AVX512
 from conftest import (
     random_admissible,
+    random_orthogonal,
     random_m_measure,
     random_mu_measure,
     random_psd,
@@ -272,23 +279,51 @@ def test_d2_component_step_matches_the_spectral_step(case):
     assert np.array_equal(counts, ref_counts) and np.array_equal(lam, ref_lam)
 
 
-def test_d3_cone_step_passes_certified_states_and_projects_the_rest_by_eigh():
-    # certified states come back unchanged with their closed-form roots; the
-    # others have the bits of cone_project_sqrt (one eigh) on them alone
+def _rotated(rng, w):
+    """A symmetric 3 x 3 state with eigenvalues w in a random basis."""
+    q = random_orthogonal(rng, 3)
+    return (q * np.asarray(w, dtype=float)) @ q.T
+
+
+def test_d3_cone_step_passes_certified_states_and_projects_the_rest_by_eigh(monkeypatch):
+    # certified states come back unchanged with their closed-form roots;
+    # states with one negative eigenvalue, or inside the cone with l3 below
+    # CONE3_CERTIFY l1, take the closed-form split, within 1e-12 of eigh;
+    # only the rest (two negative eigenvalues, rank 1, near-equal l2 and l3,
+    # 0) reach _project_psd_batch, and get the bits of cone_project_sqrt on
+    # them alone
     rng = np.random.default_rng(7)
     inside = [random_spd(rng, 3, 0.1, 1.0) * 10.0 ** rng.uniform(-3, 3) for _ in range(40)]
-    edge = [random_spd(rng, 3, 1e-9, 1.0) for _ in range(10)]
-    outside = [random_sym(rng, 3) for _ in range(20)]
-    stack = symmetrize(np.stack([*inside, *edge, *outside, np.zeros((3, 3)), np.eye(3)]))
-    x = _rows(rng.permutation(stack))
+    split = ([_rotated(rng, [1.0, rng.uniform(1e-2, 1.0), -10.0 ** rng.uniform(-12, -1)])
+              for _ in range(20)]
+             + [_rotated(rng, [1.0, rng.uniform(1e-2, 1.0), 10.0 ** rng.uniform(-6, -3.5)])
+                for _ in range(10)])
+    rest = ([_rotated(rng, [1.0, -0.2, -0.5]), _rotated(rng, [2.0, 0.0, 0.0]),
+             _rotated(rng, [1.0, 1.0005e-3, 0.9995e-3]), np.zeros((3, 3)), -np.eye(3)])
+    kinds = np.repeat([0, 1, 2], [len(inside), len(split), len(rest)])
+    order = rng.permutation(len(kinds))
+    x = _rows(symmetrize(np.stack([*inside, *split, *rest]))[order])
+    kinds = kinds[order]
+    seen = []
+
+    def project(states):
+        seen.append(states.copy())
+        return cone_project_sqrt(states)
+    monkeypatch.setattr(mc, "_project_psd_batch", project)
     proj, root = _cone_step(x)
     closed, certified = _sqrt3(x)
-    assert certified.sum() >= 40 and (~certified).sum() >= 10
+    assert np.array_equal(certified, kinds == 0)
     assert np.array_equal(proj[..., certified], x[..., certified])
     assert np.array_equal(root[..., certified], closed[..., certified])
-    ref_proj, ref_root = cone_project_sqrt(x[..., ~certified].transpose(2, 0, 1))
-    assert np.array_equal(proj[..., ~certified], _rows(ref_proj))
-    assert np.array_equal(root[..., ~certified], _rows(ref_root))
+    ref_proj, ref_root = cone_project_sqrt(x[..., kinds == 1].transpose(2, 0, 1))
+    for got, ref in ((proj, ref_proj), (root, ref_root)):
+        err = (np.linalg.norm(got[..., kinds == 1].transpose(2, 0, 1) - ref, axis=(1, 2))
+               / np.linalg.norm(ref, axis=(1, 2)))
+        assert err.max() <= 1e-12
+    assert len(seen) == 1 and np.array_equal(seen[0], x[..., kinds == 2].transpose(2, 0, 1))
+    ref_proj, ref_root = cone_project_sqrt(seen[0])
+    assert np.array_equal(proj[..., kinds == 2], _rows(ref_proj))
+    assert np.array_equal(root[..., kinds == 2], _rows(ref_root))
     # a batch the closed form certifies whole passes through as the same array
     x = _rows(symmetrize(np.stack(inside)))
     assert _cone_step(x)[0] is x
@@ -584,10 +619,17 @@ def golden_params(d):
 # the six runs, terminal states moved by at most 1.7e-8 relative at d = 2
 # and 1.9e-14 at d = 3, intensity integrals by at most 1.7e-9 and 4.7e-15
 # relative, and those estimates by at most 5.9e-11 absolute (3.2e-10
-# relative) and 2.8e-15 absolute; the jump counts did not change.
+# relative) and 2.8e-15 absolute; the jump counts did not change. The
+# three d = 3 digests were re-recorded when the d = 3 cone step began to
+# split the states with one negative eigenvalue or a worse condition in
+# closed form (symcore._cone3) and to take acos from + - * / and sqrt alone,
+# so that no digest depends on NumPy's SIMD dispatch: over the three d = 3
+# runs, terminal states moved by at most 1.5e-14 relative, intensity
+# integrals by at most 5.0e-15 relative and those estimates by at most
+# 2.4e-15 absolute (1.6e-14 relative); the jump counts did not change.
 GOLDEN = {
     2: "c20d14ccad5a362ed8b5b64b851fe54df1b65e09c762b33ac9c130cfeb26a45f",
-    3: "0b5dbed4c27e940a9f93ad21e3e0c15501b5529bccb3a04c8cc6cb3e644bbcbc",
+    3: "6453dad4881765ff70fe2eb39e609f234facdd3faedb4f0300d9601f84c28028",
 }
 
 
@@ -598,37 +640,62 @@ def _digest(stats):
     return h.hexdigest()
 
 
+def golden_stats(d, antithetic=None):
+    """The run of GOLDEN[d] (antithetic None: two blocks of 160 + 140 paths)
+    or of GOLDEN_CHUNKED[(d, antithetic)] (blocks of 26 + 26 + 10 paths)."""
+    blocks, T, cfg = ((160, 0.5, SimConfig(n_paths=300, dt=2.0**-5, seed=2024))
+                      if antithetic is None else
+                      (25, 0.6, SimConfig(n_paths=62, dt=0.001, seed=2024, antithetic=antithetic)))
+    with mock.patch.object(mc, "_BLOCK_PATHS", blocks):
+        return simulate_paths(golden_params(d), 0.5 * np.eye(d), T, cfg)
+
+
 @pytest.mark.parametrize("d", [2, 3])
-def test_simulate_paths_golden_bits(monkeypatch, d):
-    import psdaffine.montecarlo as mc
-    monkeypatch.setattr(mc, "_BLOCK_PATHS", 160)  # two blocks: 160 + 140 paths
-    stats = simulate_paths(golden_params(d), 0.5 * np.eye(d), 0.5,
-                           SimConfig(n_paths=300, dt=2.0**-5, seed=2024))
-    assert _digest(stats) == GOLDEN[d]
+def test_simulate_paths_golden_bits(d):
+    assert _digest(golden_stats(d)) == GOLDEN[d]
 
 
 # The same digest over 600 steps: two full draw chunks and a partial one, in
 # 25-path blocks, rounded up to whole antithetic pairs. They equal the
 # digests of drawing each path's whole stream at once. The d = 3 ones were
-# re-recorded with GOLDEN[3], for the closed-form cone step, and all four
-# with GOLDEN, for the one-product drift and jumps (moves above).
+# re-recorded with GOLDEN[3], for the closed-form cone step, all four with
+# GOLDEN, for the one-product drift and jumps, and the d = 3 ones with
+# GOLDEN[3] again, for the closed-form split of the d = 3 step (moves above).
 GOLDEN_CHUNKED = {
     (2, False): "59e5feb504fda9bc85d39b85ce5fa27b8212bd3db20605187f4071376d81717a",
     (2, True): "017f96124481a2704572ad42f96a9bc6a7a46d979687b84b366b1748b4db65f5",
-    (3, False): "f825826b05b69c4a896ac62848406b4c7a7db2513754c7e2baf3298249bbaeb5",
-    (3, True): "1a11f5def82b7d5e458434ff32d3842a324befca0b02e649cc651b84a636c932",
+    (3, False): "d7ed5faa21ae9b907155debbdcb28afaba949e0993e0c5439a825f4915a05be9",
+    (3, True): "ccef04300778ff6b766a409ad88e94a435c9b883dd15b738bb825550d3e1c87b",
 }
 
 
 @pytest.mark.parametrize("antithetic", [False, True])
 @pytest.mark.parametrize("d", [2, 3])
-def test_simulate_paths_golden_bits_chunked(monkeypatch, d, antithetic):
-    import psdaffine.montecarlo as mc
-    monkeypatch.setattr(mc, "_BLOCK_PATHS", 25)  # 26 + 26 + 10 paths
-    stats = simulate_paths(golden_params(d), 0.5 * np.eye(d), 0.6,
-                           SimConfig(n_paths=62, dt=0.001, seed=2024, antithetic=antithetic))
+def test_simulate_paths_golden_bits_chunked(d, antithetic):
+    stats = golden_stats(d, antithetic)
     assert stats.n_steps == 600
     assert _digest(stats) == GOLDEN_CHUNKED[(d, antithetic)]
+
+
+def test_mc_bits_do_not_depend_on_simd_dispatch():
+    # the six golden runs in an interpreter whose NumPy may not use its
+    # AVX512 kernels give the bytes they give here; NumPy's vector arccos
+    # rounds differently with and without them, so the d = 3 cone step takes
+    # its acos from + - * / and sqrt alone
+    cases = [(2, None), (3, None), (2, False), (2, True), (3, False), (3, True)]
+    script = ("import json\n"
+              "from test_montecarlo import _digest, golden_stats\n"
+              f"print(json.dumps([_digest(golden_stats(*case)) for case in {cases!r}]))\n")
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512, PSDAFFINE_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [str(tests.parent / "src"), str(tests)]
+                   + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, cwd=tests, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [GOLDEN[d] if anti is None else GOLDEN_CHUNKED[(d, anti)]
+                                       for d, anti in cases]
 
 
 def test_d3_block_takes_one_eigh_per_step_and_one_philox(monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -38,6 +39,8 @@ from psdaffine.symcore import (
     _project2,
     _rebuild,
     _spectral,
+    _acos,
+    _cone3,
     _sqrt2,
     _sqrt3,
     CONE3_CERTIFY,
@@ -462,13 +465,15 @@ def test_2x2_fast_path_agrees_with_spectral_kernel(x, p):
     assert all(out is arg for out, arg in zip(_project2(a, b, c), (a, b, c)))
 
 
-def _exact_root(x):
-    """Root of the projection of x onto the cone, and the eigenvalues of x
+def _exact_cone(x):
+    """The projection of x onto the cone, its root, and the eigenvalues of x
     (ascending), from a 40-digit eigendecomposition of its exact entries."""
     mpmath.mp.dps = 40
     w, q = mpmath.eigsy(mpmath.matrix(x.tolist()))
-    root = q * mpmath.diag([mpmath.sqrt(max(wi, 0)) for wi in w]) * q.T
-    return (np.array(root.tolist(), dtype=float),
+    clamped = [max(wi, 0) for wi in w]
+    proj = q * mpmath.diag(clamped) * q.T
+    root = q * mpmath.diag([mpmath.sqrt(wi) for wi in clamped]) * q.T
+    return (np.array(proj.tolist(), dtype=float), np.array(root.tolist(), dtype=float),
             np.sort(np.array([float(wi) for wi in w])))
 
 
@@ -510,7 +515,7 @@ def test_3x3_closed_form_root_certifies_only_accurate_states(kind):
     root, certified = _sqrt3(np.ascontiguousarray(x.transpose(1, 2, 0)))
     assert root.shape == (3, 3, len(x)) and certified.dtype == bool
     for p, state in enumerate(x):
-        exact, w = _exact_root(state)
+        _, exact, w = _exact_cone(state)
         if certified[p]:
             err = np.linalg.norm(root[..., p] - exact) / np.linalg.norm(exact)
             assert err <= 1e-12, (p, err)
@@ -519,6 +524,63 @@ def test_3x3_closed_form_root_certifies_only_accurate_states(kind):
             assert not certified[p], p
         elif w[0] >= 1e-2 * w[2]:
             assert certified[p], p
+
+
+def _split_spectra(kind, rng, n=12):
+    """Eigenvalues of 3 x 3 states that the d = 3 cone step does not certify:
+    the kinds it splits in closed form (one negative eigenvalue, at least
+    1e-12 of the largest so that its sign is certain at rounding level;
+    inside the cone with a condition number from 10^3.1 to 1e6, l2 - l3
+    well above CONE3_GAP l1) and the kinds it leaves to eigh."""
+    u = rng.uniform
+    draw = {
+        "one-negative": lambda: [1.0, 10.0 ** u(-2.9, 0), -10.0 ** u(-12, 0)],
+        "inside": lambda: [1.0, 10.0 ** u(-2.5, 0), 10.0 ** u(-6, -3.1)],
+        "two-negative": lambda: [1.0, -10.0 ** u(-15, 0), -10.0 ** u(-15, 0)],
+        "rank1": lambda: [1.0, 0.0, 0.0],
+        # l2 and l3 on either side of CONE3_CERTIFY l1, a gap of 1e-7 to 3e-6 apart
+        "near-equal": lambda: [1.0, *(1e-3 + np.array([0.5, -0.5]) * 10.0 ** u(-7, -5.5))],
+        "near-equal-small": lambda: [1.0, 5e-4 * (1.0 + 10.0 ** u(-9, -4)), 5e-4],
+    }[kind]
+    return [draw() for _ in range(n)]
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+@pytest.mark.parametrize("kind", ["one-negative", "inside", "two-negative", "rank1",
+                                  "near-equal", "near-equal-small"])
+def test_3x3_closed_form_split_matches_eigh_and_a_40_digit_reference(kind, scale):
+    # the closed-form projection and root of the states _cone3 splits are
+    # within 1e-12 (relative Frobenius) of eigh's and of a 40-digit one; two
+    # non-positive eigenvalues, rank 1 and near-equal l2 and l3 are left over
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    x = symmetrize(np.stack([(q * np.array(w)) @ q.T * scale for w, q in (
+        (w, random_orthogonal(rng, 3)) for w in _split_spectra(kind, rng))]))
+    proj, root, rest = _cone3(np.ascontiguousarray(x.transpose(1, 2, 0)))
+    assert not _sqrt3(np.ascontiguousarray(x.transpose(1, 2, 0)))[1].any()
+    if kind not in ("one-negative", "inside"):
+        assert rest.tolist() == list(range(len(x)))
+        return
+    assert not len(rest)
+    ref_proj, ref_root = cone_project_sqrt(x)
+    for p, state in enumerate(x):
+        exact_proj, exact_root, _ = _exact_cone(state)
+        for got, refs in ((proj[..., p], (ref_proj[p], exact_proj)),
+                          (root[..., p], (ref_root[p], exact_root))):
+            for ref in refs:
+                assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), (p, kind)
+        if kind == "inside":  # states in the cone pass the projection unchanged
+            assert np.array_equal(proj[..., p], state)
+
+
+def test_acos_is_within_one_ulp_of_math_acos():
+    # the d = 3 eigenvalues take acos from + - * / and sqrt alone; 2e5 seeded
+    # points, both ends, both sides of +-1/2 and the last ulps below 1
+    rng = np.random.default_rng(11)
+    x = np.concatenate([rng.uniform(-1.0, 1.0, 200_000), 1.0 - rng.uniform(0.0, 1e-6, 1000),
+                        [-1.0, -0.5, 0.0, 0.5, 1.0, 1e-300, -1e-300],
+                        np.nextafter([0.5, -0.5, 1.0, -1.0], [1.0, -1.0, 0.0, 0.0])])
+    ref = np.array([math.acos(v) for v in x])
+    assert (np.abs(_acos(x) - ref) <= np.spacing(ref)).all()
 
 
 @settings(max_examples=100, deadline=None)
