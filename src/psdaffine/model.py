@@ -40,8 +40,11 @@ SQRT2 = math.sqrt(2.0)
 
 @lru_cache(maxsize=None)
 def _triu_indices(d: int):
+    """The upper triangle (iu, ju), its off-diagonal mask, and each entry's index in the vector."""
     iu, ju = np.triu_indices(d)
-    return iu, ju, iu != ju
+    gather = np.empty((d, d), dtype=np.intp)
+    gather[iu, ju] = gather[ju, iu] = np.arange(len(iu))
+    return iu, ju, iu != ju, gather
 
 
 def sym_dim(d: int) -> int:
@@ -54,7 +57,7 @@ def sym_to_vec(x: np.ndarray) -> np.ndarray:
     upper triangle with off-diagonals scaled by sqrt(2), so that
     v(x) . v(y) = tr(x y)."""
     x = np.asarray(x)
-    iu, ju, off = _triu_indices(x.shape[-1])
+    iu, ju, off, _ = _triu_indices(x.shape[-1])
     v = x[..., iu, ju]
     # .T puts the vector axis first at any depth (faster than [..., off]); the
     # diagonal is left alone, as 1.0 * z can flip the sign of a complex zero
@@ -63,15 +66,13 @@ def sym_to_vec(x: np.ndarray) -> np.ndarray:
 
 
 def vec_to_sym(v: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of sym_to_vec for one vector (D,) or a stack (..., D); output
-    is exactly symmetric."""
-    iu, ju, off = _triu_indices(d)
+    """Inverse of sym_to_vec for one vector (D,) or a stack (..., D): one gather,
+    so exactly symmetric, after the off-diagonals are divided in place (the
+    diagonal is left alone, which keeps the sign of a complex zero)."""
+    _, _, off, gather = _triu_indices(d)
     vals = np.array(v)
-    vals.T[off] /= SQRT2
-    x = np.zeros(vals.shape[:-1] + (d, d), dtype=vals.dtype)
-    x[..., iu, ju] = vals
-    x[..., ju, iu] = vals
-    return x
+    np.divide(vals, SQRT2, out=vals, where=off)
+    return vals[..., gather]
 
 
 # ---------------------------------------------------------------------------

@@ -73,8 +73,9 @@ class SimConfig:
     antithetic: bool = False
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be at least 1")
+        n = self.n_paths
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"n_paths must be an integer of at least 1, got {n!r}")
         if not 0.0 < self.dt < np.inf:
             raise ValueError("dt must be positive and finite")
         if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2 ** 64):
@@ -210,6 +211,15 @@ def _check_conservative(params: AffineParams):
     if not params.is_conservative:
         raise DomainError("simulation requires a conservative parameter set "
                           "(c = 0 and gamma = 0)")
+
+
+def _checked_start(params: AffineParams, x0: np.ndarray, T: float) -> np.ndarray:
+    """x0, once params is conservative, x0 is in the cone and T is positive and finite."""
+    _check_conservative(params)
+    x0 = check_x(x0, params.d)
+    if not 0.0 < T < np.inf:
+        raise ValueError("T must be positive and finite")
+    return x0
 
 
 @dataclass(frozen=True)
@@ -386,10 +396,7 @@ def simulate_paths(params: AffineParams, x0: np.ndarray, T: float,
     """Simulate all paths to time T (dt rounded down so T is a whole number
     of steps). Path blocks may run on a thread pool; the per-path streams
     make the result independent of the partition."""
-    _check_conservative(params)
-    x0 = check_x(x0, params.d)
-    if not 0.0 < T < np.inf:
-        raise ValueError("T must be positive and finite")
+    x0 = _checked_start(params, x0, T)
     steps = max(1.0, float(np.ceil(T / cfg.dt - 1e-12)))  # inf when T / dt overflows
     if steps > _MAX_PATH_STEPS or int(cfg.n_paths) * int(steps) > _MAX_PATH_STEPS:
         raise PathStepBudgetError(cfg.n_paths, steps)
@@ -430,9 +437,11 @@ def estimate_transforms(params: AffineParams, us: Sequence[np.ndarray], x: np.nd
                         T: float, cfg: SimConfig) -> list[MCEstimate]:
     """Monte Carlo estimates of E[exp(-tr(u X_T))] started from x, one per u
     in us. All of them use the same simulated paths (common random numbers),
-    so their errors are correlated; an empty us simulates nothing."""
+    so their errors are correlated; an empty us simulates nothing, once
+    params, x and T pass the checks of :func:`simulate_paths`."""
     us = [check_u(u, params.d) for u in us]
     if not us:
+        _checked_start(params, x, T)
         return []
     stats = simulate_paths(params, x, T, cfg)
     estimates = []

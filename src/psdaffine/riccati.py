@@ -43,7 +43,7 @@ from .symcore import (
     check_u,
     check_x,
     cone_certified,
-    cone_project,
+    cone_project_sqrt,
     eigenvalues,
     frobenius,
     min_eig,
@@ -126,21 +126,16 @@ class RiccatiRHS:
         self._const[0] = np.append(sym_to_vec(params.gamma), params.c)
         self._quad = None if frobenius(params.alpha) == 0.0 else _quadratic_matrix(params.alpha)
         self._proj = np.flatnonzero(self.projected) if self.projected.ndim else None
-        # Re psi (p, d, d) from its isometric rows (p, D) by one index
-        iu, ju = np.triu_indices(d)
-        self._unscale = np.where(iu == ju, 1.0, SQRT2)
-        self._gather = np.empty((d, d), dtype=int)
-        self._gather[iu, ju] = self._gather[ju, iu] = np.arange(D)
 
     def _moved_exponents(self, v: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Of projected rows (p, 2, D): the rows whose Re psi leaves the cone,
         and their jump exponents (m, 2, K) at pi(Re psi) + i Im psi, or None
         when every Re psi is in the cone; a row in the cone keeps its own.
         The analytic 2 x 2 projection on components at d = 2. Otherwise one
-        Cholesky certificate with the shifts -1e-12 ||Re psi|| clears every
-        row (each lambda_min is then above 0) unless some norm is 0 or
-        subnormal, or the certificate fails; then the eigenvalues decide,
-        and one eigh projects each moved row."""
+        Cholesky certificate of vec_to_sym(Re psi) with the shifts -1e-12
+        ||Re psi|| clears every row (each lambda_min is then above 0) unless
+        some norm is 0 or subnormal, or the certificate fails; then the
+        eigenvalues decide, and the eigh cone kernel projects each moved row."""
         re = v[:, 0]
         if not np.isfinite(re).all():
             raise DomainError("eigendecomposition failed: non-finite entries")
@@ -152,14 +147,14 @@ class RiccatiRHS:
             moved = np.flatnonzero((pa != a) | (pb != b) | (pc != c))
             re = np.stack([pa[moved], SQRT2 * pb[moved], pc[moved]], axis=-1)
         else:
-            x = (re / self._unscale)[:, self._gather]  # the bits of vec_to_sym
+            x = vec_to_sym(re, self.d)
             norm = np.sqrt(np.einsum("ij,ij->i", re, re))  # v is an isometry
             if norm.min() >= _SUBNORMAL_NORM and cone_certified(x, -1e-12 * norm):
                 return None, None
             moved = np.flatnonzero(np.linalg.eigvalsh(x)[:, 0] < 0.0)
             if not len(moved):
                 return None, None
-            re = sym_to_vec(cone_project(x[moved]))
+            re = sym_to_vec(cone_project_sqrt(x[moved])[0])
         return moved, np.concatenate([re[:, None], v[moved, 1:]], axis=1) @ self._xi
 
     def __call__(self, t, y: np.ndarray) -> np.ndarray:
@@ -318,8 +313,8 @@ def _solve_rows(params, us: list, T: float, projected=None,
     route) is set and of the direct one elsewhere; each row takes the steps
     it takes alone. With times, the dense output covers only those times
     (see :func:`_dopri5.integrate`)."""
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not 0.0 < T < np.inf:
+        raise ValueError("T must be positive and finite")
     if not us:
         return []
     if projected is None:
@@ -473,8 +468,8 @@ def transform_grid(params: AffineParams, us, x: np.ndarray, T: float) -> list[co
     """Transform values exp(-phi(T, u) - tr(psi(T, u) x)) for every u in us,
     from the solves of :func:`solve_grid`. A blow-up raises for the first such u."""
     x = check_x(x, params.d)
-    if T < 0:
-        raise ValueError("T must be nonnegative")
+    if not 0.0 <= T < np.inf:
+        raise ValueError("T must be nonnegative and finite")
     us = [check_u(u, params.d) for u in us]
     if T == 0:
         return [complex(np.exp(-trace_inner(u, x))) for u in us]

@@ -13,7 +13,6 @@ itself.
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
 from functools import cache, reduce
@@ -68,14 +67,6 @@ def canonical_sym(x, name: str) -> np.ndarray:
     return x
 
 
-def _require_psd(x: np.ndarray, message: str) -> None:
-    """Raise DomainError(message) unless the finite x, already checked
-    symmetric up to rounding, is PSD up to slack (see :func:`is_psd`)."""
-    lam = np.linalg.eigvalsh(x)[0]
-    if lam < 0.0 and lam < -PSD_SLACK * max(1.0, frobenius(x)):
-        raise DomainError(message)
-
-
 def check_u(u, d: int) -> np.ndarray:
     """u as a complex array, once it is in the tube S_d^+ + i S_d: d x d,
     finite, Re u and Im u symmetric up to rounding, Re u PSD. Each property
@@ -83,7 +74,7 @@ def check_u(u, d: int) -> np.ndarray:
     u = check_square(np.asarray(u, dtype=complex), "u", d)
     _require_symmetric(u.real, "Re(u)", SYM_RTOL)
     _require_symmetric(u.imag, "Im(u)", SYM_RTOL)
-    _require_psd(u.real, "the transform requires Re(u) PSD")
+    check_psd(u.real, "the transform requires Re(u) PSD")
     return u
 
 
@@ -92,8 +83,7 @@ def check_x(x, d: int) -> np.ndarray:
     finite, symmetric up to rounding, PSD. Raises DomainError otherwise."""
     x = check_square(np.asarray(x, dtype=float), "the initial state", d)
     _require_symmetric(x, "the initial state", SYM_RTOL)
-    _require_psd(x, "the initial state is not PSD")
-    return x
+    return check_psd(x, "the initial state is not PSD")
 
 
 def sym(entries) -> np.ndarray:
@@ -174,28 +164,18 @@ def _rebuild(w: np.ndarray, q: np.ndarray) -> np.ndarray:
     return symmetrize((q * w[..., None, :]) @ q.swapaxes(-1, -2))
 
 
-def _spectral(x: np.ndarray, root: bool) -> np.ndarray:
-    """Symmetric x rebuilt from its eigenvalues clamped at 0, or from their square roots."""
+def cone_project_sqrt(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nearest (Frobenius) PSD matrix to symmetric x, with negative
+    eigenvalues clamped at 0 (Higham 1988), and its square root, both
+    rebuilt from one eigh of x: the one eigh cone kernel."""
     w, q = np.linalg.eigh(x)
     w = np.maximum(w, 0.0)
-    return _rebuild(np.sqrt(w) if root else w, q)
+    return _rebuild(w, q), _rebuild(np.sqrt(w), q)
 
 
 def cone_sqrt(x: np.ndarray) -> np.ndarray:
     """Symmetric square root of symmetric x; negative eigenvalues count as 0."""
-    return _spectral(x, root=True)
-
-
-def cone_project(x: np.ndarray) -> np.ndarray:
-    """Nearest (Frobenius) PSD matrix to symmetric x: clamp negative eigenvalues (Higham 1988)."""
-    return _spectral(x, root=False)
-
-
-def cone_project_sqrt(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cone_project(x) and its square root, both rebuilt from one eigh of x."""
-    w, q = np.linalg.eigh(x)
-    w = np.maximum(w, 0.0)
-    return _rebuild(w, q), _rebuild(np.sqrt(w), q)
+    return cone_project_sqrt(x)[1]
 
 
 def eigenvalues(x: np.ndarray) -> np.ndarray:
@@ -347,15 +327,6 @@ def _franca3(s, s1, s2, s3, up) -> np.ndarray:
     return np.array([[u00, u01, u02], [u01, u11, u12], [u02, u12, u22]])
 
 
-def _sqrt3(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Franca's roots of the 3 x 3 states on component rows x (3, 3, n) and
-    the mask of the certified states, the only ones whose roots are defined."""
-    s, e, (l1, l2, l3), certified = _spectrum3(x)
-    with np.errstate(invalid="ignore"):
-        root = _franca3(s, np.sqrt(l1), np.sqrt(l2), np.sqrt(l3), np.ldexp(1.0, e // 2))
-    return root, certified
-
-
 def _cone3(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The projection onto the cone of the 3 x 3 states on component rows x
     (3, 3, n), their roots, and the indices of the states left undefined.
@@ -415,9 +386,13 @@ def min_eig(x: np.ndarray) -> float:
 
 
 def is_psd(x: np.ndarray) -> bool:
-    """Finite and positive semidefinite up to slack: lambda_min >= -PSD_SLACK * max(1, ||x||)."""
+    """Finite and positive semidefinite up to slack: lambda_min >= -PSD_SLACK
+    * max(1, ||x||), the norm taken only when lambda_min < 0."""
     x = np.asarray(x, dtype=float)
-    return bool(np.isfinite(x).all()) and min_eig(x) >= -PSD_SLACK * max(1.0, frobenius(x))
+    if not np.isfinite(x).all():
+        return False
+    lam = min_eig(x)
+    return lam >= 0.0 or lam >= -PSD_SLACK * max(1.0, frobenius(x))
 
 
 def check_psd(x: np.ndarray, message: str) -> np.ndarray:
@@ -429,7 +404,7 @@ def check_psd(x: np.ndarray, message: str) -> np.ndarray:
 
 def psd_project(x: np.ndarray) -> np.ndarray:
     """Nearest (Frobenius) positive semidefinite matrix: clamp negative eigenvalues."""
-    return cone_project(canonical_sym(x, "x"))
+    return cone_project_sqrt(canonical_sym(x, "x"))[0]
 
 
 def sqrt_psd(x: np.ndarray) -> np.ndarray:
@@ -502,15 +477,8 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
     if not np.isfinite(norms).all():
         raise DomainError("mat_exp: non-finite entries" if not np.isfinite(a).all()
                           else "mat_exp: the 1-norm overflows")
-    # beyond theta_13, s = ceil(log2(norm / theta_13)): with norm / theta_13 =
-    # mant * 2^e, frexp gives it exactly, the same for a matrix and a stack
-    if a.ndim == 2:
-        deg = bisect.bisect_left(_PADE_THETA, float(norms))
-        if deg < 4:
-            return _pade_exp(a, _PADE_DEGREES[deg], 0)
-        mant, e = math.frexp(float(norms) / _PADE_THETA[-1])
-        return _pade_exp(a, 13, max(e - (mant == 0.5), 0))
-    # one key per matrix: the degree's index below theta_13, else 4 + s
+    # one key per matrix: the degree's index below theta_13, else 4 + s, where
+    # s = ceil(log2(norm / theta_13)) comes exactly from frexp's mant * 2^e
     mant, e = np.frexp(norms / _PADE_THETA[-1])
     degree = np.searchsorted(_PADE_THETA, norms)  # beyond theta_13 reads as 5
     key = np.where(degree >= 4, 4 + np.maximum(e - (mant == 0.5), 0), degree).ravel()

@@ -35,8 +35,9 @@ from psdaffine import (
 from psdaffine.model import sym_to_vec, vec_to_sym
 import psdaffine.montecarlo as mc
 from psdaffine.symcore import (
+    _cone3,
+    _spectrum3,
     _sqrt2,
-    _sqrt3,
     cone_project_sqrt,
     cone_sqrt,
     psd_project,
@@ -311,7 +312,7 @@ def test_d3_cone_step_passes_certified_states_and_projects_the_rest_by_eigh(monk
         return cone_project_sqrt(states)
     monkeypatch.setattr(mc, "_project_psd_batch", project)
     proj, root = _cone_step(x)
-    closed, certified = _sqrt3(x)
+    closed, certified = _cone3(x)[1], _spectrum3(x)[3]
     assert np.array_equal(certified, kinds == 0)
     assert np.array_equal(proj[..., certified], x[..., certified])
     assert np.array_equal(root[..., certified], closed[..., certified])
@@ -491,6 +492,26 @@ def test_estimate_transforms_empty_grid_does_not_simulate(monkeypatch):
                                SimConfig(n_paths=8, dt=0.1, seed=0)) == []
 
 
+@pytest.mark.parametrize("case", ["nan state", "not PSD", "negative T", "nan T", "killing"])
+def test_estimate_transforms_empty_grid_checks_x_T_and_conservativeness(monkeypatch, case):
+    # an empty grid simulates nothing, but it still takes the checks that
+    # simulate_paths makes; they used to be skipped, and [] came back
+    monkeypatch.setattr(mc, "simulate_paths", _no_simulation)
+    params, x, T = conservative_params(), np.eye(2), 1.0
+    if case == "nan state":
+        x = np.full((2, 2), np.nan)
+    elif case == "not PSD":
+        x = -np.eye(2)
+    elif case == "negative T":
+        T = -1.0
+    elif case == "nan T":
+        T = float("nan")
+    else:
+        params = dataclasses.replace(params, c=1.0)
+    with pytest.raises((DomainError, ValueError)):
+        estimate_transforms(params, [], x, T, SimConfig(n_paths=8, dt=0.1, seed=0))
+
+
 def test_estimate_transforms_checks_every_u_before_simulating(monkeypatch):
     import psdaffine.montecarlo as mc
     monkeypatch.setattr(mc, "simulate_paths", _no_simulation)
@@ -556,6 +577,14 @@ def test_sim_config_rejects_a_seed_outside_the_philox_key(seed):
     SimConfig(n_paths=4, dt=0.1, seed=2 ** 64 - 1)
 
 
+@pytest.mark.parametrize("n_paths", [10.5, np.float64(8.0), True, "8", 0, -3])
+def test_sim_config_rejects_n_paths_that_is_not_a_positive_integer(n_paths):
+    # 10.5 and 8.0 used to end in a TypeError from range, and True simulated one path
+    with pytest.raises(ValueError, match="n_paths must be an integer of at least 1"):
+        SimConfig(n_paths=n_paths, dt=0.1, seed=0)
+    assert SimConfig(n_paths=np.int64(8), dt=0.1, seed=0).n_paths == 8
+
+
 @pytest.mark.parametrize("T", [float("nan"), float("inf")])
 def test_simulate_paths_rejects_non_finite_horizon(T):
     with pytest.raises(ValueError, match="T must be positive and finite"):
@@ -609,7 +638,7 @@ def golden_params(d):
 # intensity integrals by at most 1.6e-14 relative and those estimates by at
 # most 1.9e-14 absolute; the jump counts did not change. They were
 # re-recorded once more when the d = 3 cone step began to pass the states it
-# certifies unchanged and take their roots from the closed form (_sqrt3),
+# certifies unchanged and take their roots from Franca's closed form,
 # with one eigh on the other states alone: over the three d = 3 runs, terminal
 # states moved by at most 3.3e-14 relative, intensity integrals by at most
 # 1.1e-14 relative and those estimates by at most 1.3e-14 absolute; the jump
@@ -698,15 +727,17 @@ def test_mc_bits_do_not_depend_on_simd_dispatch():
                                        for d, anti in cases]
 
 
-def test_d3_block_takes_one_eigh_per_step_and_one_philox(monkeypatch):
-    # the eigh that projects the state of step k also gives the square root
-    # of step k + 1, and a block moves one Philox generator between its
-    # streams, over three draw chunks
-    import psdaffine.montecarlo as mc
+@pytest.mark.parametrize("d", [pytest.param(3, id="d3"), pytest.param(4, id="d4")])
+def test_block_eigh_calls_per_step_and_one_philox(monkeypatch, d):
+    # at d = 4 the eigh that projects the state of step k also gives the
+    # square root of step k + 1, one batched eigh per block and step; at d = 3
+    # only the steps whose states _cone3 leaves over take one (a strong mean
+    # reversion at a long step leaves some); a block moves one Philox
+    # generator between its streams, over three draw chunks
     monkeypatch.setenv("PSDAFFINE_THREADS", "1")
     monkeypatch.setattr(mc, "_BLOCK_PATHS", 25)  # 26 + 10 paths
-    calls = {"eigh": 0, "philox": 0}
-    eigh, philox = np.linalg.eigh, np.random.Philox
+    calls = {"eigh": 0, "philox": 0, "left": 0}
+    eigh, philox, cone3 = np.linalg.eigh, np.random.Philox, mc._cone3
 
     def counted_eigh(a, *args, **kwargs):
         calls["eigh"] += np.ndim(a) == 3
@@ -716,13 +747,22 @@ def test_d3_block_takes_one_eigh_per_step_and_one_philox(monkeypatch):
         calls["philox"] += 1
         return philox(*args, **kwargs)
 
+    def counted_cone3(x):
+        out = cone3(x)
+        calls["left"] += len(out[2]) > 0
+        return out
+
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(np.random, "Philox", counted_philox)
-    stats = simulate_paths(golden_params(3), 0.5 * np.eye(3), 0.6,
-                           SimConfig(n_paths=36, dt=0.001, seed=2024))
+    monkeypatch.setattr(mc, "_cone3", counted_cone3)
+    params = dataclasses.replace(golden_params(d), drift=LyapunovDrift(beta=-5.0 * np.eye(d)))
+    stats = simulate_paths(params, 0.5 * np.eye(d), 30.0, SimConfig(n_paths=36, dt=0.05, seed=2024))
     n_blocks = 2
     assert stats.n_steps == 600
-    assert calls["eigh"] <= n_blocks * (stats.n_steps + 1)
+    if d == 4:
+        assert calls["eigh"] == n_blocks * stats.n_steps
+    else:
+        assert 0 < calls["eigh"] == calls["left"] < n_blocks * stats.n_steps
     assert calls["philox"] == n_blocks
 
 

@@ -37,8 +37,8 @@ from psdaffine import (
     transform,
 )
 from psdaffine.model import sym_to_vec, truncation, vec_to_sym
-from psdaffine.riccati import RiccatiRHS
-from psdaffine.symcore import cone_project, min_eig, psd_project
+from psdaffine.riccati import RiccatiRHS, transform_grid
+from psdaffine.symcore import cone_project_sqrt, min_eig, psd_project
 from conftest import (
     CONE_EDGE_KINDS,
     CONE_EDGE_SCALES,
@@ -184,7 +184,7 @@ def _exact_moved_exponents(rhs, v):
     moved = np.flatnonzero(np.linalg.eigvalsh(x)[:, 0] < 0.0)
     if not len(moved):
         return None, None
-    re = sym_to_vec(cone_project(x[moved]))
+    re = sym_to_vec(cone_project_sqrt(x[moved])[0])
     return moved, np.concatenate([re[:, None], v[moved, 1:]], axis=1) @ rhs._xi
 
 
@@ -470,6 +470,19 @@ def test_transform_checks_the_domain_at_every_horizon():
     for T in (0.0, 0.5):
         with pytest.raises(DomainError):
             transform(params, -np.eye(2) + 0j, np.eye(2), T)
+
+
+@pytest.mark.parametrize("T", [float("nan"), float("inf"), -float("inf")])
+def test_ode_route_rejects_a_non_finite_horizon(T):
+    # NaN used to give the T = 0 value exp(-tr(u x)) and a solve "completed"
+    # at t_end = 0; inf ran into the step budget
+    params, u = wishart_params(), np.eye(2, dtype=complex)
+    with pytest.raises(ValueError, match="must be .*finite"):
+        transform(params, u, np.eye(2), T)
+    for call in (lambda: solve(params, u, T), lambda: solve_grid(params, [u, 2 * u], T),
+                 lambda: transform_grid(params, [u], np.eye(2), T)):
+        with pytest.raises(ValueError, match="must be .*finite"):
+            call()
 
 
 def test_transform_modulus_bound_conservative():

@@ -38,14 +38,12 @@ from psdaffine.symcore import (
     PSD_SLACK,
     _project2,
     _rebuild,
-    _spectral,
     _acos,
     _cone3,
+    _spectrum3,
     _sqrt2,
-    _sqrt3,
     CONE3_CERTIFY,
     cone_certified,
-    cone_project,
     cone_project_sqrt,
     cone_sqrt,
     eigenvalues,
@@ -412,13 +410,12 @@ def _psd_stacks(draw, dims=(2, 5), floor=0.0):
 def test_stacked_spectral_kernel_equals_per_matrix(x, root):
     d = x.shape[-1]
     flat = x.reshape(-1, d, d)
-    per = np.stack([_spectral(m, root) for m in flat])
-    assert _spectral(x, root).tobytes() == per.tobytes()
+    per = np.stack([cone_project_sqrt(m)[root] for m in flat])
+    assert cone_project_sqrt(x)[root].tobytes() == per.tobytes()
     per_w = np.stack([eigenvalues(m) for m in flat])
     assert eigenvalues(x).tobytes() == per_w.tobytes()
-    # the cone kernels are the spectral kernel itself, at every d
-    assert cone_project(x).tobytes() == _spectral(x, False).tobytes()
-    assert cone_sqrt(x).tobytes() == _spectral(x, True).tobytes()
+    # the root kernel is the eigh cone kernel itself, at every d
+    assert cone_sqrt(x).tobytes() == cone_project_sqrt(x)[1].tobytes()
 
 
 @st.composite
@@ -442,8 +439,8 @@ def _cone_edge_stacks(draw):
 @given(_cone_edge_stacks())
 def test_projection_and_root_from_one_eigh(x):
     p, r = cone_project_sqrt(x)
-    assert p.tobytes() == cone_project(x).tobytes()
-    assert (r == r.swapaxes(-1, -2)).all()
+    assert r.tobytes() == cone_sqrt(x).tobytes()
+    assert (p == p.swapaxes(-1, -2)).all() and (r == r.swapaxes(-1, -2)).all()
     norm = np.linalg.norm(p, axis=(-2, -1))
     assert (np.linalg.norm(r @ r - p, axis=(-2, -1)) <= 1e-12 * norm).all()
 
@@ -457,9 +454,9 @@ def _on_components(kernel, x):
 @settings(max_examples=150, deadline=None)
 @given(_sym_stacks(dims=(2, 2)), _psd_stacks(dims=(2, 2), floor=1e-3))
 def test_2x2_fast_path_agrees_with_spectral_kernel(x, p):
-    np.testing.assert_allclose(_on_components(_project2, x), _spectral(x, False),
+    np.testing.assert_allclose(_on_components(_project2, x), cone_project_sqrt(x)[0],
                                rtol=0, atol=1e-10)
-    np.testing.assert_allclose(_on_components(_sqrt2, p), _spectral(p, True), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(_on_components(_sqrt2, p), cone_sqrt(p), rtol=0, atol=1e-10)
     # matrices in the cone pass through as the same arrays
     a, b, c = p[..., 0, 0], p[..., 0, 1], p[..., 1, 1]
     assert all(out is arg for out, arg in zip(_project2(a, b, c), (a, b, c)))
@@ -512,7 +509,8 @@ def test_3x3_closed_form_root_certifies_only_accurate_states(kind):
     # states outside the cone, on its boundary or with a condition number
     # from 1e4 are left to the eigh fallback
     x = _states3(kind, np.random.default_rng(sum(map(ord, kind))))
-    root, certified = _sqrt3(np.ascontiguousarray(x.transpose(1, 2, 0)))
+    rows = np.ascontiguousarray(x.transpose(1, 2, 0))
+    root, certified = _cone3(rows)[1], _spectrum3(rows)[3]
     assert root.shape == (3, 3, len(x)) and certified.dtype == bool
     for p, state in enumerate(x):
         _, exact, w = _exact_cone(state)
@@ -555,8 +553,9 @@ def test_3x3_closed_form_split_matches_eigh_and_a_40_digit_reference(kind, scale
     rng = np.random.default_rng(sum(map(ord, kind)))
     x = symmetrize(np.stack([(q * np.array(w)) @ q.T * scale for w, q in (
         (w, random_orthogonal(rng, 3)) for w in _split_spectra(kind, rng))]))
-    proj, root, rest = _cone3(np.ascontiguousarray(x.transpose(1, 2, 0)))
-    assert not _sqrt3(np.ascontiguousarray(x.transpose(1, 2, 0)))[1].any()
+    rows = np.ascontiguousarray(x.transpose(1, 2, 0))
+    proj, root, rest = _cone3(rows)
+    assert not _spectrum3(rows)[3].any()
     if kind not in ("one-negative", "inside"):
         assert rest.tolist() == list(range(len(x)))
         return
@@ -618,10 +617,10 @@ def test_cone_certificate_implies_both_eigenvalue_rules(d, seed, scale):
 @settings(max_examples=150, deadline=None)
 @given(_sym_stacks())
 def test_projection_is_psd_and_idempotent(x):
-    p = cone_project(x)
+    p = cone_project_sqrt(x)[0]
     scale = 1.0 + np.abs(x).max()
     assert (eigenvalues(p)[..., 0] >= -1e-12 * scale).all()
-    np.testing.assert_allclose(cone_project(p), p, rtol=0, atol=1e-10 * scale)
+    np.testing.assert_allclose(cone_project_sqrt(p)[0], p, rtol=0, atol=1e-10 * scale)
     # the checked entry point gives the same matrices
     d = x.shape[-1]
     for m, pm in zip(x.reshape(-1, d, d), p.reshape(-1, d, d)):
