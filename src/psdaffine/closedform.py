@@ -13,13 +13,13 @@ The psi expression is the singular-safe form of
 exp(beta^T t)(u^{-1} + sigma)^{-1} exp(beta t), which also covers u on the
 boundary of the tube; no invertibility of alpha is needed anywhere.
 
-:func:`mbajd_grid` evaluates a u-grid at a list of times in one pass per time over
-the stack of u. One batched determinant and one stacked Hermitian reduction give the
-log-det on the branch continuous on the tube (never the principal one). One adaptive
-Gauss-Kronrod rule (G7K15) integrates every row's jump rate from panels graded toward
-s = 0, where psi turns over a layer of width about 1 / (4 |u|^2 |alpha|); exp(beta s)
-and sigma_s at the union of a round's nodes come from one stacked block exponential.
-The quadrature witness of sigma_t takes one stacked exponential per round.
+:func:`mbajd_grid` evaluates a u-grid at a list of times in one pass over the (u, t)
+rows: exp(beta t) and sigma_t at every time from one stacked block exponential, the
+log-det on the branch continuous on the tube (never the principal one) from one batched
+determinant and one stacked Hermitian reduction, and every row's jump rate integrated
+over [0, t] by one adaptive Gauss-Kronrod rule (G7K15) from panels graded toward s = 0,
+where psi turns over a layer about 1 / (4 |u|^2 |alpha|) wide. exp(beta s) and sigma_s at
+a round's nodes, and the quadrature witness's flow, take one stacked exponential a round.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ class QuadratureError(RuntimeError):
 _MAX_DEPTH = 30  # most bisections of a starting panel
 _MAX_LEVEL = 12  # most panels of one row bisected in one round: 2^_MAX_LEVEL
 _QUAD_TOL = 1e-10  # bound on |K15 - G7| of each panel of the jump integral
+_GRID_ROWS = 256  # (u, t) rows per pass of mbajd_grid: memory bound, never affects results
 
 # G7K15 (Piessens et al., QUADPACK, 1983), as float64: the Kronrod nodes of [-1, 1]
 # ascending, their weights, and the weights of the Gauss nodes, the odd-indexed ones
@@ -141,17 +142,18 @@ def flow_omega(beta: np.ndarray, x: np.ndarray, t: float | np.ndarray) -> np.nda
     return symmetrize(e @ np.asarray(x, dtype=float) @ e.swapaxes(-1, -2))
 
 
-def _adaptive_simpson(f, t: float, tol: float, k) -> np.ndarray:
-    """Adaptive G7K15 quadrature over [0, t] of len(k) rows of array-valued integrands
-    f(rows, s), given stacked at the nodes s of rows. Row r starts from the panels
-    [0, t 2^-k_r] and [t 2^-j, t 2^(1-j)], j = k_r, ..., 1. Each round bisects every
-    panel whose |K15 - G7|, a max over components, exceeds tol, and adds the others'
-    K15 to their row's total in panel order, so no row depends on another. It raises on
-    a non-finite estimate, and before a round bisects over 2^_MAX_LEVEL panels of one
-    row, which bounds memory per row. (The benchmark's tracer hooks the rule by the
-    name of the Simpson rule it replaced.)"""
-    row = np.repeat(np.arange(len(k)), np.asarray(k) + 1)
-    b = np.concatenate([np.ldexp(t, np.arange(-kr, 1)) for kr in k])
+def _adaptive_simpson(f, t, tol: float, k) -> np.ndarray:
+    """Adaptive G7K15 quadrature over [0, t_r] of len(k) rows of array-valued integrands
+    f(rows, s), given stacked at the nodes s of rows; t is one horizon or one per row.
+    Row r starts from the panels [0, t_r 2^-k_r] and [t_r 2^-j, t_r 2^(1-j)], j = k_r,
+    ..., 1. Each round bisects every panel whose |K15 - G7|, a max over components,
+    exceeds tol, and adds the others' K15 to their row's total in panel order, so no row
+    depends on another. It raises on a non-finite estimate, and before a round bisects
+    over 2^_MAX_LEVEL panels of one row, which bounds memory per row. (The benchmark's
+    tracer hooks the rule by the name of the Simpson rule it replaced.)"""
+    n = np.asarray(k) + 1
+    row = np.repeat(np.arange(len(n)), n)
+    b = np.ldexp(np.broadcast_to(t, len(n))[row], np.arange(len(row)) + 1 - np.cumsum(n)[row])
     a = np.where(np.diff(row, prepend=-1) > 0, 0.0, b / 2.0)
     total = None
     for depth in range(_MAX_DEPTH + 1):
@@ -205,8 +207,8 @@ def sigma_integral(beta: np.ndarray, alpha: np.ndarray, t: float) -> np.ndarray:
     quadrature; a discrepancy above 1e-8 raises."""
     beta = check_square(np.asarray(beta, dtype=float), "beta")
     alpha = canonical_sym(alpha, "alpha")
-    if t < 0:
-        raise DomainError("sigma_integral requires t >= 0")
+    if not 0 <= t < math.inf:
+        raise DomainError(f"sigma_integral requires t >= 0 and finite, got {t}")
     if t == 0:
         return np.zeros_like(alpha)
     sig = _vanloan(beta, alpha, t)[1]
@@ -214,42 +216,55 @@ def sigma_integral(beta: np.ndarray, alpha: np.ndarray, t: float) -> np.ndarray:
     return sig
 
 
-def _horizon(spec: MBAJDSpec, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """_vanloan at t, witnessed once per spec and new largest horizon."""
-    e_t, sig_t = _vanloan(spec.beta, spec.alpha, t)
-    if t > spec._witnessed:  # no t-dependent failure beyond what one horizon shows
-        _witness(spec.beta, spec.alpha, t, sig_t)
-        object.__setattr__(spec, "_witnessed", t)
+def _flow(spec: MBAJDSpec, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_vanloan at ascending times t > 0, from one stacked exponential; the largest
+    is witnessed once per spec and new largest horizon."""
+    e_t, sig_t = _vanloan(spec.beta, spec.alpha, times)
+    if times[-1] > spec._witnessed:  # no t-dependent failure beyond what one horizon shows
+        _witness(spec.beta, spec.alpha, times[-1], sig_t[-1])
+        object.__setattr__(spec, "_witnessed", float(times[-1]))
     return e_t, sig_t
 
 
-def _psi(u: np.ndarray, e: np.ndarray, sig: np.ndarray, t: float | None = None) -> np.ndarray:
-    """exp(beta^T s)(I + u sigma_s)^{-1} u exp(beta s) of stacked u and nodes; at a
-    time t, raises when some I + u sigma_t is near singular or not finite (a
-    condition number that is not at most 1e12, NaN included)."""
+def _raise_at(t, *checks) -> None:
+    """Raise the DomainError of the first (failed, message) check that fails at the
+    largest time at which any does; t is one time or one per row."""
+    failed = np.array([f for f, _ in checks])
+    if failed.any():
+        last = float(np.broadcast_to(t, failed.shape)[failed].max())
+        msg = next(m for f, m in checks if (f & (t == last)).any())
+        raise DomainError(f"{msg} at t = {last}")
+
+
+def _psi(u: np.ndarray, e: np.ndarray, sig: np.ndarray, t=None) -> np.ndarray:
+    """exp(beta^T s)(I + u sigma_s)^{-1} u exp(beta s) of stacked u and nodes; at
+    times t (one, or one per u), raises when some I + u sigma_t is near singular or
+    not finite (a condition number that is not at most 1e12, NaN included)."""
     # a non-finite m fails the check at t, and makes a node's integrand non-finite
     with np.errstate(over="ignore", invalid="ignore"):
         m = np.eye(u.shape[-1]) + u @ sig
-    if t is not None and not (np.linalg.cond(m) <= 1e12).all():
-        raise DomainError(f"I + u sigma_t(alpha) is near singular at t = {t}")
+    if t is not None:
+        _raise_at(t, (~(np.linalg.cond(m) <= 1e12), "I + u sigma_t(alpha) is near singular"))
     return symmetrize(e.swapaxes(-1, -2) @ np.linalg.solve(m, u) @ e)
 
 
-def _logdet(us: np.ndarray, sig_t: np.ndarray, t: float) -> np.ndarray:
-    """log det(I + u sigma_t) of a stack of u on the branch continuous on the tube:
+def _logdet(us: np.ndarray, sig_t: np.ndarray, t) -> np.ndarray:
+    """log det(I + u sigma_t) of a stack of u, with one sigma_t and t or one per u,
+    on the branch continuous on the tube:
     cmath's log of z = det(I + u sigma_t) (libm bits, whatever NumPy's SIMD dispatch)
     plus the 2 pi i k that brings arg z within pi / 4 of theta = sum_j atan(mu_j), as
     z = det(L)^2 prod_j (1 + i mu_j) for sigma_t = R R^T, I + R^T Re(u) R = L L^T and
     mu = eig(L^-1 R^T Im(u) R L^-T). Where z overflows (u = 1e300 I), log z is
     2 sum_j log L_jj + sum_j log(1 + i mu_j) from the same factors."""
     with np.errstate(all="ignore"):
-        z = np.linalg.det(np.eye(len(sig_t)) + us @ sig_t)
+        z = np.linalg.det(np.eye(us.shape[-1]) + us @ sig_t)
         try:
             w, q = np.linalg.eigh(sig_t)
-            r = q * np.sqrt(np.maximum(w, 0.0))
-            chol = np.linalg.cholesky(np.eye(len(r)) + r.T @ us.real @ r)
+            r = q * np.sqrt(np.maximum(w, 0.0))[..., None, :]
+            r_t = r.swapaxes(-1, -2)
+            chol = np.linalg.cholesky(np.eye(us.shape[-1]) + r_t @ us.real @ r)
             l_inv = np.linalg.inv(chol)
-            mu = np.linalg.eigvalsh(l_inv @ (r.T @ us.imag @ r) @ l_inv.swapaxes(-1, -2))
+            mu = np.linalg.eigvalsh(l_inv @ (r_t @ us.imag @ r) @ l_inv.swapaxes(-1, -2))
             theta = np.arctan(mu).sum(axis=1)
         except np.linalg.LinAlgError:
             theta = np.nan
@@ -257,11 +272,11 @@ def _logdet(us: np.ndarray, sig_t: np.ndarray, t: float) -> np.ndarray:
     for i in np.flatnonzero(~np.isfinite(z) & np.isfinite(theta)):  # theta = nan: no factors
         logdet[i] = (2.0 * sum(map(math.log, np.diagonal(chol[i]).tolist()))
                      + sum(cmath.log(1.0 + 1j * m) for m in mu[i].tolist()))
-    if not (np.isfinite(logdet).all() and np.isfinite(theta).all()):
-        raise DomainError(f"det(I + u sigma_t(alpha)) is not finite at t = {t}")
     logdet += 2j * np.pi * np.rint((theta - logdet.imag) / (2.0 * np.pi))
-    if (np.abs(theta - logdet.imag) > np.pi / 4).any():
-        raise DomainError(f"the argument of det(I + u sigma_t(alpha)) is unresolved at t = {t}")
+    _raise_at(t, (~(np.isfinite(logdet) & np.isfinite(theta)),
+                  "det(I + u sigma_t(alpha)) is not finite"),
+              (np.abs(theta - logdet.imag) > np.pi / 4,
+               "the argument of det(I + u sigma_t(alpha)) is unresolved"))
     return logdet
 
 
@@ -278,15 +293,18 @@ def _jump_rate(m: AtomicMeasure, u: np.ndarray, e: np.ndarray, sig: np.ndarray) 
     return sum(w * (np.exp(-np.einsum("nij,ji->n", psi, xi)) - 1.0) for xi, w in m.atoms)
 
 
-def _jump_integral(spec: MBAJDSpec, us: np.ndarray, t: float) -> np.ndarray:
-    """int_0^t sum_k w_k (exp(-tr(psi(s, u) xi_k)) - 1) ds of every u, each panel within
-    _QUAD_TOL. Near s = 0, psi ~ u - 2 s u alpha u turns over a layer 1 / (4 |u|^2 |alpha|)
-    wide, below a coarse panel's first node, so each u's panels start graded toward 0 until
-    that node ((1 - x_15) / 2 of the width) lies within about a layer of 0; none narrower
-    than t 2^-k_max, where |rate| <= 2 sum_k w_k lets any panel pass."""
+def _jump_integral(spec: MBAJDSpec, us: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """int_0^t sum_k w_k (exp(-tr(psi(s, u) xi_k)) - 1) ds of every u at its time t, each
+    panel within _QUAD_TOL. Near s = 0, psi ~ u - 2 s u alpha u turns over a layer
+    1 / (4 |u|^2 |alpha|) wide, below a coarse panel's first node, so each u's panels start
+    graded toward 0 until that node ((1 - x_15) / 2 of the width) lies within about a
+    layer of 0; none narrower than t 2^-k_max, where |rate| <= 2 sum_k w_k lets any panel pass."""
     w_max = max(w for _, w in spec.m.atoms)  # 2^k_max = 4 t sum_k w_k / _QUAD_TOL, in logs
-    k_max = max(0, math.ceil(2.0 + math.log2(t) + math.log2(w_max) - math.log2(_QUAD_TOL)
-                             + math.log2(sum(w / w_max for _, w in spec.m.atoms))))
+    horizons, of = np.unique(t, return_inverse=True)
+    k_max = np.array([max(0, math.ceil(2.0 + math.log2(h) + math.log2(w_max)
+                                       - math.log2(_QUAD_TOL)
+                                       + math.log2(sum(w / w_max for _, w in spec.m.atoms))))
+                      for h in horizons.tolist()])[of]
     with np.errstate(all="ignore"):  # |u|^2 = inf at u = 1e300 I asks for k_max
         k = np.log2(t * frobenius(spec.alpha) * (1.0 - _XK[-1])
                     * np.linalg.norm(us, axis=(-2, -1)) ** 2)
@@ -302,12 +320,12 @@ def _jump_integral(spec: MBAJDSpec, us: np.ndarray, t: float) -> np.ndarray:
 
 def _checked(spec: MBAJDSpec, us, times) -> np.ndarray:
     """The u stacked as a complex array, once each u is in the tube and each
-    time is t >= 0."""
+    time is finite and t >= 0."""
     us = [check_u(u, spec.d) for u in us]
     for t in times:
-        if not t >= 0:
-            raise DomainError(f"the closed form requires t >= 0, got {t}")
-    return np.array(us).reshape(len(us), spec.d, spec.d)
+        if not 0 <= t < math.inf:
+            raise DomainError(f"the closed form requires t >= 0 and finite, got {t}")
+    return np.array(us, dtype=complex).reshape(len(us), spec.d, spec.d)
 
 
 def mbajd_grid(spec: MBAJDSpec, us, times) -> tuple[np.ndarray, np.ndarray]:
@@ -315,21 +333,27 @@ def mbajd_grid(spec: MBAJDSpec, us, times) -> tuple[np.ndarray, np.ndarray]:
     of shape (len(us), len(times)) and (len(us), len(times), d, d).
 
     Every u must pass symcore.check_u. The quadrature witness runs once, at the
-    largest time.
+    largest time, before any row; the (u, t) rows with t > 0 then go by descending
+    t in passes of at most _GRID_ROWS, and an error names the largest time at which
+    its check fails in the first pass that fails.
     """
     us = _checked(spec, us, times)
-    phi = np.zeros((len(us), len(times)), dtype=complex)
-    psi = np.empty((len(us), len(times), spec.d, spec.d), dtype=complex)
-    for j in sorted(range(len(times)), key=lambda j: -times[j]) if len(us) else ():
-        t = float(times[j])
-        if t == 0:
-            psi[:, j] = us
-            continue
-        e_t, sig_t = _horizon(spec, t)
-        phi[:, j] = spec.p * _logdet(us, sig_t, t)
+    t = np.array(times, dtype=float)
+    phi = np.zeros((len(us), len(t)), dtype=complex)
+    psi = np.repeat(us[:, None], len(t), axis=1)
+    order = np.argsort(-t, kind="stable")
+    j, k = (a.ravel() for a in np.meshgrid(order[t[order] > 0], range(len(us)), indexing="ij"))
+    if not len(j):
+        return phi, psi
+    horizons, at = np.unique(t[j], return_inverse=True)
+    e, sig = _flow(spec, horizons)
+    for lo in range(0, len(j), _GRID_ROWS):
+        rows = slice(lo, lo + _GRID_ROWS)
+        u, tr, h = us[k[rows]], t[j[rows]], at[rows]
+        phi[k[rows], j[rows]] = spec.p * _logdet(u, sig[h], tr)
         if not spec.m.is_empty:
-            phi[:, j] -= _jump_integral(spec, us, t)
-        psi[:, j] = _psi(us, e_t, sig_t, t)
+            phi[k[rows], j[rows]] -= _jump_integral(spec, u, tr)
+        psi[k[rows], j[rows]] = _psi(u, e[h], sig[h], tr)
     return phi, psi
 
 
@@ -338,7 +362,7 @@ def mbajd_psi(spec: MBAJDSpec, u: np.ndarray, t: float) -> np.ndarray:
     the psi of :func:`mbajd_grid` from one block exponential at t (plus the
     witness at a new largest horizon), with no log-det or jump integral."""
     us, t = _checked(spec, [u], [t]), float(t)
-    return us[0].copy() if t == 0 else _psi(us, *_horizon(spec, t), t)[0]
+    return us[0].copy() if t == 0 else _psi(us, *_flow(spec, np.array([t])), t)[0]
 
 
 def mbajd_phi(spec: MBAJDSpec, u: np.ndarray, t: float) -> complex:

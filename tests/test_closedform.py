@@ -592,6 +592,20 @@ def test_closed_form_rejects_negative_or_nan_time(t):
             f(spec, np.eye(2) + 0j, t)
 
 
+def test_closed_form_rejects_an_infinite_time():
+    # before any exponential is taken: no NumPy warning, a named DomainError
+    spec = basic_spec()
+    u = np.eye(2) + 0j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (lambda: mbajd_grid(spec, [u, 2.0 * u], [1.0, np.inf]),
+                    lambda: mbajd_psi(spec, u, np.inf),
+                    lambda: mbajd_transform(spec, u, np.eye(2), np.inf),
+                    lambda: sigma_integral(np.zeros((2, 2)), np.eye(2), np.inf)):
+            with pytest.raises(DomainError, match="requires t >= 0"):
+                run()
+
+
 def test_witness_runs_once_per_new_horizon(monkeypatch):
     rng = np.random.default_rng(16)
     beta = random_stable_beta(rng, 2)
@@ -613,7 +627,7 @@ def test_witness_runs_once_per_new_horizon(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the grid call: one quadrature per time, shared by every u
+# the grid call: one pass over the (u, t) rows, shared by every u and time
 # ---------------------------------------------------------------------------
 
 
@@ -661,20 +675,58 @@ def test_grid_call_equals_one_row_calls(d, n_atoms, n_u, seed):
             assert psi[k, j].tobytes() == want.tobytes()
 
 
-def test_one_jump_quadrature_per_time(monkeypatch):
-    # the whole u-grid shares each time's jump integral; the fifth call is
-    # the witness of the fresh spec at its largest time
+def test_one_jump_quadrature_per_grid(monkeypatch):
+    # the whole (u, t) grid shares one jump quadrature, after the witness of the
+    # fresh spec at its largest time; one block exponential gives the four
+    # horizons, and each quadrature round one more for its nodes
     rng = np.random.default_rng(19)
     spec = basic_spec(beta=random_stable_beta(rng, 2),
                       atoms=((random_psd(rng, 2) + 0.1 * np.eye(2), 0.5),))
-    calls = []
-    correct = cf._adaptive_simpson
-    monkeypatch.setattr(cf, "_adaptive_simpson",
-                        lambda *args, **kw: calls.append(args) or correct(*args, **kw))
+    calls, rounds, blocks = [], [], []
+    correct, correct_vanloan = cf._adaptive_simpson, cf._vanloan
+
+    def counting(f, t, tol, k):
+        calls.append(np.size(t))
+        return correct(lambda rows, s: rounds.append(len(calls)) or f(rows, s), t, tol, k)
+
+    monkeypatch.setattr(cf, "_adaptive_simpson", counting)
+    monkeypatch.setattr(cf, "_vanloan",
+                        lambda b, a, t: blocks.append(np.size(t)) or correct_vanloan(b, a, t))
     phi, _ = mbajd_grid(spec, [random_interior_u(rng, 2) for _ in range(16)],
                         [0.25, 0.5, 1.0, 2.0])
     assert np.isfinite(phi).all()
-    assert len(calls) == 5
+    assert calls == [1, 64]
+    assert blocks[0] == 4 and len(blocks) == 1 + rounds.count(2) and rounds.count(2) > 0
+
+
+def test_grid_error_names_the_failing_rows_time():
+    # I + 1e20 sigma_t(alpha) is near singular at t = 1e-6 (sigma_t nearly rank 1)
+    # but not at t = 1: the error names the time of the row that fails
+    spec = MBAJDSpec(d=2, alpha=np.diag([1.0, 0.0]), beta=np.array([[-0.5, 0.3], [-0.4, -0.6]]),
+                     p=0.5)
+    with pytest.raises(DomainError, match=r"^I \+ u sigma_t\(alpha\) is near singular "
+                                          r"at t = 1e-06$"):
+        mbajd_grid(spec, [1e20 * np.eye(2) + 0j, np.eye(2) + 0j], [1e-6, 1.0])
+
+
+def test_grid_results_do_not_depend_on_passes(monkeypatch):
+    # unsorted, repeated and zero times, d = 4, two atoms, and a |Im u| = 400 row
+    # among interior ones, in passes of 3 rows and in one pass
+    rng = np.random.default_rng(31)
+    atoms = tuple((random_psd(rng, 4) + 0.1 * np.eye(4), w) for w in (0.3, 0.6))
+    spec = MBAJDSpec(d=4, alpha=random_psd(rng, 4) + 0.1 * np.eye(4),
+                     beta=random_stable_beta(rng, 4), p=2.0, m=AtomicMeasure(atoms=atoms))
+    us = [random_interior_u(rng, 4) for _ in range(3)]
+    us.insert(1, 0.1 * np.eye(4) + 400j * np.eye(4))
+    times = [1.3, 0.0, 0.4, 1.3]
+    phi, psi = mbajd_grid(spec, us, times)
+    monkeypatch.setattr(cf, "_GRID_ROWS", 3)
+    small_phi, small_psi = mbajd_grid(spec, us, times)
+    assert phi.tobytes() == small_phi.tobytes() and psi.tobytes() == small_psi.tobytes()
+    for k, u in enumerate(us):
+        for j, t in enumerate(times):
+            assert phi[k, j].tobytes() == np.complex128(mbajd_phi(spec, u, t)).tobytes()
+            assert psi[k, j].tobytes() == mbajd_psi(spec, u, t).tobytes()
 
 
 def test_rows_of_different_depth_stay_independent():
